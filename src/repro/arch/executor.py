@@ -8,8 +8,9 @@ executions are cut off by an instruction budget (and classified as hangs).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.arch.result import ExecutionResult, ExecutionStatus, InvocationRecord
 from repro.arch.state import WORD_MASK, ArchState
@@ -20,10 +21,21 @@ from repro.isa.program import Program
 
 _SIGN_BIT = 1 << 63
 
+#: Checkpointed runs snapshot at least this many commits apart ...
+_MIN_SNAPSHOT_INTERVAL = 64
+#: ... and keep at most about this many snapshots of a run.
+_MAX_SNAPSHOTS = 256
+
 
 def _signed(value: int) -> int:
     """Interpret a 64-bit pattern as two's-complement."""
     return value - (1 << 64) if value & _SIGN_BIT else value
+
+
+def snapshot_interval(instructions: int) -> int:
+    """Commits between the snapshots of a run of ``instructions`` commits."""
+    return max(_MIN_SNAPSHOT_INTERVAL,
+               math.ceil(instructions / _MAX_SNAPSHOTS))
 
 
 @dataclass(frozen=True)
@@ -40,6 +52,56 @@ class ExecutionLimits:
     def __post_init__(self) -> None:
         if self.max_instructions <= 0:
             raise ValueError("max_instructions must be positive")
+
+
+@dataclass(frozen=True)
+class Snapshot:
+    """Architectural state of a run just before one of its commits."""
+
+    pc: int
+    gprs: Tuple[int, ...]
+    predicates: Tuple[bool, ...]
+    memory: Dict[int, int]
+    call_stack: Tuple[int, ...]
+    #: Outputs emitted before this commit.
+    output_count: int
+
+    @classmethod
+    def capture(cls, pc: int, state: ArchState,
+                output_count: int) -> "Snapshot":
+        return cls(pc, tuple(state.gprs), tuple(state.predicates),
+                   dict(state.memory), tuple(state.call_stack), output_count)
+
+    def matches(self, pc: int, state: ArchState, output_count: int) -> bool:
+        """Whether ``state`` at ``pc`` equals this snapshot's state."""
+        return (pc == self.pc and output_count == self.output_count
+                and tuple(state.gprs) == self.gprs
+                and tuple(state.predicates) == self.predicates
+                and tuple(state.call_stack) == self.call_stack
+                and state.memory == self.memory)
+
+    def restore(self) -> ArchState:
+        state = ArchState()
+        state.gprs = list(self.gprs)
+        state.predicates = list(self.predicates)
+        state.memory = dict(self.memory)
+        state.call_stack = list(self.call_stack)
+        return state
+
+
+@dataclass(frozen=True)
+class SnapshotLog:
+    """Snapshots of one unmodified run and how that run ended.
+
+    ``snapshots[j]`` is the state before commit ``j * interval``; the log
+    is valid only for runs under the same ``max_instructions``.
+    """
+
+    interval: int
+    max_instructions: int
+    snapshots: Tuple[Snapshot, ...]
+    status: ExecutionStatus
+    outputs: Tuple[int, ...]
 
 
 class FunctionalSimulator:
@@ -64,6 +126,8 @@ class FunctionalSimulator:
         record_trace: bool = True,
         override_seq: Optional[int] = None,
         override_instruction: Optional[Instruction] = None,
+        snapshot_every: int = 0,
+        resume: Optional[SnapshotLog] = None,
     ) -> ExecutionResult:
         """Execute the program to completion.
 
@@ -73,16 +137,39 @@ class FunctionalSimulator:
         a program "as if" the in-flight copy of instruction *n* had been
         struck: execution is deterministic up to that point, so the commit
         sequence numbers of the baseline and the corrupted run line up.
+
+        ``snapshot_every`` > 0 records a :class:`Snapshot` before every
+        ``snapshot_every``-th commit into ``result.snapshots``.
+
+        ``resume`` takes such a log of the unmodified program and skips the
+        prefix an override cannot change: the run starts from the last
+        snapshot at or before ``override_seq``. At every later snapshot
+        boundary it compares its state and its outputs so far with the
+        log's; once both are equal the remainder is the logged run's
+        remainder (the next state is a function of pc, registers,
+        predicates, memory and call stack alone), so it stops and returns
+        the logged status and outputs with ``converged`` set.
         """
         if (override_seq is None) != (override_instruction is None):
             raise ValueError("override_seq and override_instruction go together")
+        if resume is not None:
+            if override_seq is None or record_trace or snapshot_every:
+                raise ValueError("a resumed run takes an override, no trace "
+                                 "and no snapshots")
+            if resume.max_instructions != self.limits.max_instructions:
+                raise ValueError("the snapshot log was recorded under "
+                                 "different limits")
 
         program = self.program
-        state = ArchState()
         trace = [] if record_trace else None
         outputs = []
-        invocations = {0: InvocationRecord(invocation=0, entry_pc=program.entry,
-                                           call_seq=-1)}
+        # Invocation records need the whole call history, so only runs
+        # that record a trace (and so start at seq 0) keep them.
+        invocations = {}
+        if trace is not None:
+            invocations[0] = InvocationRecord(invocation=0,
+                                              entry_pc=program.entry,
+                                              call_seq=-1)
         invocation_stack = [0]
         next_invocation = 1
 
@@ -90,8 +177,47 @@ class FunctionalSimulator:
         seq = 0
         status = ExecutionStatus.LIMIT
         max_instructions = self.limits.max_instructions
+        # Snapshot recording and convergence checks both happen at the
+        # commit ``next_event``; -1 never matches.
+        next_event = -1
+        snapshots = []
+        if snapshot_every > 0:
+            next_event = 0
+        if resume is not None:
+            interval = resume.interval
+            index = min(override_seq // interval, len(resume.snapshots) - 1)
+            start = resume.snapshots[index]
+            state = start.restore()
+            pc = start.pc
+            seq = index * interval
+            outputs = list(resume.outputs[:start.output_count])
+            index += 1
+            if index < len(resume.snapshots):
+                next_event = index * interval
+        else:
+            state = ArchState()
+        first_seq = seq
+        first_output = len(outputs)
+        converged = False
 
         while seq < max_instructions:
+            if seq == next_event:
+                if resume is None:
+                    snapshots.append(Snapshot.capture(pc, state, len(outputs)))
+                    next_event += snapshot_every
+                else:
+                    snapshot = resume.snapshots[index]
+                    if (snapshot.matches(pc, state, len(outputs))
+                            and tuple(outputs[first_output:])
+                            == resume.outputs[first_output:len(outputs)]):
+                        converged = True
+                        status = resume.status
+                        outputs = resume.outputs
+                        break
+                    index += 1
+                    next_event = (index * interval
+                                  if index < len(resume.snapshots) else -1)
+
             if not program.in_range(pc):
                 status = ExecutionStatus.TRAP_ILLEGAL
                 break
@@ -109,6 +235,7 @@ class FunctionalSimulator:
                     trace.append(CommittedOp(
                         seq, pc, instruction, executed=True, next_pc=pc,
                         invocation=invocation_stack[-1]))
+                seq += 1  # the HALT commits
                 break
 
             executed = state.read_predicate(instruction.qp)
@@ -172,18 +299,20 @@ class FunctionalSimulator:
                     branch_taken = True
                     state.call_stack.append(pc + 1)
                     next_pc = pc + instruction.imm
-                    invocations[next_invocation] = InvocationRecord(
-                        invocation=next_invocation, entry_pc=next_pc, call_seq=seq)
-                    invocation_stack.append(next_invocation)
-                    next_invocation += 1
+                    if trace is not None:
+                        invocations[next_invocation] = InvocationRecord(
+                            invocation=next_invocation, entry_pc=next_pc,
+                            call_seq=seq)
+                        invocation_stack.append(next_invocation)
+                        next_invocation += 1
                 elif opcode is Opcode.RET:
                     if not state.call_stack:
                         status = ExecutionStatus.RET_UNDERFLOW
                         break
                     branch_taken = True
                     next_pc = state.call_stack.pop()
-                    finished = invocation_stack.pop()
-                    invocations[finished].return_seq = seq
+                    if trace is not None:
+                        invocations[invocation_stack.pop()].return_seq = seq
                 elif opcode is Opcode.OUT:
                     outputs.append(state.read_gpr(instruction.r2))
                     src_gprs = instruction.source_gprs()
@@ -211,11 +340,19 @@ class FunctionalSimulator:
             pc = next_pc
             seq += 1
 
+        outputs = tuple(outputs)
+        log = None
+        if snapshot_every > 0:
+            log = SnapshotLog(snapshot_every, max_instructions,
+                              tuple(snapshots), status, outputs)
         return ExecutionResult(
             status=status,
             trace=trace if trace is not None else [],
-            outputs=tuple(outputs),
+            outputs=outputs,
             invocations=invocations,
+            steps=seq - first_seq,
+            converged=converged,
+            snapshots=log,
         )
 
 

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, unique
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.arch.trace import CommittedOp
+
+if TYPE_CHECKING:
+    from repro.arch.executor import SnapshotLog
 
 
 @unique
@@ -41,7 +44,17 @@ class ExecutionResult:
     status: ExecutionStatus
     trace: List[CommittedOp]
     outputs: Tuple[int, ...]
+    #: Function activations; recorded only by runs that record a trace.
     invocations: Dict[int, InvocationRecord] = field(default_factory=dict)
+    #: Instructions the run committed itself: all of them for a run from
+    #: seq 0, those after its snapshot for a resumed run.
+    steps: int = field(default=0, compare=False)
+    #: True when a resumed run stopped early because it rejoined the run
+    #: it resumed from (see :meth:`FunctionalSimulator.run`).
+    converged: bool = field(default=False, compare=False)
+    #: The snapshot log of a run that recorded one (``snapshot_every``).
+    snapshots: Optional[SnapshotLog] = field(default=None, compare=False,
+                                             repr=False)
 
     @property
     def instruction_count(self) -> int:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.arch.executor import ExecutionLimits, FunctionalSimulator
-from repro.arch.result import ExecutionResult, ExecutionStatus
+from repro.arch.result import ExecutionResult
 from repro.due.outcomes import FaultOutcome
 from repro.due.pi_bit import PiBitTracker
 from repro.due.tracking import (
@@ -33,7 +33,7 @@ from repro.due.tracking import (
 )
 from repro.faults.mbu import representative_bit
 from repro.faults.model import Strike
-from repro.faults.oracle import EffectOracle
+from repro.faults.oracle import EffectOracle, default_limits, effect_of
 from repro.isa import encoding
 from repro.isa.program import Program
 from repro.pipeline.iq import OccupantKind
@@ -84,18 +84,10 @@ def architectural_effect(
     corrupted = corrupt_instruction(original, bit)
     if corrupted == original:
         raise AssertionError("bit flip must change the instruction")
-    limits = limits or ExecutionLimits(
-        max_instructions=max(10_000, 3 * len(baseline.trace)))
+    limits = limits or default_limits(baseline)
     rerun = FunctionalSimulator(program, limits).run(
         record_trace=False, override_seq=seq, override_instruction=corrupted)
-    if rerun.status is ExecutionStatus.LIMIT:
-        return "hang"
-    if rerun.status in (ExecutionStatus.TRAP_ILLEGAL,
-                        ExecutionStatus.RET_UNDERFLOW):
-        return "trap"
-    if rerun.output_signature() == baseline.output_signature():
-        return "none"
-    return "sdc"
+    return effect_of(rerun, baseline.output_signature())
 
 
 _EFFECT_TO_OUTCOME = {

@@ -42,9 +42,14 @@ Monte-Carlo campaigns and tracking-level ablations hit repeatedly. The
    key covering the program bytes and code version, so warm campaigns
    skip re-execution across worker processes and across runs.
 
+What is left re-executes only the instructions a strike can change: the
+run resumes from the baseline snapshot at or before the struck ``seq``
+and stops as soon as its state and outputs so far rejoin the baseline's
+at a later snapshot (:meth:`FunctionalSimulator.run`, ``resume``).
+
 The static filter is semantics-preserving by construction; the
-``--no-static-filter`` escape hatch exists to *measure* it (and to
-reproduce seed-era wall-clock numbers), not because results differ.
+``--no-static-filter`` escape hatch exists to *measure* it, not because
+results differ.
 """
 
 from __future__ import annotations
@@ -52,7 +57,12 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.analysis.deadcode import DynClass, analyze_deadness
-from repro.arch.executor import ExecutionLimits, FunctionalSimulator
+from repro.arch.executor import (
+    ExecutionLimits,
+    FunctionalSimulator,
+    SnapshotLog,
+    snapshot_interval,
+)
 from repro.arch.result import ExecutionResult, ExecutionStatus
 from repro.isa.encoding import ENCODING_BITS, Field, field_at_bit, live_fields
 from repro.isa.program import Program
@@ -82,6 +92,18 @@ def default_limits(baseline: ExecutionResult) -> ExecutionLimits:
         max_instructions=max(10_000, 3 * len(baseline.trace)))
 
 
+def effect_of(rerun: ExecutionResult, baseline_signature: Tuple) -> str:
+    """The architectural effect a corrupted re-execution shows."""
+    if rerun.status is ExecutionStatus.LIMIT:
+        return "hang"
+    if rerun.status in (ExecutionStatus.TRAP_ILLEGAL,
+                        ExecutionStatus.RET_UNDERFLOW):
+        return "trap"
+    if rerun.output_signature() == baseline_signature:
+        return "none"
+    return "sdc"
+
+
 class EffectOracle:
     """Per-program memo of ``(seq, bit) -> architectural effect``.
 
@@ -107,12 +129,15 @@ class EffectOracle:
         #: Computed once and shared by every re-execution comparison.
         self._baseline_signature = baseline.output_signature()
         self._deadness = None  # lazy: only the dead-dest rule needs it
+        self._snapshots: Optional[SnapshotLog] = None  # lazy: re-execution
         self._table: Dict[Tuple[int, int], str] = {}
         self._new: Dict[Tuple[int, int], str] = {}
         # Counters (mirrored into runtime telemetry by the campaign):
         self.memo_hits = 0
         self.static_kills = 0
         self.executions = 0
+        self.replayed_insts = 0
+        self.converged = 0
 
     # -- persistence hooks -------------------------------------------------
 
@@ -143,26 +168,17 @@ class EffectOracle:
             "oracle_memo_hits": self.memo_hits,
             "oracle_static_kills": self.static_kills,
             "oracle_executions": self.executions,
+            "oracle_replayed_insts": self.replayed_insts,
+            "oracle_converged": self.converged,
         }
 
     # -- the oracle itself -------------------------------------------------
 
     def effect(self, seq: int, bit: int) -> str:
         """Architectural effect of flipping ``bit`` of instruction ``seq``."""
-        key = (seq, bit)
-        cached = self._table.get(key)
-        if cached is not None:
-            self.memo_hits += 1
-            return cached
-        if self.static_filter and self.classify_static(seq, bit) is not None:
-            self.static_kills += 1
-            effect = "none"
-        else:
-            self.executions += 1
-            effect = self._execute(seq, bit)
-        self._table[key] = effect
-        self._new[key] = effect
-        return effect
+        inert = (self.static_filter and not self.is_memoized(seq, bit)
+                 and self.classify_static(seq, bit) is not None)
+        return self.effect_from_hint(seq, bit, inert)
 
     def effect_from_hint(self, seq: int, bit: int, inert_hint: bool) -> str:
         """:meth:`effect` with the static verdict supplied by the caller.
@@ -175,7 +191,13 @@ class EffectOracle:
         Memoization, counter accounting, and the ``static_filter`` gate
         behave exactly as in :meth:`effect`.
         """
-        key = (seq, bit)
+        return self._resolve(seq, bit, 1 << bit, inert_hint)
+
+    def _resolve(self, seq: int, tag: int, mask: int,
+                 inert_hint: bool) -> str:
+        """Answer ``(seq, tag)`` from the memo, the static verdict or a
+        re-execution with ``mask`` flipped at ``seq``."""
+        key = (seq, tag)
         cached = self._table.get(key)
         if cached is not None:
             self.memo_hits += 1
@@ -185,7 +207,7 @@ class EffectOracle:
             effect = "none"
         else:
             self.executions += 1
-            effect = self._execute(seq, bit)
+            effect = self._reexecute(seq, mask)
         self._table[key] = effect
         self._new[key] = effect
         return effect
@@ -221,25 +243,9 @@ class EffectOracle:
         single-bit campaigns — the 41 per-seq singles dominate every
         preset's PMF.
         """
-        if mask <= 0:
-            raise ValueError("burst mask must have at least one set bit")
-        if mask & (mask - 1) == 0:
-            return self.effect(seq, mask.bit_length() - 1)
-        key = (seq, _MASK_KEY_BASE | mask)
-        cached = self._table.get(key)
-        if cached is not None:
-            self.memo_hits += 1
-            return cached
-        if (self.static_filter
-                and self.classify_static_mask(seq, mask) is not None):
-            self.static_kills += 1
-            effect = "none"
-        else:
-            self.executions += 1
-            effect = self._execute_mask(seq, mask)
-        self._table[key] = effect
-        self._new[key] = effect
-        return effect
+        inert = (self.static_filter and not self.is_memoized_mask(seq, mask)
+                 and self.classify_static_mask(seq, mask) is not None)
+        return self.effect_mask_from_hint(seq, mask, inert)
 
     def effect_mask_from_hint(self, seq: int, mask: int,
                               inert_hint: bool) -> str:
@@ -255,20 +261,7 @@ class EffectOracle:
         if mask & (mask - 1) == 0:
             return self.effect_from_hint(seq, mask.bit_length() - 1,
                                          inert_hint)
-        key = (seq, _MASK_KEY_BASE | mask)
-        cached = self._table.get(key)
-        if cached is not None:
-            self.memo_hits += 1
-            return cached
-        if self.static_filter and inert_hint:
-            self.static_kills += 1
-            effect = "none"
-        else:
-            self.executions += 1
-            effect = self._execute_mask(seq, mask)
-        self._table[key] = effect
-        self._new[key] = effect
-        return effect
+        return self._resolve(seq, _MASK_KEY_BASE | mask, mask, inert_hint)
 
     def is_memoized_mask(self, seq: int, mask: int) -> bool:
         """Whether :meth:`effect_mask` would be served from the memo."""
@@ -311,52 +304,39 @@ class EffectOracle:
             return reasons[0]
         return "burst: " + " + ".join(sorted(set(reasons)))
 
-    def _execute_mask(self, seq: int, mask: int) -> str:
-        """Slow path for bursts: re-execute with every mask bit flipped."""
-        from repro.faults.injector import corrupt_burst
-
-        original = self.baseline.trace[seq].instruction
-        corrupted = corrupt_burst(original, mask)
-        if corrupted == original:
-            raise AssertionError("burst flip must change the instruction")
-        rerun = FunctionalSimulator(self.program, self.limits).run(
-            record_trace=False, override_seq=seq,
-            override_instruction=corrupted)
-        if rerun.status is ExecutionStatus.LIMIT:
-            return "hang"
-        if rerun.status in (ExecutionStatus.TRAP_ILLEGAL,
-                            ExecutionStatus.RET_UNDERFLOW):
-            return "trap"
-        if rerun.output_signature() == self._baseline_signature:
-            return "none"
-        return "sdc"
-
     @property
     def deadness(self):
         if self._deadness is None:
             self._deadness = analyze_deadness(self.baseline)
         return self._deadness
 
-    def _execute(self, seq: int, bit: int) -> str:
-        """The slow path: re-execute with the corrupted instruction."""
+    def _reexecute(self, seq: int, mask: int) -> str:
+        """The slow path: re-execute with ``mask`` flipped at ``seq``.
+
+        The run resumes from the baseline snapshot at or before ``seq``
+        and stops as soon as its state rejoins the baseline's at a later
+        snapshot (see :meth:`FunctionalSimulator.run`); the snapshot log
+        is one extra baseline run, made on the first re-execution.
+        """
         # Local import: injector imports this module at definition time.
-        from repro.faults.injector import corrupt_instruction
+        from repro.faults.injector import corrupt_burst
 
         original = self.baseline.trace[seq].instruction
-        corrupted = corrupt_instruction(original, bit)
+        corrupted = corrupt_burst(original, mask)
         if corrupted == original:
-            raise AssertionError("bit flip must change the instruction")
-        rerun = FunctionalSimulator(self.program, self.limits).run(
-            record_trace=False, override_seq=seq,
-            override_instruction=corrupted)
-        if rerun.status is ExecutionStatus.LIMIT:
-            return "hang"
-        if rerun.status in (ExecutionStatus.TRAP_ILLEGAL,
-                            ExecutionStatus.RET_UNDERFLOW):
-            return "trap"
-        if rerun.output_signature() == self._baseline_signature:
-            return "none"
-        return "sdc"
+            raise AssertionError("a strike must change the instruction")
+        simulator = FunctionalSimulator(self.program, self.limits)
+        if self._snapshots is None:
+            self._snapshots = simulator.run(
+                record_trace=False,
+                snapshot_every=snapshot_interval(len(self.baseline.trace)),
+            ).snapshots
+        rerun = simulator.run(record_trace=False, override_seq=seq,
+                              override_instruction=corrupted,
+                              resume=self._snapshots)
+        self.replayed_insts += rerun.steps
+        self.converged += rerun.converged
+        return effect_of(rerun, self._baseline_signature)
 
 
 # ---------------------------------------------------------------------------

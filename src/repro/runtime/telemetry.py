@@ -169,8 +169,17 @@ class Telemetry:
         if not total:
             return ""
         fast = memo + static
+        detail = f"{fast / total:.0%} fast path"
+        replayed = c["oracle_replayed_insts"]
+        if replayed:
+            # Re-executions resume from a baseline snapshot and stop once
+            # they rejoin the baseline: these are the commits they ran.
+            insts = (f"{replayed / 1000:,.0f}k" if replayed >= 1000
+                     else str(replayed))
+            detail += (f"; {c['oracle_converged']} converged early, "
+                       f"{insts} insts replayed")
         return (f"oracle: {memo} memo hits, {static} static kills, "
-                f"{executed} re-executions ({fast / total:.0%} fast path)")
+                f"{executed} re-executions ({detail})")
 
     def _format_chunk_memo(self) -> str:
         """Chunk-memo account, empty when the fast path never engaged."""

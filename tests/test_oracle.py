@@ -169,7 +169,8 @@ class TestOracleMemo:
         prog, baseline = rule_setup
         oracle = EffectOracle(prog, baseline)
         assert set(oracle.counters()) == {
-            "oracle_memo_hits", "oracle_static_kills", "oracle_executions"}
+            "oracle_memo_hits", "oracle_static_kills", "oracle_executions",
+            "oracle_replayed_insts", "oracle_converged"}
 
 
 class TestOraclePersistence:
