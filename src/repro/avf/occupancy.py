@@ -170,12 +170,14 @@ def compute_breakdown(
     squashed intervals (useful in unit tests of wrong-path behaviour).
 
     A run carrying an :class:`~repro.pipeline.iq.IntervalTimeline` (the
-    interval kernel's columnar log) is integrated by closed-form interval
+    timing loop's columnar log) is integrated by closed-form interval
     arithmetic over the columns — vectorised under NumPy when available —
-    without materialising interval objects. Every term is an integer
-    bit-cycle count well below 2**53, so float accumulation is exact in
-    any order and both paths produce identical breakdowns
-    (``tests/test_interval_kernel.py`` proves it).
+    without materialising interval objects; a hand-built result with an
+    object list is integrated interval by interval. Every term is an
+    integer bit-cycle count well below 2**53, so float accumulation is
+    exact in any order and both paths produce identical breakdowns
+    (``tests/test_interval_kernel.py`` checks it on the same run in both
+    forms).
     """
     breakdown = OccupancyBreakdown(cycles=result.cycles,
                                    entries=result.iq_entries)

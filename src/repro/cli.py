@@ -12,11 +12,11 @@ processes; results are bit-identical to the serial default. Campaign
 strikes are drawn and classified as vectorised array batches
 (``--no-batch-strikes`` reverts to per-trial sampling; tallies and cache
 keys are identical either way). ``--cache-dir``
-enables the persistent result cache — with the interval timing kernel
-(default; ``--no-interval-kernel`` selects the legacy per-cycle loop) the
-cache doubles as a cross-exhibit timeline store, so a warmed cache re-runs
-the whole exhibit suite without a single pipeline simulation. The
-telemetry footer reports simulations run, throughput, and hit rates.
+enables the persistent result cache, which doubles as a cross-exhibit
+timeline store: each timing run stores its compact interval timeline, so
+a warmed cache re-runs the whole exhibit suite without a single pipeline
+simulation. The telemetry footer reports simulations run, throughput,
+and hit rates.
 
 Failure semantics: ``--retries`` and ``--trial-timeout`` configure the
 supervision layer (crashed or hung shards are retried with backoff and
@@ -195,16 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chaos-seed", type=int, default=1337,
         help="seed for the chaos injector's decisions (default 1337)")
     parser.add_argument(
-        "--no-interval-kernel", action="store_true",
-        help="run the legacy per-cycle timing loop instead of the "
-             "interval-compressed kernel (slower; every report is "
-             "bit-identical either way)")
-    parser.add_argument(
-        "--no-chunk-memo", action="store_true",
-        help="run the interval kernel without basic-block chunk "
-             "memoization (slower on repetitive workloads; cycles, "
-             "intervals, and cache keys are bit-identical either way)")
-    parser.add_argument(
         "--no-static-filter", action="store_true",
         help="disable the effect oracle's static pre-filter (every "
              "strike is classified by re-execution, as in the original "
@@ -330,9 +320,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                             checkpoint_dir=args.checkpoint_dir,
                             resume=args.resume, chaos=chaos,
                             static_filter=not args.no_static_filter,
-                            interval_kernel=not args.no_interval_kernel,
                             batch_strikes=not args.no_batch_strikes,
-                            chunk_memo=not args.no_chunk_memo,
                             service=args.service,
                             service_timeout=args.service_timeout,
                             mbu_preset=args.mbu_preset,

@@ -168,8 +168,8 @@ def run_benchmark(
     given, ``trigger`` is ignored.
 
     The persistent-cache entry for the timing half stores
-    ``(pipeline, report)`` — with the interval kernel, the pipeline
-    result carries its compact interval timeline, so a populated store
+    ``(pipeline, report)`` — the pipeline result carries its compact
+    interval timeline, so a populated store
     lets the whole exhibit suite re-run without a single timing
     simulation. The (much larger) functional parts are cached once per
     (profile, size, seed) and shared by every machine configuration.
@@ -256,8 +256,8 @@ def run_benchmarks(
                 pending, settings, trigger, effective_jobs,
                 cache_dir=runtime.cache_dir, telemetry=runtime.telemetry,
                 policy=runtime.policy, chaos=runtime.chaos,
-                interval_kernel=runtime.interval_kernel,
-                chunk_memo=runtime.chunk_memo)
+                service=runtime.service,
+                service_timeout=runtime.service_timeout)
             for profile, run in zip(pending, runs):
                 _run_cache[_run_key(
                     profile, settings,

@@ -182,7 +182,7 @@ def _residency_columns(result: PipelineResult):
     """``(alloc, resident, cumulative)`` columns of the interval sequence.
 
     Reads the columnar :class:`~repro.pipeline.iq.IntervalTimeline`
-    directly when the run came from the interval kernel; a legacy
+    directly when the run came from the timing loop; a hand-built
     object-list result is columnised on the fly.
     """
     timeline = result.timeline

@@ -1,56 +1,83 @@
-"""Chunk-compositional timing: memoized basic-block interval deltas.
+"""The timing kernel: one event loop, with a chunk memo for draw-free runs.
 
-The interval kernel (:mod:`repro.pipeline.kernel`) walks every dynamic
-instruction once per (program, machine) pair; long workloads scale
-linearly. But most dynamic streams are a small set of basic-block chunks
-(:func:`repro.pipeline.chunks.iter_chunks`) repeated thousands of times,
-and in steady state a chunk's residency contribution is a pure function
-of its entry state — the SimPoint/phase-classification insight applied to
-the timing kernel. This module layers a checkpoint record/replay fast
-path on the kernel's event loop:
+:func:`run_composed` is the only definition of the timing model that
+:class:`repro.pipeline.core.PipelineSimulator` runs (its module docstring
+describes the machine). Three things make it fast:
 
-* **Boundaries.** At every loop-top where ``trace_ptr`` sits on a chunk
-  leader (taken-branch successor or ``fetch_width`` split), the live
-  machine state is reduced to a canonical *entry signature*: the IQ
-  occupancy as (row content id, relative seq, relative alloc/issue)
-  tuples, in-flight operand ready-times relative to the entry cycle
-  (stale entries dropped — ``ready <= cycle`` is indistinguishable from
-  absent at every read site), fetch-gate and throttle offsets, the
-  in-flight redirect/squash schedule, wrong-path state, and the
-  predictor's global history.
+* **Cycle skipping.** When the machine is provably quiescent — every
+  in-flight instruction waiting on a known-latency event (a miss shadow,
+  a drain after a squash, a fetch gate) — the loop fast-forwards
+  ``cycle`` to the next scheduled event instead of ticking once per
+  cycle. The event set is: the pending branch redirect, the earliest
+  pending exposure squash, the head entry's commit cycle, the earliest
+  cycle any scannable entry's operands become ready, and the fetch-gate
+  release. Each candidate is clamped to ``cycle + 1`` so time never runs
+  backwards (the head's commit event can lie in the past when more than
+  ``commit_width`` entries have piled up behind it). A skip must never
+  disturb the RNG stream: the model draws one
+  ``bernoulli(fetch_bubble_prob)`` on exactly the cycles where fetch is
+  un-gated, so spans where fetch is un-gated but cannot progress (queue
+  full, trace drained) replay those draws through a tight draw-only
+  loop. The only per-cycle statistic, ``throttle_cycles``, is added in
+  closed form over a skipped span.
 
-* **Record.** On a signature miss the event loop runs as normal while a
-  recorder captures the chunk's *relocatable delta*: the cycle advance,
-  the trace window it read (forward fetch window and backward squash
-  rewind window, as content ids), the Bernoulli/geometric draw outcomes,
-  the cache sets and predictor counters it touched (pre and post
-  images), and the interval rows it logged as an entry-relative
-  :class:`~repro.pipeline.iq.IntervalBlock`, plus a canonical exit
-  state. Recording aborts permanently for a chunk when it exceeds the
-  row/draw/cache-set caps — correctness never depends on modelling the
-  hard cases.
+* **A cheap per-cycle body.** IQ entries are plain lists decoded once per
+  instruction (:mod:`repro.pipeline.kernel`), and the interval log is a
+  flat list of tuples that becomes an
+  :class:`~repro.pipeline.iq.IntervalTimeline` — no
+  ``OccupancyInterval`` objects are built unless a consumer asks.
 
-* **Replay.** On a later boundary with the same (chunk content, entry
-  signature) key, a stored delta is *validated* — same trace windows,
-  same touched cache-set and predictor pre-images, same RNG draw
-  outcomes (peeked through a tape so the stream is consumed exactly as
-  the event loop would have), headroom under ``max_cycles`` — and then
-  applied: rows are shifted and spliced onto the flat log, the queue and
-  ready maps are rebuilt from the exit state, cache/predictor post
-  images are installed, and the loop fast-forwards the whole chunk.
+* **The chunk memo.** Most dynamic streams are a small set of
+  basic-block chunks (:func:`repro.pipeline.chunks.iter_chunks`)
+  repeated thousands of times, and in steady state a chunk's residency
+  contribution is a pure function of its entry state — the
+  SimPoint/phase-classification insight applied to the timing loop:
 
-Exactness is the admission rule: ``run_composed`` is bit-identical to
-:func:`repro.pipeline.kernel.run_interval` — cycles, interval timelines,
-stats, RNG stream — which ``tests/test_compose.py`` pins across every
-profile x trigger x machine variant. The memo is bounded: per-key entry
-caps, an LRU over (machine, program) scopes, and a global byte budget
-(mirroring the ``_WARM_SNAPSHOTS`` discipline in ``pipeline/core.py``).
+  - *Boundaries.* At every loop-top where ``trace_ptr`` sits on a chunk
+    leader (taken-branch successor or ``fetch_width`` split), the live
+    machine state is reduced to a canonical *entry signature*: the IQ
+    occupancy as (row content id, relative seq, relative alloc/issue)
+    tuples, in-flight operand ready-times relative to the entry cycle
+    (stale entries dropped — ``ready <= cycle`` is indistinguishable
+    from absent at every read site), fetch-gate and throttle offsets,
+    the in-flight redirect/squash schedule, wrong-path state, and the
+    predictor's global history.
+  - *Record.* On a signature miss the loop runs as normal while a
+    recorder captures the span's *relocatable delta*: the cycle advance,
+    the trace window it read (forward fetch window and backward squash
+    rewind window, as content ids), the cache sets and predictor
+    counters it touched (pre and post images), and the interval rows it
+    logged as an entry-relative :class:`~repro.pipeline.iq.IntervalBlock`,
+    plus a canonical exit state. Recording aborts permanently for a
+    chunk when it exceeds the row/cache-set caps — correctness never
+    depends on modelling the hard cases.
+  - *Replay.* On a later boundary with the same (chunk content, entry
+    signature) key, a stored delta is *validated* — same trace windows,
+    same touched cache-set and predictor pre-images, headroom under
+    ``max_cycles`` — and then applied: rows are shifted and spliced onto
+    the flat log, the queue and ready maps are rebuilt from the exit
+    state, cache/predictor post images are installed, and the loop
+    fast-forwards the whole span.
+
+  The memo engages only where it can pay (:func:`_memo_pays`): on a
+  machine without fetch bubbles, whose chunks replay on state alone.
+  Bubbled machines fold a fresh random draw into every un-gated cycle,
+  so their entry states almost never recur; there the memo only costs.
+
+Exactness is the admission rule: a replayed span is indistinguishable
+from an executed one — cycles, interval timelines, stats, RNG stream.
+``tests/test_compose.py`` compares memo-engaged runs with the same loop
+with the memo switched off, and ``tests/data/timing_golden.json`` pins
+every observable over every profile x trigger x machine variant. The
+memo is bounded: per-key entry caps, an LRU over (machine, program)
+scopes, and a global byte budget (mirroring the ``_WARM_SNAPSHOTS``
+discipline in ``pipeline/core.py``).
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from repro.isa.opcodes import Opcode
@@ -74,6 +101,7 @@ from repro.pipeline.kernel import (
     E_ISSUE,
     E_KLASS,
     E_MISPRED,
+    E_PC,
     E_QP,
     E_SEQ,
     E_SRC,
@@ -88,17 +116,13 @@ from repro.pipeline.kernel import (
 )
 from repro.pipeline.result import PipelineResult
 
-#: Extra template slot (beyond the kernel's 13): the fetch pc, so
-#: wrong-path entries can be signatured and rebuilt by address.
-E_PC = 13
-
 # ---------------------------------------------------------------------------
 # Tunables and module counters (surfaced via telemetry in --verbose runs).
 # ---------------------------------------------------------------------------
 
 #: Global byte budget across all memo scopes; LRU-evicted beyond this.
 MEMO_BYTE_LIMIT = 192 * 1024 * 1024
-#: Stored deltas per (chunk, signature) key (draw/cache variants).
+#: Stored deltas per (chunk, signature) key (cache-state variants).
 MEMO_ENTRIES_PER_KEY = 24
 #: Live (machine config, program) scopes kept, LRU.
 _MEMO_SCOPE_LIMIT = 24
@@ -106,20 +130,17 @@ _MEMO_SCOPE_LIMIT = 24
 _SEEN_MIN = 2
 #: Recording aborts (permanent fallback) beyond these caps.
 _ROW_CAP = 768
-_DRAW_CAP = 192
 _SET_CAP = 128
 #: Queues longer than this skip signature building at a boundary.
 _SIG_QUEUE_CAP = 192
 #: Cached per-trace preprocessing entries (row/chunk content ids).
 _PREP_LIMIT = 8
-#: Chunks recorded per segment when the run draws no fetch bubbles.
-#: Draw-free segments validate on state alone, so longer spans amortize
-#: the per-boundary signature/lookup cost; with bubbles enabled every
-#: un-gated cycle adds a draw outcome to the validation script, and
-#: longer spans would almost never revalidate.
-_MERGE_DRAW_FREE = 8
+#: Chunks recorded per segment. Segments validate on state alone, so
+#: longer spans amortize the per-boundary signature/lookup cost.
+_MERGE_CHUNKS = 8
 #: Stop memoizing for the rest of a run once this many lookups missed
-#: with a sub-25% hit rate (high-entropy draw states: pure overhead).
+#: with a sub-25% hit rate (entry states that never recur: pure
+#: overhead).
 _BAIL_MIN_MISSES = 1024
 
 chunk_memo_hits = 0
@@ -153,7 +174,7 @@ class _Seg(object):
 
     __slots__ = (
         "d_cycle", "d_ptr", "terminated", "touched_end", "fwd", "back",
-        "draws", "rows", "x_entries", "x_gpr", "x_pred", "x_wpm", "x_wpc",
+        "rows", "x_entries", "x_gpr", "x_pred", "x_wpm", "x_wpc",
         "x_redirect", "x_squashes", "x_mispred", "x_fr", "x_th",
         "stats_d", "totals_d", "c0pre", "c1pre", "c2pre", "c0post",
         "c1post", "c2post", "cache_d", "ppre", "ppost", "hist_post",
@@ -269,6 +290,20 @@ def _row_cids(trace) -> Optional[list]:
         _PREP.popitem(last=False)
     _PREP[id(trace)] = (trace, cids)
     return cids
+
+
+def _memo_pays(config, trace) -> bool:
+    """Whether the chunk memo runs for this (machine, trace).
+
+    Only on a machine without fetch bubbles: a bubbled machine draws a
+    random number on every un-gated fetch cycle, so the entry states the
+    memo keys on almost never recur. Measured on the exhibit suite
+    (every profile bubbled), 2 % of lookups hit while recording doubled
+    the timing cost and filled the byte budget; on the bubble-free
+    tiled traces most lookups hit. The trace must also be dense
+    (``seq == index``) for the relative-seq arithmetic.
+    """
+    return not config.fetch_bubble_prob and _row_cids(trace) is not None
 
 
 def _entry_for(op, decode_cache) -> list:
@@ -446,7 +481,7 @@ def _build_key(cid, queue, row_cids, ptr, cycle, gpr_ready, pred_ready,
 
 
 def _finalize(queue, cycle, trace_ptr, rec_cycle0, rec_bptr, rec_mark,
-              rec_max, rec_min, rec_draws, log, row_cids, trace_n,
+              rec_max, rec_min, log, row_cids, trace_n,
               pc_of_instr, gpr_ready, pred_ready, wpm, wpc,
               pending_redirect, pending_squashes, mispredicted_entry,
               fetch_resume, throttle_until, hierarchy, predictor,
@@ -460,7 +495,6 @@ def _finalize(queue, cycle, trace_ptr, rec_cycle0, rec_bptr, rec_mark,
     seg.touched_end = rec_max >= trace_n
     seg.fwd = row_cids[rec_bptr:rec_max]
     seg.back = row_cids[rec_min:rec_bptr]
-    seg.draws = tuple(rec_draws)
 
     rseq = array("q")
     rkind = array("b")
@@ -557,7 +591,7 @@ def _finalize(queue, cycle, trace_ptr, rec_cycle0, rec_bptr, rec_mark,
                   predictor.mispredictions - rec_pred0[1])
 
     nsets = sum(len(p) for p in rec_pres)
-    seg.nbytes = (512 + 64 * len(rseq) + 16 * len(seg.draws)
+    seg.nbytes = (512 + 64 * len(rseq)
                   + 8 * (len(seg.fwd) + len(seg.back))
                   + 96 * len(seg.x_entries) + 160 * nsets
                   + 24 * len(seg.ppre)
@@ -566,8 +600,8 @@ def _finalize(queue, cycle, trace_ptr, rec_cycle0, rec_bptr, rec_mark,
 
 
 def _match(segs, cycle, max_cycles, trace_ptr, trace_n, row_cids,
-           predictor_table, hierarchy, peek, bubble_prob, geo_p):
-    """First stored delta valid in the live state, plus its draw count."""
+           predictor_table, hierarchy):
+    """First stored delta valid in the live state, or None."""
     caches = (hierarchy.l0, hierarchy.l1, hierarchy.l2)
     for seg in segs:
         if cycle + seg.d_cycle >= max_cycles:
@@ -601,37 +635,8 @@ def _match(segs, cycle, max_cycles, trace_ptr, trace_n, row_cids,
                     break
             if not ok:
                 break
-        if not ok:
-            continue
-        # Draw-outcome script: peek the RNG stream without consuming it,
-        # replicating the kernel's bernoulli + geometric consumption.
-        k = 0
-        for o in seg.draws:
-            if peek(k) < bubble_prob:
-                k += 1
-                if o < 0:
-                    ok = False
-                    break
-                g = 0
-                while True:
-                    f = peek(k)
-                    k += 1
-                    if f >= geo_p:
-                        g += 1
-                        if g >= 20:
-                            break
-                    else:
-                        break
-                if g != o:
-                    ok = False
-                    break
-            else:
-                k += 1
-                if o >= 0:
-                    ok = False
-                    break
         if ok:
-            return seg, k
+            return seg
     return None
 
 
@@ -784,10 +789,9 @@ def _assemble(log, trace, static_templates, program,
 # ---------------------------------------------------------------------------
 
 def run_composed(sim) -> PipelineResult:
-    """Run ``sim`` through the interval kernel with chunk memoization.
+    """Run ``sim`` (a PipelineSimulator) through the timing kernel.
 
-    Bit-identical to :func:`repro.pipeline.kernel.run_interval`; see the
-    module docstring for the admission argument.
+    See the module docstring for the event skip and the chunk memo.
     """
     global chunk_memo_hits, chunk_memo_misses, chunk_memo_fallbacks
     global chunk_memo_splices
@@ -812,15 +816,16 @@ def run_composed(sim) -> PipelineResult:
     pc_of_instr: dict = {}
 
     # ---- memoization state ----------------------------------------------
-    row_cids = _row_cids(trace)
-    memo_on = row_cids is not None
+    memo_on = _memo_pays(cfg, trace)
     if memo_on:
+        row_cids = _row_cids(trace)
         aligned_b, cid_at = _chunk_prep(trace, cfg.fetch_width, row_cids)
         memo = _memo_for(cfg, program)
         memo_store = memo.store
         memo_seen = memo.seen
         memo_fallback = memo.fallback
     else:
+        row_cids = None
         aligned_b = bytearray(trace_n + 1)  # no boundary ever fires
         cid_at = {}
         memo = None
@@ -828,21 +833,24 @@ def run_composed(sim) -> PipelineResult:
         memo_fallback = set()
     last_bptr = -1
     recording = False
-    merge_n = 1 if cfg.fetch_bubble_prob else _MERGE_DRAW_FREE
     rec_left = 0
     rec_list: list = []
     rec_cid = rec_bptr = rec_cycle0 = rec_mark = 0
     rec_max = rec_min = 0
-    rec_draws: list = []
-    rec_draws_append = rec_draws.append
     rec_pres: tuple = ({}, {}, {})
     rec_ppre: dict = {}
     rec_stats0 = rec_totals0 = rec_cache0 = rec_pred0 = ()
     local_hits = local_misses = local_fallbacks = local_splices = 0
     evictions0 = chunk_memo_evictions
 
+    # The IQ: a grow-only list with a head index. Commit advances
+    # ``head`` instead of ``pop(0)``-ing (O(queue length) per commit);
+    # the dead prefix is compacted at the rare queue-rebuild points
+    # (redirects, squashes) and whenever it outgrows the live suffix.
     queue: List[list] = []
     head = 0
+    #: Flat interval log: (seq, kind, alloc, issue, dealloc, instruction)
+    #: with -1 for "no seq" / "never issued" (see IntervalTimeline).
     log: List[tuple] = []
     log_append = log.append
 
@@ -854,7 +862,8 @@ def run_composed(sim) -> PipelineResult:
     trace_ptr = 0
     wrong_path_mode = False
     wrong_pc = 0
-    pending_redirect = None
+    pending_redirect = None  # (fire_cycle, entry)
+    # (fire_cycle, miss_return_cycle, triggering load entry)
     pending_squashes: List[tuple] = []
     fetch_resume = 0
     throttle_until = 0
@@ -869,22 +878,11 @@ def run_composed(sim) -> PipelineResult:
 
     bubble_prob = cfg.fetch_bubble_prob
     bubble_len = cfg.fetch_bubble_mean_len
-    geo_p = (1.0 / bubble_len) if bubble_prob else 1.0
     mispredicted_entry = None
-    # The RNG tape: validation peeks future raw draws without consuming
-    # them; the live draw sites pop the tape first so the stream is
-    # byte-identical to the kernel's regardless of lookup outcomes.
-    raw_random = sim._rng._random.random
-    tape: deque = deque()
-    tape_popleft = tape.popleft
-
-    def rng_random():
-        return tape_popleft() if tape else raw_random()
-
-    def peek(index):
-        while len(tape) <= index:
-            tape.append(raw_random())
-        return tape[index]
+    # The bernoulli stream, inlined: bernoulli(p) is random() < p. Only
+    # bubbled machines draw, and the memo never runs on those.
+    rng_random = sim._rng._random.random
+    geometric = sim._rng.geometric
 
     max_cycles = cfg.max_cycles
     commit_width = cfg.commit_width
@@ -933,8 +931,8 @@ def run_composed(sim) -> PipelineResult:
                         rec_max = trace_ptr
                     seg = _finalize(
                         queue, cycle, trace_ptr, rec_cycle0, rec_bptr,
-                        rec_mark, rec_max, rec_min, rec_draws, log,
-                        row_cids, trace_n, pc_of_instr, gpr_ready,
+                        rec_mark, rec_max, rec_min, log, row_cids,
+                        trace_n, pc_of_instr, gpr_ready,
                         pred_ready, wrong_path_mode, wrong_pc,
                         pending_redirect, pending_squashes,
                         mispredicted_entry, fetch_resume, throttle_until,
@@ -942,15 +940,15 @@ def run_composed(sim) -> PipelineResult:
                         rec_stats0, rec_totals0, rec_cache0, rec_pred0,
                         stats,
                         (l0_miss_total, l1_miss_total, l2_miss_total,
-                         loads_total, bubbles_total), False)
+                         loads_total), False)
                     rec_list.append(seg)
                     memo.nbytes += seg.nbytes
                     _charge_bytes(seg.nbytes, memo)
                 if memo_on and local_misses >= _BAIL_MIN_MISSES \
                         and local_misses > 3 * local_hits:
-                    # Hopeless workload for memoization (e.g. heavy
-                    # bubble-draw entropy): stop paying lookup/record
-                    # overhead; the rest of the run is plain kernel.
+                    # Hopeless workload for memoization (entry states
+                    # that never recur): stop paying lookup/record
+                    # overhead; the rest of the run is the plain loop.
                     memo_on = False
                 if memo_on:
                     cid = cid_at[trace_ptr]
@@ -968,16 +966,13 @@ def run_composed(sim) -> PipelineResult:
                             mispredicted_entry, fetch_resume,
                             throttle_until, predictor._history)
                         segs = memo_store.get(key)
-                        found = None
+                        seg = None
                         if segs:
-                            found = _match(
+                            seg = _match(
                                 segs, cycle, max_cycles, trace_ptr,
                                 trace_n, row_cids, predictor._table,
-                                hierarchy, peek, bubble_prob, geo_p)
-                        if found is not None:
-                            seg, ndraws = found
-                            for _ in range(ndraws):
-                                tape_popleft()
+                                hierarchy)
+                        if seg is not None:
                             (queue, cycle, trace_ptr, wrong_path_mode,
                              wrong_pc, pending_redirect, pending_squashes,
                              mispredicted_entry, fetch_resume,
@@ -993,7 +988,6 @@ def run_composed(sim) -> PipelineResult:
                             l1_miss_total += td[1]
                             l2_miss_total += td[2]
                             loads_total += td[3]
-                            bubbles_total += td[4]
                             local_hits += 1
                             local_splices += len(seg.rows)
                             memo_store.move_to_end(key)
@@ -1007,15 +1001,13 @@ def run_composed(sim) -> PipelineResult:
                             memo_store[key] = segs
                         if len(segs) < MEMO_ENTRIES_PER_KEY:
                             recording = True
-                            rec_left = merge_n
+                            rec_left = _MERGE_CHUNKS
                             rec_list = segs
                             rec_cid = cid
                             rec_bptr = trace_ptr
                             rec_cycle0 = cycle
                             rec_mark = len(log)
                             rec_max = rec_min = trace_ptr
-                            rec_draws = []
-                            rec_draws_append = rec_draws.append
                             access_fn, rec_pres = \
                                 _make_rec_access(hierarchy)
                             pred_update, rec_ppre = \
@@ -1023,8 +1015,7 @@ def run_composed(sim) -> PipelineResult:
                             rec_stats0 = tuple(stats[k]
                                                for k in _REC_STAT_KEYS)
                             rec_totals0 = (l0_miss_total, l1_miss_total,
-                                           l2_miss_total, loads_total,
-                                           bubbles_total)
+                                           l2_miss_total, loads_total)
                             rec_cache0 = (hierarchy.l0.hits,
                                           hierarchy.l0.misses,
                                           hierarchy.l1.hits,
@@ -1034,7 +1025,6 @@ def run_composed(sim) -> PipelineResult:
                             rec_pred0 = (predictor.predictions,
                                          predictor.mispredictions)
         if recording and (len(log) - rec_mark > _ROW_CAP
-                          or len(rec_draws) > _DRAW_CAP
                           or len(rec_pres[0]) + len(rec_pres[1])
                           + len(rec_pres[2]) > _SET_CAP):
             recording = False
@@ -1077,6 +1067,14 @@ def run_composed(sim) -> PipelineResult:
                 if throttle_until < miss_return:
                     throttle_until = miss_return
             else:
+                # Victims: not-yet-issued entries younger than the
+                # triggering load. With in-order issue that is exactly the
+                # non-issued suffix; with windowed OoO issue some younger
+                # entries may already have issued and are left alone. If
+                # the load has already deallocated, every remaining entry
+                # is younger (commit is in order). The oldest triggering
+                # load wins: simultaneous triggers squash the union of
+                # their victims.
                 load_ids = {id(s[2]) for s in fired}
                 boundary = -1
                 for position, entry in enumerate(queue):
@@ -1121,8 +1119,9 @@ def run_composed(sim) -> PipelineResult:
                         # have issued and survived the victim cut; with
                         # the redirect cancelled nothing else would ever
                         # remove them, and a wrong-path entry at the
-                        # queue head blocks commit forever. Flush them
-                        # like a redirect would.
+                        # queue head blocks commit forever (the mcf-181
+                        # OOO+L0 deadlock). Flush them like a redirect
+                        # would.
                         wrong_path_mode = False
                         pending_redirect = None
                         mispredicted_entry = None
@@ -1164,6 +1163,9 @@ def run_composed(sim) -> PipelineResult:
             head = 0
 
         # ---- issue --------------------------------------------------------
+        # IN_ORDER: a not-ready instruction blocks everything younger.
+        # OOO_WINDOW: any ready instruction among the oldest
+        # scheduler_window non-committed entries may issue.
         mem_slots = cfg_mem_ports
         mul_slots = cfg_mul_units
         branch_slots = cfg_branch_units
@@ -1257,22 +1259,11 @@ def run_composed(sim) -> PipelineResult:
         # ---- fetch --------------------------------------------------------
         fetched = 0
         if cycle >= fetch_resume and cycle >= throttle_until:
-            bubbled = False
-            if bubble_prob:
-                if rng_random() < bubble_prob:
-                    bubbled = True
-                    bubbles_total += 1
-                    g = 0
-                    while rng_random() >= geo_p:
-                        g += 1
-                        if g >= 20:
-                            break
-                    fetch_resume = cycle + 1 + g
-                    if recording:
-                        rec_draws_append(g)
-                elif recording:
-                    rec_draws_append(-1)
-            if not bubbled:
+            if bubble_prob and rng_random() < bubble_prob:
+                bubbles_total += 1
+                fetch_resume = cycle + 1 + geometric(
+                    1.0 / bubble_len, maximum=20)
+            else:
                 while fetched < fetch_width \
                         and len(queue) - head < iq_entries:
                     if wrong_path_mode:
@@ -1324,15 +1315,15 @@ def run_composed(sim) -> PipelineResult:
                     rec_max = trace_ptr
                 seg = _finalize(
                     eff, cycle, trace_ptr, rec_cycle0, rec_bptr,
-                    rec_mark, rec_max, rec_min, rec_draws, log, row_cids,
-                    trace_n, pc_of_instr, gpr_ready, pred_ready,
+                    rec_mark, rec_max, rec_min, log, row_cids, trace_n,
+                    pc_of_instr, gpr_ready, pred_ready,
                     wrong_path_mode, wrong_pc, pending_redirect,
                     pending_squashes, mispredicted_entry, fetch_resume,
                     throttle_until, hierarchy, predictor, rec_pres,
                     rec_ppre, rec_stats0, rec_totals0, rec_cache0,
                     rec_pred0, stats,
                     (l0_miss_total, l1_miss_total, l2_miss_total,
-                     loads_total, bubbles_total), True)
+                     loads_total), True)
                 rec_list.append(seg)
                 memo.nbytes += seg.nbytes
                 _charge_bytes(seg.nbytes, memo)
@@ -1346,11 +1337,16 @@ def run_composed(sim) -> PipelineResult:
         fetch_active = gate <= nc
         fetchable = wrong_path_mode or trace_ptr < trace_n
         if fetch_active and fetchable and queue_len - head < iq_entries:
+            # A real fetch (or the bernoulli draw gating it) happens next
+            # cycle; nothing to skip.
             cycle = nc
             continue
         if committed_now or issued_now or fetched:
+            # An eventful cycle: follow-on events next cycle are likely
+            # and the event scan below would mostly be wasted. Step.
             cycle = nc
             continue
+        # The machine is quiescent. Find the next scheduled event.
         nxt = _INF
         if pending_redirect is not None:
             nxt = pending_redirect[0]
@@ -1365,6 +1361,11 @@ def run_composed(sim) -> PipelineResult:
                 t = ic + commit_latency
                 if t < nxt:
                     nxt = t
+        # Earliest issue event: the cycle the first stalled scannable
+        # entry's operands are all ready (in-order: only the first
+        # non-issued entry matters; windowed OoO: the min over the
+        # window). Stale ready-times lie in the past — clamp to nc, which
+        # is exactly when a per-cycle step would re-test them.
         position = head
         scan_limit = queue_len if in_order else \
             min(queue_len, head + scheduler_window)
@@ -1393,6 +1394,10 @@ def run_composed(sim) -> PipelineResult:
             continue
         if fetch_active:
             if bubble_prob:
+                # Fetch is un-gated but cannot progress (queue full or
+                # trace drained): a per-cycle step still draws one
+                # bernoulli per cycle, and a draw can open a bubble that
+                # re-gates fetch. Replay the stream, nothing else.
                 end = nxt if nxt < max_cycles else max_cycles
                 x = nc
                 while x < end:
@@ -1401,20 +1406,14 @@ def run_composed(sim) -> PipelineResult:
                         continue
                     if rng_random() < bubble_prob:
                         bubbles_total += 1
-                        g = 0
-                        while rng_random() >= geo_p:
-                            g += 1
-                            if g >= 20:
-                                break
-                        fetch_resume = x + 1 + g
-                        if recording:
-                            rec_draws_append(g)
-                    elif recording:
-                        rec_draws_append(-1)
+                        fetch_resume = x + 1 + geometric(
+                            1.0 / bubble_len, maximum=20)
                     x += 1
                 cycle = end
                 continue
+            # No draws possible: pure skip to the event.
         elif gate < nxt and (fetchable or bubble_prob):
+            # The fetch gate releasing is itself an event.
             nxt = gate
         if nxt > max_cycles:
             nxt = max_cycles

@@ -1,14 +1,15 @@
 """The cycle-level simulator.
 
 Trace-driven timing model: the committed trace (from the functional
-simulator) is replayed through fetch -> instruction queue -> in-order issue
--> commit. Mispredicted branches put fetch into wrong-path mode, where real
-instructions are fetched from the static program at the bogus target (the
-paper does the same in Asim, noting that wrong-path memory addresses are
-unknown — wrong-path loads are therefore timed as L0 hits and do not touch
-the cache).
+simulator) is replayed through fetch -> instruction queue -> in-order
+issue -> commit by one event loop,
+:func:`repro.pipeline.compose.run_composed`. Mispredicted branches put
+fetch into wrong-path mode, where real instructions are fetched from the
+static program at the bogus target (the paper does the same in Asim,
+noting that wrong-path memory addresses are unknown — wrong-path loads
+are therefore timed as L0 hits and do not touch the cache).
 
-The exposure-reduction mechanisms of Section 3 are implemented here:
+The loop models the exposure-reduction mechanisms of Section 3:
 
 * **Squash**: when a load misses in the trigger level, every not-yet-issued
   (i.e. younger) instruction is removed from the queue; fetch rewinds to
@@ -30,18 +31,10 @@ from contextlib import contextmanager
 from typing import List, Optional
 
 from repro.arch.trace import CommittedOp
-from repro.isa.instruction import Instruction
-from repro.isa.opcodes import InstrClass, Opcode
 from repro.isa.program import Program
 from repro.memory.hierarchy import CacheHierarchy
 from repro.pipeline.branch import GShareBranchPredictor
-from repro.pipeline.config import (
-    IssuePolicy,
-    MachineConfig,
-    SquashAction,
-    Trigger,
-)
-from repro.pipeline.iq import OccupancyInterval, OccupantKind
+from repro.pipeline.config import MachineConfig
 from repro.pipeline.result import PipelineResult
 from repro.util.rng import DeterministicRng, derive_seed
 
@@ -72,8 +65,8 @@ def clear_warm_snapshots() -> None:
 def _gc_paused():
     """Pause generational garbage collection for the simulation.
 
-    Both timing kernels allocate millions of short-lived objects (IQ
-    entries, interval tuples) but never create reference cycles, so
+    The timing loop allocates millions of short-lived objects (IQ
+    entries, interval tuples) but never creates reference cycles, so
     collections during a run free nothing — and once the functional/run
     memos hold a whole suite's traces, every gen-2 pass traverses that
     entire long-lived heap, slowing the hot loop 2x+. Refcounting still
@@ -88,24 +81,6 @@ def _gc_paused():
             gc.enable()
     else:
         yield
-
-
-class _Entry:
-    """A live IQ slot occupant."""
-
-    __slots__ = ("seq", "instruction", "op", "wrong_path", "alloc_cycle",
-                 "issue_cycle", "mispredicted")
-
-    def __init__(self, seq: Optional[int], instruction: Instruction,
-                 op: Optional[CommittedOp], wrong_path: bool,
-                 alloc_cycle: int) -> None:
-        self.seq = seq
-        self.instruction = instruction
-        self.op = op
-        self.wrong_path = wrong_path
-        self.alloc_cycle = alloc_cycle
-        self.issue_cycle: Optional[int] = None
-        self.mispredicted = False
 
 
 class PipelineSimulator:
@@ -185,354 +160,13 @@ class PipelineSimulator:
         _WARM_SNAPSHOTS[key] = (addresses, self.hierarchy.snapshot())
 
     def run(self) -> PipelineResult:
-        """Run the timing simulation through the active kernel.
+        """Run the timing simulation through the one timing loop."""
+        # Local import: the loop's chunk helpers reach the DUE package,
+        # which imports the pipeline package back.
+        from repro.pipeline.compose import run_composed
 
-        The interval-compressed kernel (:mod:`repro.pipeline.kernel`) is
-        the default; it is bit-identical to :meth:`run_per_cycle` — same
-        cycle counts, intervals, stats, and RNG stream — just faster.
-        With ``chunk_memo`` on (the default) the kernel additionally
-        memoizes basic-block chunk deltas and replays them on repeat
-        visits (:mod:`repro.pipeline.compose`), still bit-identical.
-        ``--no-chunk-memo`` selects the plain interval kernel;
-        ``--no-interval-kernel`` (RuntimeContext.interval_kernel=False)
-        selects the legacy per-cycle loop.
-        """
-        from repro.runtime.context import get_runtime
-
-        runtime = get_runtime()
         with _gc_paused():
-            if runtime.interval_kernel:
-                if runtime.chunk_memo:
-                    from repro.pipeline.compose import run_composed
-
-                    return run_composed(self)
-                from repro.pipeline.kernel import run_interval
-
-                return run_interval(self)
-            return self.run_per_cycle()
-
-    def run_per_cycle(self) -> PipelineResult:
-        cfg = self.config
-        if cfg.warm_caches:
-            self._warm_caches()
-        trace = self.trace
-        program = self.program
-        hierarchy = self.hierarchy
-        predictor = self.predictor
-        trigger = cfg.squash.trigger
-        squash_action = cfg.squash.action
-
-        # The IQ: a grow-only list with a head index. Commit advances
-        # ``head`` instead of ``pop(0)``-ing (which is O(queue length)
-        # per commit, O(n^2) per run); the dead prefix is compacted at the
-        # rare queue-rebuild points (redirects, squashes) and whenever it
-        # outgrows the live suffix. Entries at index < head are gone.
-        queue: List[_Entry] = []
-        head = 0
-        intervals: List[OccupancyInterval] = []
-        gpr_ready = {}
-        pred_ready = {}
-
-        trace_ptr = 0
-        wrong_path_mode = False
-        wrong_pc = 0
-        pending_redirect: Optional[tuple] = None  # (fire_cycle, entry)
-        # (fire_cycle, miss_return_cycle, triggering load entry)
-        pending_squashes: List[tuple] = []
-        fetch_resume = 0
-        throttle_until = 0
-        cycle = 0
-
-        stats = {
-            "l0_misses": 0, "l1_misses": 0, "l2_misses": 0, "loads": 0,
-            "squash_events": 0, "squashed_instructions": 0,
-            "wrong_path_fetched": 0, "fetch_bubbles": 0,
-            "throttle_cycles": 0, "redirects": 0,
-        }
-
-        bubble_prob = cfg.fetch_bubble_prob
-        bubble_len = cfg.fetch_bubble_mean_len
-        mispredicted_entry: Optional[_Entry] = None
-
-        def close(entry: _Entry, kind: OccupantKind, dealloc: int) -> None:
-            intervals.append(OccupancyInterval(
-                entry.seq, entry.instruction, kind,
-                entry.alloc_cycle, entry.issue_cycle, dealloc))
-
-        while cycle < cfg.max_cycles:
-            # ---- branch-resolution redirect --------------------------------
-            if pending_redirect is not None and pending_redirect[0] <= cycle:
-                kept = []
-                for entry in queue[head:] if head else queue:
-                    if entry.wrong_path:
-                        close(entry, OccupantKind.WRONG_PATH, cycle)
-                    else:
-                        kept.append(entry)
-                queue = kept
-                head = 0
-                wrong_path_mode = False
-                pending_redirect = None
-                mispredicted_entry = None
-                fetch_resume = max(fetch_resume, cycle + cfg.frontend_depth)
-                stats["redirects"] += 1
-
-            # ---- exposure-reduction trigger fires --------------------------
-            # Guard: with no trigger configured (or between misses) this
-            # runs every cycle, so don't rebuild two lists to learn that
-            # nothing fired.
-            fired = ([s for s in pending_squashes if s[0] <= cycle]
-                     if pending_squashes else None)
-            if fired:
-                pending_squashes = [s for s in pending_squashes if s[0] > cycle]
-                if head:
-                    del queue[:head]
-                    head = 0
-                miss_return = max(s[1] for s in fired)
-                if squash_action is SquashAction.THROTTLE:
-                    throttle_until = max(throttle_until, miss_return)
-                else:
-                    # Victims: not-yet-issued entries younger than the
-                    # triggering load. With in-order issue that is exactly
-                    # the non-issued suffix; with windowed OoO issue some
-                    # younger entries may already have issued and are left
-                    # alone. If the load has already deallocated, every
-                    # remaining entry is younger (commit is in order).
-                    load_entries = {s[2] for s in fired}
-                    boundary = -1
-                    for position, entry in enumerate(queue):
-                        if entry in load_entries:
-                            # Oldest triggering load wins: simultaneous
-                            # triggers squash the union of their victims.
-                            boundary = position
-                            break
-                    victims = [entry for entry in queue[boundary + 1:]
-                               if entry.issue_cycle is None]
-                    if victims:
-                        victim_set = set(map(id, victims))
-                        queue = [entry for entry in queue
-                                 if id(entry) not in victim_set]
-                        stats["squash_events"] += 1
-                        stats["squashed_instructions"] += len(victims)
-                        rewind_to = None
-                        victim_has_branch = False
-                        for entry in victims:
-                            if entry.wrong_path:
-                                close(entry, OccupantKind.WRONG_PATH, cycle)
-                            else:
-                                close(entry, OccupantKind.SQUASHED, cycle)
-                                if rewind_to is None or entry.seq < rewind_to:
-                                    rewind_to = entry.seq
-                                if entry is mispredicted_entry:
-                                    victim_has_branch = True
-                        if rewind_to is not None:
-                            trace_ptr = min(trace_ptr, rewind_to)
-                        if victim_has_branch:
-                            # The mispredicted branch itself was squashed:
-                            # its wrong path evaporates with it. Under
-                            # windowed OoO issue some wrong-path entries may
-                            # already have issued and survived the victim
-                            # cut; with the redirect cancelled nothing else
-                            # would ever remove them, and a wrong-path entry
-                            # at the queue head blocks commit forever (the
-                            # mcf-181 OOO+L0 deadlock). Flush them like a
-                            # redirect would.
-                            wrong_path_mode = False
-                            pending_redirect = None
-                            mispredicted_entry = None
-                            if any(entry.wrong_path for entry in queue):
-                                kept = []
-                                for entry in queue:
-                                    if entry.wrong_path:
-                                        close(entry, OccupantKind.WRONG_PATH,
-                                              cycle)
-                                    else:
-                                        kept.append(entry)
-                                queue = kept
-                    if cfg.squash.resume_at_miss_return:
-                        fetch_resume = max(
-                            fetch_resume, cycle + 1,
-                            miss_return - cfg.frontend_depth)
-                    else:
-                        fetch_resume = max(fetch_resume,
-                                           cycle + cfg.frontend_depth)
-
-            # ---- commit (deallocate in order) ------------------------------
-            committed_now = 0
-            queue_len = len(queue)
-            while (head < queue_len and committed_now < cfg.commit_width
-                   and not queue[head].wrong_path
-                   and queue[head].issue_cycle is not None
-                   and queue[head].issue_cycle + cfg.commit_latency <= cycle):
-                close(queue[head], OccupantKind.COMMITTED, cycle)
-                head += 1
-                committed_now += 1
-            if head >= 512 and head * 2 >= queue_len:
-                del queue[:head]
-                head = 0
-
-            # ---- issue ------------------------------------------------------
-            # IN_ORDER: a not-ready instruction blocks everything younger.
-            # OOO_WINDOW: any ready instruction among the oldest
-            # scheduler_window non-committed entries may issue.
-            mem_slots = cfg.mem_ports
-            mul_slots = cfg.mul_units
-            branch_slots = cfg.branch_units
-            issued_now = 0
-            in_order = cfg.issue_policy is IssuePolicy.IN_ORDER
-            scan_limit = len(queue) if in_order else \
-                min(len(queue), head + cfg.scheduler_window)
-            position = head
-            while issued_now < cfg.issue_width and position < scan_limit:
-                entry = queue[position]
-                position += 1
-                if entry.issue_cycle is not None:
-                    continue
-                instruction = entry.instruction
-                klass = instruction.instr_class
-                # Functional-unit availability (blocking under in-order).
-                if klass in (InstrClass.LOAD, InstrClass.STORE):
-                    if mem_slots == 0:
-                        if in_order:
-                            break
-                        continue
-                elif klass is InstrClass.MUL:
-                    if mul_slots == 0:
-                        if in_order:
-                            break
-                        continue
-                elif klass in (InstrClass.BRANCH, InstrClass.CALL,
-                               InstrClass.RET):
-                    if branch_slots == 0:
-                        if in_order:
-                            break
-                        continue
-                # Operand readiness (qp + register sources).
-                blocked = pred_ready.get(instruction.qp, -1) > cycle
-                if not blocked:
-                    for reg in instruction.source_gprs():
-                        if gpr_ready.get(reg, -1) > cycle:
-                            blocked = True
-                            break
-                if blocked:
-                    if in_order:
-                        break
-                    continue
-
-                # Issue.
-                entry.issue_cycle = cycle
-                issued_now += 1
-                op = entry.op
-                if klass is InstrClass.LOAD:
-                    mem_slots -= 1
-                    if entry.wrong_path or op is None or op.mem_addr is None:
-                        latency = cfg.hierarchy.l0_latency
-                    else:
-                        stats["loads"] += 1
-                        access = hierarchy.access(op.mem_addr)
-                        latency = access.latency
-                        if access.l0_miss:
-                            stats["l0_misses"] += 1
-                        if access.l1_miss:
-                            stats["l1_misses"] += 1
-                        if access.l2_miss:
-                            stats["l2_misses"] += 1
-                        if trigger is Trigger.L0_MISS and access.l0_miss:
-                            pending_squashes.append(
-                                (cycle + cfg.hierarchy.l0_latency,
-                                 cycle + latency, entry))
-                        elif trigger is Trigger.L1_MISS and access.l1_miss:
-                            pending_squashes.append(
-                                (cycle + cfg.hierarchy.l1_latency,
-                                 cycle + latency, entry))
-                    if instruction.dest_gpr and (op is None or op.executed):
-                        gpr_ready[instruction.dest_gpr] = cycle + latency
-                elif klass is InstrClass.STORE:
-                    mem_slots -= 1
-                    if not entry.wrong_path and op is not None \
-                            and op.mem_addr is not None:
-                        hierarchy.access(op.mem_addr)
-                elif klass is InstrClass.MUL:
-                    mul_slots -= 1
-                    if instruction.dest_gpr and (op is None or op.executed):
-                        gpr_ready[instruction.dest_gpr] = \
-                            cycle + cfg.mul_latency
-                elif klass is InstrClass.COMPARE:
-                    if op is None or op.executed:
-                        pred_ready[instruction.dest_predicate] = \
-                            cycle + cfg.compare_latency
-                elif klass in (InstrClass.BRANCH, InstrClass.CALL,
-                               InstrClass.RET):
-                    branch_slots -= 1
-                    if entry.mispredicted:
-                        pending_redirect = (
-                            cycle + cfg.branch_resolve_latency, entry)
-                else:
-                    # ALU / MOVI / OUT / neutral.
-                    if instruction.dest_gpr and (op is None or op.executed):
-                        gpr_ready[instruction.dest_gpr] = \
-                            cycle + cfg.alu_latency
-
-            # ---- fetch ------------------------------------------------------
-            if cycle >= fetch_resume and cycle >= throttle_until:
-                if bubble_prob and self._rng.bernoulli(bubble_prob):
-                    stats["fetch_bubbles"] += 1
-                    fetch_resume = cycle + 1 + self._rng.geometric(
-                        1.0 / bubble_len, maximum=20)
-                else:
-                    fetched = 0
-                    while fetched < cfg.fetch_width \
-                            and len(queue) - head < cfg.iq_entries:
-                        if wrong_path_mode:
-                            instruction = program.fetch(wrong_pc)
-                            wrong_pc += 1
-                            queue.append(_Entry(None, instruction, None,
-                                                True, cycle))
-                            stats["wrong_path_fetched"] += 1
-                            fetched += 1
-                            continue
-                        if trace_ptr >= len(trace):
-                            break
-                        op = trace[trace_ptr]
-                        instruction = op.instruction
-                        entry = _Entry(op.seq, instruction, op, False, cycle)
-                        if instruction.opcode is Opcode.BR:
-                            prediction = predictor.update(
-                                op.pc, op.branch_taken)
-                            if prediction != op.branch_taken:
-                                entry.mispredicted = True
-                                mispredicted_entry = entry
-                                wrong_path_mode = True
-                                wrong_pc = (op.pc + 1 if op.branch_taken
-                                            else op.pc + instruction.imm)
-                                queue.append(entry)
-                                trace_ptr += 1
-                                fetched += 1
-                                break  # redirect ends the fetch group
-                        queue.append(entry)
-                        trace_ptr += 1
-                        fetched += 1
-            elif cycle < throttle_until:
-                stats["throttle_cycles"] += 1
-
-            # ---- termination ------------------------------------------------
-            if trace_ptr >= len(trace) and head >= len(queue) \
-                    and not wrong_path_mode:
-                break
-            cycle += 1
-        else:
-            raise RuntimeError(
-                f"timing simulation exceeded {cfg.max_cycles} cycles "
-                f"({self.program.name})")
-
-        stats["branch_predictions"] = predictor.predictions
-        stats["branch_mispredictions"] = predictor.mispredictions
-        return PipelineResult(
-            cycles=cycle,
-            committed=len(trace),
-            intervals=intervals,
-            iq_entries=cfg.iq_entries,
-            stats=stats,
-        )
+            return run_composed(self)
 
 
 def simulate(

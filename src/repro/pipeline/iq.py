@@ -99,7 +99,7 @@ class OccupancyInterval:
 class IntervalTimeline(Sequence):
     """Columnar form of an occupancy-interval log.
 
-    The interval kernel emits one ``(seq, kind, alloc, issue, dealloc,
+    The timing loop emits one ``(seq, kind, alloc, issue, dealloc,
     instruction)`` record per residency instead of an
     :class:`OccupancyInterval` object; this class stores those records as
     parallel integer columns (``array('q')``, :data:`NO_VALUE` for "none")

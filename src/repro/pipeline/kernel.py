@@ -1,55 +1,15 @@
-"""The interval-compressed timing kernel.
+"""IQ-entry layout and instruction decode for the timing loop.
 
-A drop-in replacement for the per-cycle loop in
-:meth:`repro.pipeline.core.PipelineSimulator.run_per_cycle`, proven
-bit-identical to it (``tests/test_interval_kernel.py`` runs both paths
-over every benchmark profile x squash trigger and compares everything).
-It wins on two axes:
-
-* **Cycle skipping.** When the machine is provably quiescent — every
-  in-flight instruction waiting on a known-latency event (a miss shadow,
-  a drain after a squash, a fetch gate) — the loop fast-forwards
-  ``cycle`` to the next scheduled event instead of ticking once per
-  cycle. The event set is: the pending branch redirect, the earliest
-  pending exposure squash, the head entry's commit cycle, the earliest
-  cycle any scannable entry's operands become ready, and the fetch-gate
-  release. Each candidate is clamped to ``cycle + 1`` so time never runs
-  backwards (the head's commit event can lie in the past when more than
-  ``commit_width`` entries have piled up behind it).
-
-  The one thing a skip must never disturb is the RNG stream: the
-  per-cycle loop draws one ``bernoulli(fetch_bubble_prob)`` on exactly
-  the cycles where fetch is un-gated. A span is therefore only skipped
-  outright when fetch is gated (or there is nothing to fetch *and* no
-  bubble probability); spans where fetch is un-gated but cannot make
-  progress (queue full, trace drained) replay the draws through a tight
-  draw-only loop that touches nothing else.
-
-* **A cheaper per-cycle body.** The trace is pre-decoded once into flat
-  rows (class code, operand registers, memory address, ...), IQ entries
-  are plain lists copied from per-row templates, and the interval log is
-  a flat list of tuples that becomes an
-  :class:`~repro.pipeline.iq.IntervalTimeline` — no
-  ``OccupancyInterval`` objects are built unless a consumer asks.
-
-Bulk accounting over a skipped span: the only per-cycle statistic is
-``throttle_cycles`` (counted on every cycle below ``throttle_until``),
-which a skip adds in closed form.
+The timing loop (:func:`repro.pipeline.compose.run_composed`) keeps each
+IQ entry as a plain list indexed by the ``E_*`` slots below (list
+indexing beats attribute access in the hot loop), and classifies each
+instruction once into a functional-unit code (``K_*``) plus the operand
+registers the issue stage tests.
 """
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.isa.opcodes import InstrClass, Opcode
-from repro.pipeline.config import IssuePolicy, SquashAction, Trigger
-from repro.pipeline.iq import (
-    KIND_COMMITTED,
-    KIND_SQUASHED,
-    KIND_WRONG_PATH,
-    IntervalTimeline,
-)
-from repro.pipeline.result import PipelineResult
+from repro.isa.opcodes import InstrClass
 
 #: Functional-unit class codes (LOAD/STORE share the memory ports).
 K_LOAD, K_STORE, K_MUL, K_COMPARE, K_BRANCH, K_OTHER = range(6)
@@ -60,9 +20,10 @@ _KMAP = {
     InstrClass.RET: K_BRANCH,
 }
 
-#: IQ-entry slots (plain lists beat attribute access in the hot loop).
+#: IQ-entry slots. ``E_PC`` is the fetch pc, so wrong-path entries can
+#: be signatured and rebuilt by address.
 (E_SEQ, E_KLASS, E_SRC, E_DEST, E_QP, E_WRONG, E_ALLOC, E_ISSUE, E_MISPRED,
- E_ADDR, E_EXEC, E_INSTR, E_DPRED) = range(13)
+ E_ADDR, E_EXEC, E_INSTR, E_DPRED, E_PC) = range(14)
 
 _INF = float("inf")
 
@@ -72,482 +33,3 @@ def _decode(instruction):
     return (_KMAP.get(instruction.instr_class, K_OTHER),
             instruction.source_gprs(), instruction.dest_gpr,
             instruction.qp, instruction.dest_predicate)
-
-
-def run_interval(sim) -> PipelineResult:
-    """Run ``sim`` (a PipelineSimulator) through the interval kernel."""
-    cfg = sim.config
-    if cfg.warm_caches:
-        sim._warm_caches()
-    trace = sim.trace
-    program = sim.program
-    predictor = sim.predictor
-    squash_action = cfg.squash.action
-    throttle_action = squash_action is SquashAction.THROTTLE
-    trigger = cfg.squash.trigger
-    trig_l0 = trigger is Trigger.L0_MISS
-    trig_l1 = trigger is Trigger.L1_MISS
-
-    # ---- pre-decode the trace into entry templates -----------------------
-    # One template list per trace index; fetch copies it and stamps the
-    # allocation cycle. A squash rewind refetches through the same
-    # template, producing a fresh entry exactly like the per-cycle loop.
-    # ``executed`` folds the baseline's ``op is None or op.executed``
-    # (wrong-path entries behave as executed producers).
-    trace_n = len(trace)
-    decode_cache: dict = {}
-    templates: List[list] = []
-    t_br: List[bool] = []       # opcode is BR
-    t_pc: List[int] = []
-    t_taken: List[bool] = []
-    t_imm: List[int] = []
-    for op in trace:
-        instruction = op.instruction
-        d = decode_cache.get(id(instruction))
-        if d is None:
-            d = _decode(instruction)
-            decode_cache[id(instruction)] = d
-        templates.append([op.seq, d[0], d[1], d[2], d[3], False, 0, None,
-                          False, op.mem_addr, op.executed, instruction,
-                          d[4]])
-        t_br.append(instruction.opcode is Opcode.BR)
-        t_pc.append(op.pc)
-        t_taken.append(op.branch_taken)
-        t_imm.append(instruction.imm)
-    #: Wrong-path fetch decodes the static program lazily, once per pc.
-    static_templates: dict = {}
-
-    queue: List[list] = []
-    head = 0
-    #: Flat interval log: (seq, kind, alloc, issue, dealloc, instruction)
-    #: with -1 for "no seq" / "never issued" (see IntervalTimeline).
-    log: List[tuple] = []
-    log_append = log.append
-
-    gpr_ready: dict = {}
-    pred_ready: dict = {}
-    gready = gpr_ready.get
-    pready = pred_ready.get
-
-    trace_ptr = 0
-    wrong_path_mode = False
-    wrong_pc = 0
-    pending_redirect = None  # (fire_cycle, entry)
-    # (fire_cycle, miss_return_cycle, triggering load entry)
-    pending_squashes: List[tuple] = []
-    fetch_resume = 0
-    throttle_until = 0
-    cycle = 0
-
-    stats = {
-        "l0_misses": 0, "l1_misses": 0, "l2_misses": 0, "loads": 0,
-        "squash_events": 0, "squashed_instructions": 0,
-        "wrong_path_fetched": 0, "fetch_bubbles": 0,
-        "throttle_cycles": 0, "redirects": 0,
-    }
-
-    bubble_prob = cfg.fetch_bubble_prob
-    bubble_len = cfg.fetch_bubble_mean_len
-    mispredicted_entry = None
-    # The bernoulli stream, inlined: bernoulli(p) is random() < p.
-    rng_random = sim._rng._random.random
-    geometric = sim._rng.geometric
-    max_cycles = cfg.max_cycles
-    commit_width = cfg.commit_width
-    commit_latency = cfg.commit_latency
-    issue_width = cfg.issue_width
-    iq_entries = cfg.iq_entries
-    fetch_width = cfg.fetch_width
-    in_order = cfg.issue_policy is IssuePolicy.IN_ORDER
-    scheduler_window = cfg.scheduler_window
-    frontend_depth = cfg.frontend_depth
-    l0_latency = cfg.hierarchy.l0_latency
-    l1_latency = cfg.hierarchy.l1_latency
-    alu_latency = cfg.alu_latency
-    mul_latency = cfg.mul_latency
-    compare_latency = cfg.compare_latency
-    branch_resolve_latency = cfg.branch_resolve_latency
-    resume_at_miss_return = cfg.squash.resume_at_miss_return
-    access_fn = sim.hierarchy.access
-    cfg_mem_ports = cfg.mem_ports
-    cfg_mul_units = cfg.mul_units
-    cfg_branch_units = cfg.branch_units
-    #: Unit count per class code, for the issue-event scan (a class with
-    #: zero units can never issue, so it contributes no event).
-    units_for = (cfg_mem_ports, cfg_mem_ports, cfg_mul_units, _INF,
-                 cfg_branch_units, _INF)
-    l0_miss_total = l1_miss_total = l2_miss_total = 0
-    loads_total = 0
-    bubbles_total = 0
-
-    while cycle < max_cycles:
-        # ---- branch-resolution redirect ----------------------------------
-        if pending_redirect is not None and pending_redirect[0] <= cycle:
-            kept = []
-            for entry in queue[head:] if head else queue:
-                if entry[E_WRONG]:
-                    ic = entry[E_ISSUE]
-                    log_append((-1, KIND_WRONG_PATH, entry[E_ALLOC],
-                                -1 if ic is None else ic, cycle,
-                                entry[E_INSTR]))
-                else:
-                    kept.append(entry)
-            queue = kept
-            head = 0
-            wrong_path_mode = False
-            pending_redirect = None
-            mispredicted_entry = None
-            if fetch_resume < cycle + frontend_depth:
-                fetch_resume = cycle + frontend_depth
-            stats["redirects"] += 1
-
-        # ---- exposure-reduction trigger fires ----------------------------
-        fired = ([s for s in pending_squashes if s[0] <= cycle]
-                 if pending_squashes else None)
-        if fired:
-            pending_squashes = [s for s in pending_squashes if s[0] > cycle]
-            if head:
-                del queue[:head]
-                head = 0
-            miss_return = max(s[1] for s in fired)
-            if throttle_action:
-                if throttle_until < miss_return:
-                    throttle_until = miss_return
-            else:
-                # Victims: not-yet-issued entries younger than the oldest
-                # triggering load (see the per-cycle loop for the policy
-                # discussion; the logic here is identical).
-                load_ids = {id(s[2]) for s in fired}
-                boundary = -1
-                for position, entry in enumerate(queue):
-                    if id(entry) in load_ids:
-                        boundary = position
-                        break
-                victims = [entry for entry in queue[boundary + 1:]
-                           if entry[E_ISSUE] is None]
-                if victims:
-                    victim_set = set(map(id, victims))
-                    queue = [entry for entry in queue
-                             if id(entry) not in victim_set]
-                    stats["squash_events"] += 1
-                    stats["squashed_instructions"] += len(victims)
-                    rewind_to = None
-                    victim_has_branch = False
-                    for entry in victims:
-                        if entry[E_WRONG]:
-                            log_append((-1, KIND_WRONG_PATH, entry[E_ALLOC],
-                                        -1, cycle, entry[E_INSTR]))
-                        else:
-                            seq = entry[E_SEQ]
-                            log_append((seq, KIND_SQUASHED, entry[E_ALLOC],
-                                        -1, cycle, entry[E_INSTR]))
-                            if rewind_to is None or seq < rewind_to:
-                                rewind_to = seq
-                            if entry is mispredicted_entry:
-                                victim_has_branch = True
-                    if rewind_to is not None and trace_ptr > rewind_to:
-                        trace_ptr = rewind_to
-                    if victim_has_branch:
-                        # The mispredicted branch itself was squashed: its
-                        # wrong path evaporates with it. Under windowed OoO
-                        # issue some wrong-path entries may already have
-                        # issued and survived the victim cut; with the
-                        # redirect cancelled nothing else would ever remove
-                        # them, and a wrong-path entry at the queue head
-                        # blocks commit forever (the mcf-181 OOO+L0
-                        # deadlock). Flush them like a redirect would.
-                        wrong_path_mode = False
-                        pending_redirect = None
-                        mispredicted_entry = None
-                        if any(entry[E_WRONG] for entry in queue):
-                            kept = []
-                            for entry in queue:
-                                if entry[E_WRONG]:
-                                    ic = entry[E_ISSUE]
-                                    log_append((-1, KIND_WRONG_PATH,
-                                                entry[E_ALLOC],
-                                                -1 if ic is None else ic,
-                                                cycle, entry[E_INSTR]))
-                                else:
-                                    kept.append(entry)
-                            queue = kept
-                if resume_at_miss_return:
-                    fetch_resume = max(fetch_resume, cycle + 1,
-                                       miss_return - frontend_depth)
-                else:
-                    fetch_resume = max(fetch_resume, cycle + frontend_depth)
-
-        # ---- commit (deallocate in order) --------------------------------
-        committed_now = 0
-        queue_len = len(queue)
-        while committed_now < commit_width and head < queue_len:
-            entry = queue[head]
-            if entry[E_WRONG]:
-                break
-            ic = entry[E_ISSUE]
-            if ic is None or ic + commit_latency > cycle:
-                break
-            log_append((entry[E_SEQ], KIND_COMMITTED, entry[E_ALLOC], ic,
-                        cycle, entry[E_INSTR]))
-            head += 1
-            committed_now += 1
-        if head >= 512 and head * 2 >= queue_len:
-            del queue[:head]
-            head = 0
-
-        # ---- issue --------------------------------------------------------
-        mem_slots = cfg_mem_ports
-        mul_slots = cfg_mul_units
-        branch_slots = cfg_branch_units
-        issued_now = 0
-        scan_limit = len(queue) if in_order else \
-            min(len(queue), head + scheduler_window)
-        position = head
-        while issued_now < issue_width and position < scan_limit:
-            entry = queue[position]
-            position += 1
-            if entry[E_ISSUE] is not None:
-                continue
-            klass = entry[E_KLASS]
-            if klass <= K_STORE:
-                if mem_slots == 0:
-                    if in_order:
-                        break
-                    continue
-            elif klass == K_MUL:
-                if mul_slots == 0:
-                    if in_order:
-                        break
-                    continue
-            elif klass == K_BRANCH:
-                if branch_slots == 0:
-                    if in_order:
-                        break
-                    continue
-            blocked = pready(entry[E_QP], -1) > cycle
-            if not blocked:
-                for reg in entry[E_SRC]:
-                    if gready(reg, -1) > cycle:
-                        blocked = True
-                        break
-            if blocked:
-                if in_order:
-                    break
-                continue
-
-            entry[E_ISSUE] = cycle
-            issued_now += 1
-            if klass == K_LOAD:
-                mem_slots -= 1
-                addr = entry[E_ADDR]
-                if entry[E_WRONG] or addr is None:
-                    latency = l0_latency
-                else:
-                    loads_total += 1
-                    access = access_fn(addr)
-                    latency = access.latency
-                    if access.l0_miss:
-                        l0_miss_total += 1
-                        if access.l1_miss:
-                            l1_miss_total += 1
-                            if access.l2_miss:
-                                l2_miss_total += 1
-                        if trig_l0:
-                            pending_squashes.append(
-                                (cycle + l0_latency, cycle + latency, entry))
-                        elif trig_l1 and access.l1_miss:
-                            pending_squashes.append(
-                                (cycle + l1_latency, cycle + latency, entry))
-                dest = entry[E_DEST]
-                if dest and entry[E_EXEC]:
-                    gpr_ready[dest] = cycle + latency
-            elif klass == K_STORE:
-                mem_slots -= 1
-                addr = entry[E_ADDR]
-                if not entry[E_WRONG] and addr is not None:
-                    access_fn(addr)
-            elif klass == K_MUL:
-                mul_slots -= 1
-                dest = entry[E_DEST]
-                if dest and entry[E_EXEC]:
-                    gpr_ready[dest] = cycle + mul_latency
-            elif klass == K_COMPARE:
-                if entry[E_EXEC]:
-                    pred_ready[entry[E_DPRED]] = cycle + compare_latency
-            elif klass == K_BRANCH:
-                branch_slots -= 1
-                if entry[E_MISPRED]:
-                    pending_redirect = (cycle + branch_resolve_latency,
-                                        entry)
-            else:
-                dest = entry[E_DEST]
-                if dest and entry[E_EXEC]:
-                    gpr_ready[dest] = cycle + alu_latency
-
-        # ---- fetch --------------------------------------------------------
-        fetched = 0
-        if cycle >= fetch_resume and cycle >= throttle_until:
-            if bubble_prob and rng_random() < bubble_prob:
-                bubbles_total += 1
-                fetch_resume = cycle + 1 + geometric(
-                    1.0 / bubble_len, maximum=20)
-            else:
-                while fetched < fetch_width \
-                        and len(queue) - head < iq_entries:
-                    if wrong_path_mode:
-                        pc = wrong_pc
-                        template = static_templates.get(pc)
-                        if template is None:
-                            instruction = program.fetch(pc)
-                            d = _decode(instruction)
-                            template = [None, d[0], d[1], d[2], d[3], True,
-                                        0, None, False, None, True,
-                                        instruction, d[4]]
-                            static_templates[pc] = template
-                        wrong_pc = pc + 1
-                        entry = template.copy()
-                        entry[E_ALLOC] = cycle
-                        queue.append(entry)
-                        stats["wrong_path_fetched"] += 1
-                        fetched += 1
-                        continue
-                    if trace_ptr >= trace_n:
-                        break
-                    entry = templates[trace_ptr].copy()
-                    entry[E_ALLOC] = cycle
-                    if t_br[trace_ptr]:
-                        taken = t_taken[trace_ptr]
-                        pc = t_pc[trace_ptr]
-                        prediction = predictor.update(pc, taken)
-                        if prediction != taken:
-                            entry[E_MISPRED] = True
-                            mispredicted_entry = entry
-                            wrong_path_mode = True
-                            wrong_pc = (pc + 1 if taken
-                                        else pc + t_imm[trace_ptr])
-                            queue.append(entry)
-                            trace_ptr += 1
-                            fetched += 1
-                            break  # redirect ends the fetch group
-                    queue.append(entry)
-                    trace_ptr += 1
-                    fetched += 1
-        elif cycle < throttle_until:
-            stats["throttle_cycles"] += 1
-
-        # ---- termination ---------------------------------------------------
-        queue_len = len(queue)
-        if trace_ptr >= trace_n and head >= queue_len \
-                and not wrong_path_mode:
-            break
-
-        # ---- event skip -----------------------------------------------------
-        nc = cycle + 1
-        gate = fetch_resume if fetch_resume > throttle_until \
-            else throttle_until
-        fetch_active = gate <= nc
-        fetchable = wrong_path_mode or trace_ptr < trace_n
-        if fetch_active and fetchable and queue_len - head < iq_entries:
-            # A real fetch (or the bernoulli draw gating it) happens next
-            # cycle; nothing to skip.
-            cycle = nc
-            continue
-        if committed_now or issued_now or fetched:
-            # An eventful cycle: follow-on events next cycle are likely
-            # and the event scan below would mostly be wasted. Step.
-            cycle = nc
-            continue
-        # The machine is quiescent. Find the next scheduled event.
-        nxt = _INF
-        if pending_redirect is not None:
-            nxt = pending_redirect[0]
-        if pending_squashes:
-            for s in pending_squashes:
-                if s[0] < nxt:
-                    nxt = s[0]
-        if head < queue_len:
-            entry = queue[head]
-            ic = entry[E_ISSUE]
-            if not entry[E_WRONG] and ic is not None:
-                t = ic + commit_latency
-                if t < nxt:
-                    nxt = t
-        # Earliest issue event: the cycle the first stalled scannable
-        # entry's operands are all ready (in-order: only the first
-        # non-issued entry matters; windowed OoO: the min over the
-        # window). Stale ready-times lie in the past — clamp to nc, which
-        # is exactly when the per-cycle loop would re-test them.
-        position = head
-        scan_limit = queue_len if in_order else \
-            min(queue_len, head + scheduler_window)
-        while position < scan_limit:
-            entry = queue[position]
-            position += 1
-            if entry[E_ISSUE] is not None:
-                continue
-            if units_for[entry[E_KLASS]] == 0:
-                if in_order:
-                    break
-                continue
-            ready = pready(entry[E_QP], -1)
-            for reg in entry[E_SRC]:
-                r = gready(reg, -1)
-                if r > ready:
-                    ready = r
-            if ready < nc:
-                ready = nc
-            if ready < nxt:
-                nxt = ready
-            if in_order or ready <= nc:
-                break
-        if nxt <= nc:
-            cycle = nc
-            continue
-        if fetch_active:
-            if bubble_prob:
-                # Fetch is un-gated but cannot progress (queue full or
-                # trace drained): the per-cycle loop still draws one
-                # bernoulli per cycle, and a draw can open a bubble that
-                # re-gates fetch. Replay the stream, nothing else.
-                end = nxt if nxt < max_cycles else max_cycles
-                x = nc
-                while x < end:
-                    if x < fetch_resume:
-                        x = fetch_resume if fetch_resume < end else end
-                        continue
-                    if rng_random() < bubble_prob:
-                        bubbles_total += 1
-                        fetch_resume = x + 1 + geometric(
-                            1.0 / bubble_len, maximum=20)
-                    x += 1
-                cycle = end
-                continue
-            # No draws possible: pure skip to the event.
-        elif gate < nxt and (fetchable or bubble_prob):
-            # The fetch gate releasing is itself an event.
-            nxt = gate
-        if nxt > max_cycles:
-            nxt = max_cycles
-        if throttle_until > nc:
-            limit = throttle_until if throttle_until < nxt else nxt
-            stats["throttle_cycles"] += limit - nc
-        cycle = nxt
-    else:
-        raise RuntimeError(
-            f"timing simulation exceeded {cfg.max_cycles} cycles "
-            f"({sim.program.name})")
-
-    stats["l0_misses"] = l0_miss_total
-    stats["l1_misses"] = l1_miss_total
-    stats["l2_misses"] = l2_miss_total
-    stats["loads"] = loads_total
-    stats["fetch_bubbles"] += bubbles_total
-    stats["branch_predictions"] = predictor.predictions
-    stats["branch_mispredictions"] = predictor.mispredictions
-    return PipelineResult(
-        cycles=cycle,
-        committed=trace_n,
-        intervals=IntervalTimeline(log),
-        iq_entries=iq_entries,
-        stats=stats,
-    )

@@ -12,10 +12,10 @@ from repro.pipeline.iq import IntervalTimeline, OccupancyInterval
 class PipelineResult:
     """Output of one timing run.
 
-    ``intervals`` is a sequence of :class:`OccupancyInterval`. The interval
-    kernel supplies an :class:`IntervalTimeline` (columnar, lazy — see
-    :attr:`timeline`); the per-cycle loop supplies a plain list. Consumers
-    that iterate cannot tell the difference.
+    ``intervals`` is a sequence of :class:`OccupancyInterval`. The timing
+    loop supplies an :class:`IntervalTimeline` (columnar, lazy — see
+    :attr:`timeline`); hand-built results (unit tests) may pass a plain
+    list. Consumers that iterate cannot tell the difference.
     """
 
     cycles: int
@@ -28,7 +28,7 @@ class PipelineResult:
 
     @property
     def timeline(self) -> Optional[IntervalTimeline]:
-        """The columnar interval log, when this run came from the kernel."""
+        """The columnar interval log, when this run came from the loop."""
         if isinstance(self.intervals, IntervalTimeline):
             return self.intervals
         return None

@@ -41,20 +41,11 @@ class RuntimeContext:
     #: re-execution (``--no-static-filter`` turns this off to measure the
     #: filter / reproduce seed-era wall-clock; tallies are identical).
     static_filter: bool = True
-    #: Run timing simulations through the interval-compressed kernel
-    #: (``--no-interval-kernel`` selects the legacy per-cycle loop;
-    #: results are bit-identical either way).
-    interval_kernel: bool = True
     #: Draw each campaign's strikes as one array batch and classify them
     #: through the vectorised bit-matrix pre-filter
     #: (``--no-batch-strikes`` selects per-trial sampling; tallies,
     #: cache keys, and oracle counters are bit-identical either way).
     batch_strikes: bool = True
-    #: Memoize basic-block chunk deltas inside the interval kernel and
-    #: replay them on repeat visits (``--no-chunk-memo`` turns the
-    #: fast path off; cycles, intervals, stats, RNG stream, and timing
-    #: cache keys are bit-identical either way).
-    chunk_memo: bool = True
     #: ``host:port`` of a running ``repro serve`` instance to use as the
     #: fleet-wide timeline store (``--service`` / ``REPRO_SERVICE``).
     #: Timing entries missing locally are fetched from it and computed
@@ -121,9 +112,7 @@ def configure(
     chaos: Optional[Union[ChaosConfig, str]] = None,
     chaos_seed: int = 1337,
     static_filter: bool = True,
-    interval_kernel: bool = True,
     batch_strikes: bool = True,
-    chunk_memo: bool = True,
     service: Optional[str] = None,
     service_timeout: Optional[float] = None,
     mbu_preset: Optional[str] = None,
@@ -149,9 +138,8 @@ def configure(
         checkpoint_dir=None if checkpoint_dir is None
         else Path(checkpoint_dir),
         resume=resume, static_filter=static_filter,
-        interval_kernel=interval_kernel, batch_strikes=batch_strikes,
-        chunk_memo=chunk_memo,
-        service=service, service_timeout=service_timeout,
+        batch_strikes=batch_strikes, service=service,
+        service_timeout=service_timeout,
         mbu_preset=mbu_preset, ecc_scheme=ecc_scheme))
 
 
@@ -167,9 +155,7 @@ def use_runtime(
     checkpoint_dir: Optional[Union[str, Path]] = None,
     resume: bool = False,
     static_filter: bool = True,
-    interval_kernel: bool = True,
     batch_strikes: bool = True,
-    chunk_memo: bool = True,
     service: Optional[str] = None,
     service_timeout: Optional[float] = None,
     mbu_preset: Optional[str] = None,
@@ -187,9 +173,7 @@ def use_runtime(
                              checkpoint_dir=checkpoint_dir,
                              resume=resume,
                              static_filter=static_filter,
-                             interval_kernel=interval_kernel,
                              batch_strikes=batch_strikes,
-                             chunk_memo=chunk_memo,
                              service=service,
                              service_timeout=service_timeout,
                              mbu_preset=mbu_preset,

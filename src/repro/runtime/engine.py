@@ -92,9 +92,14 @@ def _worker_counters(context) -> dict:
 
 
 def _benchmark_task(profile, settings, trigger, cache_dir: Optional[str],
-                    chaos: Optional[ChaosConfig], interval_kernel: bool,
-                    chunk_memo: bool, attempt: int):
-    """Worker: one full benchmark run under a private serial context."""
+                    chaos: Optional[ChaosConfig], service: Optional[str],
+                    service_timeout: Optional[float], attempt: int):
+    """Worker: one full benchmark run under a private serial context.
+
+    The worker reads and writes the same stores as the parent: the
+    shared cache directory and, when ``service`` is set, the fleet-wide
+    timeline store of that ``repro serve`` instance.
+    """
     from repro.experiments.common import run_benchmark
     from repro.runtime.cache import ResultCache
     from repro.runtime.context import RuntimeContext, set_runtime
@@ -103,8 +108,8 @@ def _benchmark_task(profile, settings, trigger, cache_dir: Optional[str],
         ChaosInjector(chaos).maybe_kill(("benchmark", profile.name), attempt)
     cache = ResultCache(cache_dir) if cache_dir else None
     context = set_runtime(RuntimeContext(jobs=1, cache=cache,
-                                         interval_kernel=interval_kernel,
-                                         chunk_memo=chunk_memo))
+                                         service=service,
+                                         service_timeout=service_timeout))
     began = time.perf_counter()
     run = run_benchmark(profile, settings, trigger)
     elapsed = time.perf_counter() - began
@@ -120,14 +125,15 @@ def run_benchmarks_parallel(
     telemetry: Optional[Telemetry] = None,
     policy: Optional[RetryPolicy] = None,
     chaos: Optional[ChaosConfig] = None,
-    interval_kernel: bool = True,
-    chunk_memo: bool = True,
+    service: Optional[str] = None,
+    service_timeout: Optional[float] = None,
 ) -> List[Any]:
     """Map ``run_benchmark`` over profiles across supervised processes.
 
     Returns :class:`BenchmarkRun` objects in ``profiles`` order. Each
     worker opens its own handle on the shared cache directory (writes are
-    atomic), and its counter snapshot is merged into ``telemetry``.
+    atomic) and, with ``service``, its own connection to the remote
+    timeline store; its counter snapshot is merged into ``telemetry``.
     Failed profiles are retried per ``policy``; a profile that keeps
     failing raises its classified fault — an exhibit must never silently
     drop a benchmark.
@@ -144,7 +150,7 @@ def run_benchmarks_parallel(
     tasks = [
         SupervisedTask(fn=_benchmark_task,
                        args=(profile, settings, trigger, cache_dir, chaos,
-                             interval_kernel, chunk_memo),
+                             service, service_timeout),
                        items=1, key=profile.name, deadline=False)
         for profile in profiles
     ]

@@ -75,7 +75,7 @@ def scale_trace(trace: Sequence[CommittedOp], factor: int) \
 def trace_digest(trace: Sequence[CommittedOp]) -> str:
     """sha256 over the timing-relevant row content of ``trace``.
 
-    Covers exactly the fields the interval kernel (and the chunk memo's
+    Covers exactly the fields the timing loop (and the chunk memo's
     row fingerprint) observes, so two traces with equal digests are
     indistinguishable to the timing path.
     """

@@ -20,24 +20,30 @@ from repro.workloads.profile import BenchmarkProfile
 TEST_SEED = 1234
 
 
+#: A compact mixed workload used across the suite.
+SMALL_PROFILE = BenchmarkProfile(
+    name="testload",
+    suite="int",
+    body_items=120,
+    w_noop=30.0,
+    w_branch_rand=2.0,
+    w_cold_load=0.6,
+    fetch_bubble_prob=0.25,
+    seed_salt=99,
+)
+#: Committed-instruction target of the shared small program.
+SMALL_INSTRUCTIONS = 8000
+
+
 @pytest.fixture(scope="session")
 def small_profile() -> BenchmarkProfile:
-    """A compact mixed workload used across the suite."""
-    return BenchmarkProfile(
-        name="testload",
-        suite="int",
-        body_items=120,
-        w_noop=30.0,
-        w_branch_rand=2.0,
-        w_cold_load=0.6,
-        fetch_bubble_prob=0.25,
-        seed_salt=99,
-    )
+    return SMALL_PROFILE
 
 
 @pytest.fixture(scope="session")
 def small_program(small_profile):
-    return synthesize(small_profile, target_instructions=8000, seed=TEST_SEED)
+    return synthesize(small_profile, target_instructions=SMALL_INSTRUCTIONS,
+                      seed=TEST_SEED)
 
 
 @pytest.fixture(scope="session")

@@ -1,15 +1,17 @@
-"""Differential proof for the chunk-compositional timing fast path.
+"""Differential proof for the chunk memo of the timing loop.
 
-``repro.pipeline.compose.run_composed`` must be *bit-identical* to the
-plain interval kernel: same cycle counts, same interval log (in order),
-same stats, same RNG stream, and identical timing-store cache keys —
-whether a chunk was executed, recorded, or replayed from the memo. These
-tests run both kernels over every benchmark profile x squash trigger,
-over the ablation machine variants, over tiled/scaled traces where the
-memo actually engages, and over hypothesis-generated workloads; they
-also pin the memo's management behaviour (LRU scopes, byte budget,
-telemetry counters) and the relocatable column-block arithmetic the
-splice path is built on.
+With the memo engaged, ``repro.pipeline.compose.run_composed`` must be
+*bit-identical* to the same loop with the memo switched off (its
+``_memo_pays`` predicate patched to refuse): same cycle counts, same
+interval log (in order), same stats, same RNG stream, and identical
+timing-store cache keys — whether a chunk was executed, recorded, or
+replayed from the memo. The memo engages only on bubble-free machines,
+so these tests run both over every benchmark profile x squash trigger,
+over the ablation machine variants, over tiled/scaled traces, and over
+hypothesis-generated workloads, all without fetch bubbles; they also pin
+that a bubbled run never touches the memo, the memo's management
+behaviour (LRU scopes, byte budget, telemetry counters) and the
+relocatable column-block arithmetic the splice path is built on.
 """
 
 from __future__ import annotations
@@ -31,16 +33,9 @@ from repro.pipeline.compose import (
     clear_chunk_memos,
     run_composed,
 )
-from repro.pipeline.config import (
-    IssuePolicy,
-    MachineConfig,
-    SquashAction,
-    SquashConfig,
-    Trigger,
-)
+from repro.pipeline.config import MachineConfig, SquashConfig, Trigger
 from repro.pipeline.core import PipelineSimulator
 from repro.pipeline.iq import NO_VALUE, IntervalTimeline
-from repro.pipeline.kernel import run_interval
 from repro.runtime.cache import cache_key
 from repro.runtime.context import use_runtime
 from repro.workloads.codegen import synthesize
@@ -48,6 +43,7 @@ from repro.workloads.profile import BenchmarkProfile
 from repro.workloads.scaled import ScaledWorkload, build_scaled, scale_trace
 from repro.workloads.spec2000 import ALL_PROFILES
 
+from . import timing_golden as golden
 from .conftest import TEST_SEED
 from .helpers import I, program
 
@@ -62,10 +58,23 @@ def _fresh_memo():
     clear_chunk_memos()
 
 
+@pytest.fixture(scope="session")
+def draw_free_machine(base_machine):
+    """The shared test machine without fetch bubbles: the memo engages."""
+    return replace(base_machine, fetch_bubble_prob=0.0)
+
+
+def _memo_off(program_, trace, machine, seed=TEST_SEED):
+    """The same loop with the memo predicate patched to refuse."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compose, "_memo_pays", lambda config, trace: False)
+        return run_composed(PipelineSimulator(program_, trace, machine,
+                                              seed=seed))
+
+
 def _run_both(program_, trace, machine, seed=TEST_SEED):
-    """(plain interval result, composed result) for one configuration."""
-    ref = run_interval(PipelineSimulator(program_, trace, machine,
-                                         seed=seed))
+    """(memo-off result, memo-engaged result) for one configuration."""
+    ref = _memo_off(program_, trace, machine, seed)
     fast = run_composed(PipelineSimulator(program_, trace, machine,
                                           seed=seed))
     return ref, fast
@@ -104,7 +113,8 @@ def _assert_identical(ref, fast, deadness=None):
 
 
 class TestDifferentialMatrix:
-    """Composed == plain over profiles, triggers, and machine variants."""
+    """Memo on == memo off over profiles, triggers, and machine
+    variants."""
 
     @pytest.mark.parametrize("profile", ALL_PROFILES,
                              ids=[p.name for p in ALL_PROFILES])
@@ -114,7 +124,7 @@ class TestDifferentialMatrix:
         execution = FunctionalSimulator(program_).run()
         assert execution.clean
         deadness = analyze_deadness(execution)
-        base = MachineConfig(fetch_bubble_prob=profile.fetch_bubble_prob)
+        base = MachineConfig(fetch_bubble_prob=0.0)
         for trigger in TRIGGERS:
             machine = replace(base,
                               squash=replace(base.squash, trigger=trigger))
@@ -122,39 +132,19 @@ class TestDifferentialMatrix:
             _assert_identical(ref, fast, deadness)
 
     @pytest.mark.parametrize("variant", [
-        "throttle", "resume_at_miss_return", "ooo_baseline", "ooo_l1",
-        "ooo_l0", "tiny_queue", "wide_machine",
-    ])
+        name for name in golden.VARIANTS
+        if name not in ("baseline", "queue_never_fills")])
     def test_machine_variants(self, variant, small_program, small_execution,
-                              small_deadness, base_machine):
-        machines = {
-            "throttle": replace(base_machine, squash=SquashConfig(
-                trigger=Trigger.L1_MISS, action=SquashAction.THROTTLE)),
-            "resume_at_miss_return": replace(base_machine,
-                                             squash=SquashConfig(
-                                                 trigger=Trigger.L1_MISS,
-                                                 resume_at_miss_return=True)),
-            "ooo_baseline": replace(base_machine,
-                                    issue_policy=IssuePolicy.OOO_WINDOW),
-            "ooo_l1": replace(base_machine,
-                              issue_policy=IssuePolicy.OOO_WINDOW,
-                              squash=SquashConfig(trigger=Trigger.L1_MISS)),
-            "ooo_l0": replace(base_machine,
-                              issue_policy=IssuePolicy.OOO_WINDOW,
-                              squash=SquashConfig(trigger=Trigger.L0_MISS)),
-            "tiny_queue": replace(base_machine, iq_entries=8),
-            "wide_machine": replace(base_machine, fetch_width=8,
-                                    issue_width=8, commit_width=8),
-        }
-        ref, fast = _run_both(small_program, small_execution.trace,
-                              machines[variant])
+                              small_deadness, draw_free_machine):
+        machine = golden.VARIANTS[variant](draw_free_machine)
+        ref, fast = _run_both(small_program, small_execution.trace, machine)
         _assert_identical(ref, fast, small_deadness)
 
     def test_warm_memo_replay_identical(self, small_program,
-                                        small_execution, base_machine):
-        """A second composed run — now replaying from a warm memo — must
-        still match the plain kernel bit for bit."""
-        machine = replace(base_machine,
+                                        small_execution, draw_free_machine):
+        """A second memo-engaged run — now replaying from a warm memo —
+        must still match the memo-off loop bit for bit."""
+        machine = replace(draw_free_machine,
                           squash=SquashConfig(trigger=Trigger.L1_MISS))
         ref, first = _run_both(small_program, small_execution.trace,
                                machine)
@@ -182,17 +172,15 @@ class TestDifferentialMatrix:
         assert compose.chunk_memo_splices > splices0
 
     def test_scaled_workload_differential(self):
-        """A catalogue-shaped scaled workload, bubbled and unbubbled."""
+        """A catalogue-shaped scaled workload."""
         workload = ScaledWorkload(name="mcf-30k", base_profile="mcf",
                                   target_instructions=30_000)
         program_, trace = build_scaled(workload, cache=False)
-        profile = next(p for p in ALL_PROFILES if p.name == "mcf")
-        for bubble in (0.0, profile.fetch_bubble_prob):
-            machine = MachineConfig(
-                fetch_bubble_prob=bubble,
-                squash=SquashConfig(trigger=Trigger.L1_MISS))
-            ref, fast = _run_both(program_, trace, machine)
-            _assert_identical(ref, fast)
+        machine = MachineConfig(
+            fetch_bubble_prob=0.0,
+            squash=SquashConfig(trigger=Trigger.L1_MISS))
+        ref, fast = _run_both(program_, trace, machine)
+        _assert_identical(ref, fast)
 
 
 class TestEdgeCases:
@@ -200,7 +188,8 @@ class TestEdgeCases:
         prog = program([I(Opcode.HALT)])
         execution = FunctionalSimulator(prog).run()
         assert execution.clean
-        ref, fast = _run_both(prog, execution.trace, MachineConfig())
+        ref, fast = _run_both(prog, execution.trace,
+                              MachineConfig(fetch_bubble_prob=0.0))
         _assert_identical(ref, fast)
 
     def test_last_instruction_squashed(self):
@@ -211,67 +200,77 @@ class TestEdgeCases:
             body.append(I(Opcode.ADD, r1=3, r2=2, r3=2))
         prog = program(body)
         execution = FunctionalSimulator(prog).run()
-        machine = MachineConfig(squash=SquashConfig(trigger=Trigger.L0_MISS))
+        machine = MachineConfig(fetch_bubble_prob=0.0,
+                                squash=SquashConfig(trigger=Trigger.L0_MISS))
         ref, fast = _run_both(prog, execution.trace, machine)
         _assert_identical(ref, fast)
         assert fast.stats["squashed_instructions"] > 0
 
     def test_queue_never_fills(self, small_program, small_execution,
-                               base_machine):
-        machine = replace(base_machine, iq_entries=16384)
+                               draw_free_machine):
+        machine = replace(draw_free_machine, iq_entries=16384)
         ref, fast = _run_both(small_program, small_execution.trace, machine)
         _assert_identical(ref, fast)
 
     def test_non_dense_seq_disables_memo_exactly(self, small_program,
                                                  small_execution,
-                                                 base_machine):
+                                                 draw_free_machine):
         """A trace whose seq numbers are not dense indexes cannot use the
         relative-seq memo; run_composed must detect that and still be
         bit-identical via plain execution."""
         sliced = small_execution.trace[1:]
         misses0 = compose.chunk_memo_misses
-        ref, fast = _run_both(small_program, sliced, base_machine)
+        ref, fast = _run_both(small_program, sliced, draw_free_machine)
         _assert_identical(ref, fast)
         assert compose.chunk_memo_misses == misses0  # memo never engaged
 
 
 class TestDispatchAndTelemetry:
-    def test_runtime_dispatch_and_counters(self, small_program,
-                                           small_execution, base_machine):
-        machine = replace(base_machine,
-                          squash=SquashConfig(trigger=Trigger.L1_MISS))
-
-        with use_runtime(chunk_memo=False) as context:
-            off = PipelineSimulator(small_program, small_execution.trace,
-                                    machine, seed=TEST_SEED).run()
+    def test_bubbled_run_bypasses_memo(self, small_program,
+                                       small_execution, base_machine):
+        """A machine with fetch bubbles never consults or fills the memo."""
+        assert base_machine.fetch_bubble_prob > 0
+        hits0 = compose.chunk_memo_hits
+        misses0 = compose.chunk_memo_misses
+        with use_runtime() as context:
+            PipelineSimulator(small_program, small_execution.trace,
+                              base_machine, seed=TEST_SEED).run()
             assert context.telemetry.counters["chunk_memo_hits"] == 0
             assert context.telemetry.counters["chunk_memo_misses"] == 0
-        with use_runtime(chunk_memo=True) as context:
-            on = PipelineSimulator(small_program, small_execution.trace,
-                                   machine, seed=TEST_SEED).run()
+        assert compose.chunk_memo_hits == hits0
+        assert compose.chunk_memo_misses == misses0
+        assert chunk_memo_footprint()["bytes"] == 0
+
+    def test_warm_bubble_free_replay_through_run(self, small_program,
+                                                 small_execution,
+                                                 draw_free_machine):
+        """Through the public entry point, a bubble-free run records, a
+        second one replays, and both equal the memo-off loop."""
+        machine = replace(draw_free_machine,
+                          squash=SquashConfig(trigger=Trigger.L1_MISS))
+        ref = _memo_off(small_program, small_execution.trace, machine)
+        with use_runtime() as context:
+            cold = PipelineSimulator(small_program, small_execution.trace,
+                                     machine, seed=TEST_SEED).run()
             counters = context.telemetry.counters
-            assert counters["chunk_memo_hits"] \
-                + counters["chunk_memo_misses"] > 0
+            assert counters["chunk_memo_misses"] > 0
+            hits0 = counters["chunk_memo_hits"]
+            warm = PipelineSimulator(small_program, small_execution.trace,
+                                     machine, seed=TEST_SEED).run()
+            assert counters["chunk_memo_hits"] > hits0
             summary = context.telemetry.format_summary(
                 jobs=1, verbose=True)
             assert "chunk memo:" in summary
-        _assert_identical(off, on)
-        assert cache_key(off) == cache_key(on)
-
-    def test_cli_flag(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["figure1", "--no-chunk-memo"])
-        assert args.no_chunk_memo
-        assert not build_parser().parse_args(["figure1"]).no_chunk_memo
+        _assert_identical(ref, cold)
+        _assert_identical(ref, warm)
 
     def test_footprint_shape(self, small_program, small_execution,
-                             base_machine):
+                             draw_free_machine):
         empty = chunk_memo_footprint()
         assert empty == {"scopes": 0, "keys": 0, "segments": 0, "bytes": 0}
         run_composed(PipelineSimulator(small_program,
                                        small_execution.trace,
-                                       base_machine, seed=TEST_SEED))
+                                       draw_free_machine, seed=TEST_SEED))
         footprint = chunk_memo_footprint()
         assert footprint["scopes"] == 1
         assert footprint["segments"] >= footprint["keys"] > 0
@@ -279,11 +278,11 @@ class TestDispatchAndTelemetry:
 
 
 class TestMemoManagement:
-    def test_scope_lru(self, small_program, small_execution, base_machine,
-                       monkeypatch):
+    def test_scope_lru(self, small_program, small_execution,
+                       draw_free_machine, monkeypatch):
         monkeypatch.setattr(compose, "_MEMO_SCOPE_LIMIT", 2)
         for width in (2, 4, 8):
-            machine = replace(base_machine, fetch_width=width)
+            machine = replace(draw_free_machine, fetch_width=width)
             run_composed(PipelineSimulator(small_program,
                                            small_execution.trace,
                                            machine, seed=TEST_SEED))
@@ -291,10 +290,10 @@ class TestMemoManagement:
         assert chunk_memo_footprint()["scopes"] <= 2
 
     def test_byte_budget_evicts(self, small_program, small_execution,
-                                base_machine, monkeypatch):
+                                draw_free_machine, monkeypatch):
         monkeypatch.setattr(compose, "MEMO_BYTE_LIMIT", 200_000)
         evictions0 = compose.chunk_memo_evictions
-        machine = replace(base_machine,
+        machine = replace(draw_free_machine,
                           squash=SquashConfig(trigger=Trigger.L1_MISS))
         run_composed(PipelineSimulator(small_program,
                                        small_execution.trace,
@@ -302,19 +301,17 @@ class TestMemoManagement:
         assert compose.chunk_memo_evictions > evictions0
         assert chunk_memo_footprint()["bytes"] <= 200_000
         # ... and the starved memo still reproduces the exact result.
-        ref = run_interval(PipelineSimulator(small_program,
-                                             small_execution.trace,
-                                             machine, seed=TEST_SEED))
+        ref = _memo_off(small_program, small_execution.trace, machine)
         again = run_composed(PipelineSimulator(small_program,
                                                small_execution.trace,
                                                machine, seed=TEST_SEED))
         _assert_identical(ref, again)
 
     def test_clear_resets_footprint(self, small_program, small_execution,
-                                    base_machine):
+                                    draw_free_machine):
         run_composed(PipelineSimulator(small_program,
                                        small_execution.trace,
-                                       base_machine, seed=TEST_SEED))
+                                       draw_free_machine, seed=TEST_SEED))
         assert chunk_memo_footprint()["bytes"] > 0
         clear_chunk_memos()
         assert chunk_memo_footprint() == {
@@ -443,7 +440,6 @@ def _profiles(draw):
         w_call=draw(st.floats(0.0, 3.0)),
         pred_block_len=draw(st.integers(1, 5)),
         miss_burst=draw(st.integers(1, 4)),
-        fetch_bubble_prob=draw(st.sampled_from([0.0, 0.0, 0.2, 0.4])),
         seed_salt=draw(st.integers(0, 1000)),
     )
 
@@ -461,7 +457,7 @@ class TestSignatureSoundness:
         execution = FunctionalSimulator(program_).run()
         assert execution.clean
         machine = MachineConfig(
-            fetch_bubble_prob=profile.fetch_bubble_prob,
+            fetch_bubble_prob=0.0,
             squash=SquashConfig(trigger=trigger))
         ref, fast = _run_both(program_, execution.trace, machine)
         _assert_identical(ref, fast)
@@ -478,7 +474,7 @@ class TestSignatureSoundness:
         execution = FunctionalSimulator(program_).run()
         tiled = scale_trace(execution.trace, factor)
         machine = MachineConfig(
-            fetch_bubble_prob=profile.fetch_bubble_prob,
+            fetch_bubble_prob=0.0,
             squash=SquashConfig(trigger=Trigger.L1_MISS))
         ref, fast = _run_both(program_, tiled, machine)
         _assert_identical(ref, fast)

@@ -1,13 +1,15 @@
-"""Differential proof for the interval-compressed timing kernel.
+"""The timing loop against its golden digests.
 
-The kernel (``repro.pipeline.kernel``) must be *bit-identical* to the
-legacy per-cycle loop: same cycle counts, same interval log (in order),
-same stats dictionary, same RNG stream, and — through the interval-record
-breakdown path — the same AVF/MITF numbers to the last bit. These tests
-run both paths over every benchmark profile x squash trigger, over the
-machine-config variants the ablations exercise, and over the edge cases
-(zero-committed programs, a squashed last instruction, a queue that never
-fills), and compare everything.
+``PipelineSimulator.run`` must reproduce ``tests/data/timing_golden.json``
+exactly — cycle counts, stats and interval log — over every benchmark
+profile x squash trigger, over the machine-config variants the
+ablations exercise, and over the edge cases (zero-committed programs, a
+squashed last instruction, a queue that never fills), each on the
+bubbled machine and on a bubble-free copy where the chunk memo engages.
+The digests were generated where three independent loops (a per-cycle
+loop, an event-skipping kernel and the memoized kernel) agreed on every
+case. The same run integrated from its columns and from an object list
+must give the same AVF/MITF numbers to the last bit.
 
 They also cover the persistent timeline store: a second pass over the
 same work must perform zero pipeline simulations.
@@ -20,63 +22,45 @@ from dataclasses import replace
 import pytest
 
 from repro.analysis.deadcode import analyze_deadness
-from repro.arch.executor import FunctionalSimulator
 from repro.avf.avf_calc import compute_iq_avf
 from repro.avf.occupancy import AccountingPolicy, compute_breakdown
-from repro.isa.opcodes import Opcode
 from repro.pipeline import core as core_mod
-from repro.pipeline.config import (
-    IssuePolicy,
-    MachineConfig,
-    SquashAction,
-    SquashConfig,
-    Trigger,
-)
+from repro.pipeline.config import IssuePolicy, Trigger
 from repro.pipeline.core import PipelineSimulator
 from repro.pipeline.iq import IntervalTimeline, OccupantKind
-from repro.pipeline.kernel import run_interval
 from repro.pipeline.result import PipelineResult
 from repro.runtime.cache import cache_key
 from repro.runtime.context import use_runtime
 from repro.workloads.codegen import synthesize
 from repro.workloads.spec2000 import ALL_PROFILES
 
+from . import timing_golden as golden
 from .conftest import TEST_SEED
-from .helpers import I, program
 
-TRIGGERS = (Trigger.NONE, Trigger.L0_MISS, Trigger.L1_MISS)
-
-
-def _run_both(program_, trace, machine, seed=TEST_SEED):
-    """(legacy per-cycle result, interval-kernel result) for one config."""
-    legacy = PipelineSimulator(program_, trace, machine,
-                               seed=seed).run_per_cycle()
-    fast = run_interval(PipelineSimulator(program_, trace, machine,
-                                          seed=seed))
-    return legacy, fast
+GOLDEN = golden.load()
+#: Variants with a dedicated edge-case test below.
+_EDGE_VARIANTS = ("baseline", "queue_never_fills")
 
 
-def _assert_identical(legacy, fast, deadness):
-    """Every observable of the two timing paths must agree exactly."""
-    assert isinstance(fast.intervals, IntervalTimeline)
-    assert not isinstance(legacy.intervals, IntervalTimeline)
-    assert legacy.cycles == fast.cycles
-    assert legacy.committed == fast.committed
-    assert legacy.iq_entries == fast.iq_entries
-    assert legacy.stats == fast.stats
-    assert legacy.ipc == fast.ipc
-    li, fi = list(legacy.intervals), list(fast.intervals)
-    assert len(li) == len(fi)
-    for a, b in zip(li, fi):
-        assert a.seq == b.seq
-        assert a.kind is b.kind
-        assert a.alloc_cycle == b.alloc_cycle
-        assert a.issue_cycle == b.issue_cycle
-        assert a.dealloc_cycle == b.dealloc_cycle
-        assert a.instruction.encode() == b.instruction.encode()
+def _check(key, program_, trace, machine):
+    """Run the one loop and compare it with the golden record."""
+    result = golden.simulate(program_, trace, machine)
+    assert isinstance(result.intervals, IntervalTimeline)
+    assert golden.digest(result) == GOLDEN[key], key
+    return result
+
+
+def _assert_forms_agree(result, deadness):
+    """Column and object-list integration of one run agree exactly."""
+    listed = PipelineResult(cycles=result.cycles, committed=result.committed,
+                            intervals=list(result.intervals),
+                            iq_entries=result.iq_entries,
+                            stats=dict(result.stats))
+    assert listed.timeline is None
+    assert listed.occupancy_fraction() == result.occupancy_fraction()
     for policy in AccountingPolicy:
-        lb = compute_breakdown(legacy, deadness, policy)
-        fb = compute_breakdown(fast, deadness, policy)
+        lb = compute_breakdown(listed, deadness, policy)
+        fb = compute_breakdown(result, deadness, policy)
         assert lb.ace_bit_cycles == fb.ace_bit_cycles
         assert lb.unace_bit_cycles == fb.unace_bit_cycles
         assert lb.ex_ace_bit_cycles == fb.ex_ace_bit_cycles
@@ -85,61 +69,64 @@ def _assert_identical(legacy, fast, deadness):
         assert lb.fdd_distance_weights == fb.fdd_distance_weights
         assert lb.sdc_avf == fb.sdc_avf
         assert lb.due_avf == fb.due_avf
-    lr = compute_iq_avf("x", legacy, deadness)
-    fr = compute_iq_avf("x", fast, deadness)
+    lr = compute_iq_avf("x", listed, deadness)
+    fr = compute_iq_avf("x", result, deadness)
     assert lr.ipc_over_sdc_avf == fr.ipc_over_sdc_avf
     assert lr.ipc_over_due_avf == fr.ipc_over_due_avf
-    # The persistent store must key both identically.
-    assert cache_key(legacy) == cache_key(fast)
+    # The persistent store must key both forms identically.
+    assert cache_key(listed) == cache_key(result)
+
+
+class TestGoldenFile:
+    def test_covers_exactly_the_cases(self):
+        keys = set()
+        for profile in ALL_PROFILES:
+            keys.update(key for key, _ in golden.profile_cases(profile))
+        for name in golden.VARIANTS:
+            keys.update(key for key, _ in golden.variant_cases(name))
+        for name in golden.EDGE_CASES:
+            keys.update(key for key, _ in golden.edge_cases(name))
+        keys.update(key for key, _ in golden.tiled_cases(
+            golden.tiled_program()[0]))
+        assert keys == set(GOLDEN)
 
 
 class TestDifferentialMatrix:
-    """Both paths agree over profiles, triggers, and machine variants."""
+    """The loop matches the golden file over profiles, triggers, and
+    machine variants."""
 
     @pytest.mark.parametrize("profile", ALL_PROFILES,
                              ids=[p.name for p in ALL_PROFILES])
     def test_every_profile_every_trigger(self, profile):
-        program_ = synthesize(profile, target_instructions=3000,
+        program_ = synthesize(profile,
+                              target_instructions=golden.PROFILE_INSTRUCTIONS,
                               seed=TEST_SEED)
-        execution = FunctionalSimulator(program_).run()
-        assert execution.clean
+        execution = golden.execute(program_)
         deadness = analyze_deadness(execution)
-        base = MachineConfig(fetch_bubble_prob=profile.fetch_bubble_prob)
-        for trigger in TRIGGERS:
-            machine = replace(base,
-                              squash=replace(base.squash, trigger=trigger))
-            legacy, fast = _run_both(program_, execution.trace, machine)
-            _assert_identical(legacy, fast, deadness)
+        for key, machine in golden.profile_cases(profile):
+            result = _check(key, program_, execution.trace, machine)
+            if machine.fetch_bubble_prob:
+                _assert_forms_agree(result, deadness)
 
     @pytest.mark.parametrize("variant", [
-        "throttle", "resume_at_miss_return", "ooo_baseline", "ooo_l1",
-        "tiny_queue", "wide_machine",
-    ])
+        name for name in golden.VARIANTS if name not in _EDGE_VARIANTS])
     def test_machine_variants(self, variant, small_program, small_execution,
-                              small_deadness, base_machine):
-        machines = {
-            "throttle": replace(base_machine, squash=SquashConfig(
-                trigger=Trigger.L1_MISS, action=SquashAction.THROTTLE)),
-            "resume_at_miss_return": replace(base_machine,
-                                             squash=SquashConfig(
-                                                 trigger=Trigger.L1_MISS,
-                                                 resume_at_miss_return=True)),
-            "ooo_baseline": replace(base_machine,
-                                    issue_policy=IssuePolicy.OOO_WINDOW),
-            "ooo_l1": replace(base_machine,
-                              issue_policy=IssuePolicy.OOO_WINDOW,
-                              squash=SquashConfig(trigger=Trigger.L1_MISS)),
-            "tiny_queue": replace(base_machine, iq_entries=8),
-            "wide_machine": replace(base_machine, fetch_width=8,
-                                    issue_width=8, commit_width=8),
-        }
-        legacy, fast = _run_both(small_program, small_execution.trace,
-                                 machines[variant])
-        _assert_identical(legacy, fast, small_deadness)
+                              small_deadness):
+        for key, machine in golden.variant_cases(variant):
+            result = _check(key, small_program, small_execution.trace,
+                            machine)
+            _assert_forms_agree(result, small_deadness)
+
+    def test_tiled_trace(self):
+        """A tiled trace, on which the draw-free memo replays most
+        chunks."""
+        profile, program_, trace = golden.tiled_program()
+        for key, machine in golden.tiled_cases(profile):
+            _check(key, program_, trace, machine)
 
 
 class TestEdgeCases:
-    """The corners ISSUE 4 calls out, on both paths."""
+    """The corners of the timing model."""
 
     def test_zero_committed_breakdown(self):
         """A run that committed nothing produces an all-zero breakdown,
@@ -158,55 +145,50 @@ class TestEdgeCases:
 
     def test_minimal_one_instruction_trace(self):
         """The smallest simulatable program: a lone HALT."""
-        prog = program([I(Opcode.HALT)])
-        execution = FunctionalSimulator(prog).run()
-        assert execution.clean
+        prog = golden.halt_program()
+        execution = golden.execute(prog)
         deadness = analyze_deadness(execution)
-        legacy, fast = _run_both(prog, execution.trace, MachineConfig())
-        _assert_identical(legacy, fast, deadness)
-        assert fast.committed == len(execution.trace)
+        for key, machine in golden.edge_cases("halt"):
+            result = _check(key, prog, execution.trace, machine)
+            _assert_forms_agree(result, deadness)
+            assert result.committed == len(execution.trace)
 
     def test_last_instruction_squashed(self):
         """A trace whose final instruction is an exposure-squash victim."""
-        body = [I(Opcode.MOVI, r1=1, imm=7)]
-        for _ in range(24):
-            body.append(I(Opcode.ADDI, r1=1, r2=1, imm=48))
-            body.append(I(Opcode.LD, r1=2, r2=1, imm=0))
-            body.append(I(Opcode.ADD, r1=3, r2=2, r3=2))
-        prog = program(body)
-        execution = FunctionalSimulator(prog).run()
-        assert execution.clean
+        prog = golden.last_squashed_program()
+        execution = golden.execute(prog)
         deadness = analyze_deadness(execution)
-        machine = MachineConfig(squash=SquashConfig(trigger=Trigger.L0_MISS))
-        legacy, fast = _run_both(prog, execution.trace, machine)
-        _assert_identical(legacy, fast, deadness)
-        assert fast.stats["squashed_instructions"] > 0
         last_seq = max(op.seq for op in execution.trace)
-        squashed = {iv.seq for iv in fast.intervals
-                    if iv.kind is OccupantKind.SQUASHED}
-        assert last_seq in squashed  # the case this test exists for
-        committed = {iv.seq for iv in fast.intervals
-                     if iv.kind is OccupantKind.COMMITTED}
-        assert last_seq in committed  # ... and it was refetched
+        for key, machine in golden.edge_cases("last_squashed"):
+            result = _check(key, prog, execution.trace, machine)
+            _assert_forms_agree(result, deadness)
+            assert result.stats["squashed_instructions"] > 0
+            squashed = {iv.seq for iv in result.intervals
+                        if iv.kind is OccupantKind.SQUASHED}
+            assert last_seq in squashed  # the case this test exists for
+            committed = {iv.seq for iv in result.intervals
+                         if iv.kind is OccupantKind.COMMITTED}
+            assert last_seq in committed  # ... and it was refetched
 
     def test_queue_never_fills(self, small_program, small_execution,
-                               small_deadness, base_machine):
+                               small_deadness):
         """An IQ larger than the whole trace never exerts backpressure."""
-        machine = replace(base_machine, iq_entries=16384)
-        legacy, fast = _run_both(small_program, small_execution.trace,
-                                 machine)
-        _assert_identical(legacy, fast, small_deadness)
-        peak = max((len(small_execution.trace), 1))
-        assert fast.iq_entries == 16384
-        assert len(fast.intervals) >= peak
+        for key, machine in golden.variant_cases("queue_never_fills"):
+            result = _check(key, small_program, small_execution.trace,
+                            machine)
+            _assert_forms_agree(result, small_deadness)
+            assert result.iq_entries == 16384
+            assert len(result.intervals) >= len(small_execution.trace)
 
     def test_no_bubble_stream(self, small_program, small_execution,
-                              small_deadness, base_machine):
+                              small_deadness):
         """bubble_prob=0 exercises the pure-skip (draw-free) path."""
-        machine = replace(base_machine, fetch_bubble_prob=0.0)
-        legacy, fast = _run_both(small_program, small_execution.trace,
-                                 machine)
-        _assert_identical(legacy, fast, small_deadness)
+        for key, machine in golden.variant_cases("baseline"):
+            result = _check(key, small_program, small_execution.trace,
+                            machine)
+            _assert_forms_agree(result, small_deadness)
+            if not machine.fetch_bubble_prob:
+                assert result.stats["fetch_bubbles"] == 0
 
 
 class TestBreakdownPaths:
@@ -214,9 +196,8 @@ class TestBreakdownPaths:
 
     @pytest.fixture(scope="class")
     def fast_result(self, small_program, small_execution, squash_machine):
-        return run_interval(PipelineSimulator(
-            small_program, small_execution.trace, squash_machine,
-            seed=TEST_SEED))
+        return PipelineSimulator(small_program, small_execution.trace,
+                                 squash_machine, seed=TEST_SEED).run()
 
     def test_python_fallback_matches_numpy(self, fast_result, small_deadness,
                                            monkeypatch):
@@ -259,29 +240,6 @@ class TestBreakdownPaths:
         plain = PipelineResult(cycles=10, committed=0, intervals=[],
                                iq_entries=4, stats={})
         assert plain.timeline is None
-
-
-class TestKernelSelection:
-    """run() dispatches on the runtime context's interval_kernel flag."""
-
-    def test_default_uses_interval_kernel(self, small_program,
-                                          small_execution, base_machine):
-        result = PipelineSimulator(small_program, small_execution.trace,
-                                   base_machine, seed=TEST_SEED).run()
-        assert isinstance(result.intervals, IntervalTimeline)
-
-    def test_flag_selects_legacy_loop(self, small_program, small_execution,
-                                      base_machine):
-        with use_runtime(interval_kernel=False):
-            result = PipelineSimulator(small_program, small_execution.trace,
-                                       base_machine, seed=TEST_SEED).run()
-        assert not isinstance(result.intervals, IntervalTimeline)
-
-    def test_cli_exposes_flag(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["table1", "--no-interval-kernel"])
-        assert args.no_interval_kernel
 
 
 class TestTimelineStore:

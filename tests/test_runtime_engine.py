@@ -13,12 +13,14 @@ from repro.due.tracking import TrackingLevel
 from repro.experiments.common import (
     ExperimentSettings,
     clear_caches,
+    close_remote_stores,
     prefetch_functional,
     run_benchmarks,
 )
 from repro.faults.campaign import CampaignConfig, run_campaign
 from repro.pipeline.config import Trigger
 from repro.runtime.context import use_runtime
+from repro.serve.protocol import canonical_dumps, encode_benchmark
 from repro.workloads.profile import BenchmarkProfile
 
 _CAMPAIGN_VARIANTS = [
@@ -132,3 +134,29 @@ class TestExperimentEquivalence:
         clear_caches()
         assert [r.report.ipc for r in first] == \
             [r.report.ipc for r in second]
+
+    def test_parallel_workers_use_the_service_store(self, tmp_path):
+        """Workers consult the context's remote timeline store too: with
+        the service down, every parallel run records its failed lookup
+        (merged into the parent's counters) and degrades to a local
+        compute byte-identical to the serial, service-less run."""
+        profiles = [_tiny_profile("svc-a"), _tiny_profile("svc-b"),
+                    _tiny_profile("svc-c", w_cold_load=1.2)]
+        settings = ExperimentSettings(target_instructions=2000)
+        clear_caches()
+        with use_runtime():
+            serial = [canonical_dumps(encode_benchmark(run)) for run in
+                      run_benchmarks(profiles, settings, Trigger.NONE)]
+        clear_caches()
+        with use_runtime(jobs=2, service="127.0.0.1:1",
+                         service_timeout=2.0) as context:
+            parallel = [canonical_dumps(encode_benchmark(run)) for run in
+                        run_benchmarks(profiles, settings, Trigger.NONE)]
+            counters = context.telemetry.counters
+        close_remote_stores()
+        clear_caches()
+        assert parallel == serial
+        remote = sum(count for name, count in counters.items()
+                     if name.startswith("remote_store_"))
+        assert remote > 0
+        assert counters["remote_store_errors"] > 0

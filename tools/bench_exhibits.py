@@ -1,28 +1,28 @@
-"""Before/after benchmark of the interval timing kernel + timeline store.
+"""Benchmark of the exhibit suite over the timeline store and shared memo.
 
 Times the timing-bound exhibit suite (Table 1, the occupancy decomposition,
 Figures 2-4, and all five ablations) three ways:
 
-* ``seed`` — the seed-era configuration: the legacy per-cycle timing loop,
-  no persistent store, and per-exhibit memo isolation (at the seed, the
-  ablations bypassed the in-process timing memo entirely, so every exhibit
-  unit paid for its own simulations);
-* ``cold`` — the interval-compressed kernel writing through an empty
-  persistent timeline store, with the cross-exhibit memo shared: exhibits
-  that evaluate the same (program, machine) point reuse one simulation;
+* ``isolated`` — no persistent store, and every exhibit unit isolated
+  from the others' in-process timing memo, so each pays for its own
+  simulations;
+* ``cold`` — the suite writing through an empty persistent timeline
+  store, with the cross-exhibit memo shared: exhibits that evaluate the
+  same (program, machine) point reuse one simulation, so the cold pass
+  must run strictly fewer pipeline simulations than the isolated one;
 * ``warm`` — the same suite against the populated store. Every pipeline
   result is deserialized from the store; the run fails if a single
   pipeline (or functional) simulation happens.
 
 Every exhibit's *formatted output* must be byte-identical across the three
 passes — the run aborts if not. Results land in ``BENCH_exhibits.json``
-and the process exits non-zero when the cold speedup drops below
-``--min-cold-speedup`` or the warm speedup below ``--min-warm-speedup``.
+and the process exits non-zero when the warm speedup over the isolated
+pass drops below ``--min-warm-speedup``.
 
-A second head-to-head times the chunk-compositional memo on a
-SimPoint-scale catalogue workload (``--chunk-workload``, low-bubble
-machine): plain interval kernel vs ``run_composed`` with a cold memo vs
-a warm memo. All three results must be byte-identical (stats, interval
+A second head-to-head times the timing loop's chunk memo on a
+SimPoint-scale catalogue workload (``--chunk-workload``, bubble-free
+machine): the loop with the memo switched off vs with a cold memo vs a
+warm memo. All three results must be byte-identical (stats, interval
 columns, timeline-store cache key); the cold-memo speedup is gated by
 ``--min-chunk-speedup``.
 
@@ -53,7 +53,6 @@ from repro.pipeline import compose
 from repro.pipeline.compose import clear_chunk_memos, run_composed
 from repro.pipeline.config import MachineConfig, SquashConfig, Trigger
 from repro.pipeline.core import PipelineSimulator, clear_warm_snapshots
-from repro.pipeline.kernel import run_interval
 from repro.runtime.cache import cache_key
 from repro.runtime.context import use_runtime
 from repro.workloads.scaled import build_scaled
@@ -63,9 +62,8 @@ from repro.workloads.spec2000 import ALL_PROFILES
 def exhibit_units(settings, profiles):
     """(name, callable) pairs; each unit returns its formatted exhibit.
 
-    The five ablations count as separate units: at the seed each built its
-    own timing runs from scratch, so the seed pass isolates them from each
-    other (and from the main exhibits) to reproduce that cost honestly.
+    The five ablations count as separate units, so the isolated pass
+    runs each of them without the other units' timing runs.
     """
     return [
         ("table1", lambda: table1.format_result(
@@ -121,12 +119,21 @@ def _chunk_identical(a, b):
             and cache_key(a) == cache_key(b))
 
 
-def bench_chunk_memo(workload: str, seed: int):
-    """Interval kernel vs composed (cold memo) vs composed (warm memo).
+def run_memo_off(sim):
+    """The timing loop with its chunk-memo predicate patched to refuse."""
+    memo_pays = compose._memo_pays
+    compose._memo_pays = lambda config, trace: False
+    try:
+        return run_composed(sim)
+    finally:
+        compose._memo_pays = memo_pays
 
-    The gate workload is low-bubble by construction: the memo's payoff
-    case is draw-free chunk repetition (bubbled machines are covered by
-    the exact differential suite, not this wall-clock gate).
+
+def bench_chunk_memo(workload: str, seed: int):
+    """Memo off vs cold memo vs warm memo, on a bubble-free machine.
+
+    The memo engages only without fetch bubbles: its payoff case is
+    draw-free chunk repetition.
     """
     program, trace = build_scaled(workload)
     machine = MachineConfig(fetch_bubble_prob=0.0,
@@ -137,8 +144,8 @@ def bench_chunk_memo(workload: str, seed: int):
 
     clear_chunk_memos()
     started = time.perf_counter()
-    plain = run_interval(sim())
-    interval_s = time.perf_counter() - started
+    plain = run_memo_off(sim())
+    memo_off_s = time.perf_counter() - started
 
     before = (compose.chunk_memo_hits, compose.chunk_memo_misses,
               compose.chunk_memo_fallbacks, compose.chunk_memo_splices)
@@ -156,13 +163,13 @@ def bench_chunk_memo(workload: str, seed: int):
     return {
         "workload": workload,
         "rows": len(trace),
-        "seconds": {"interval": round(interval_s, 3),
+        "seconds": {"memo_off": round(memo_off_s, 3),
                     "cold": round(cold_s, 3),
                     "warm": round(warm_s, 3)},
         "speedup": {
-            "cold_vs_interval": round(interval_s / cold_s, 2)
+            "cold_vs_memo_off": round(memo_off_s / cold_s, 2)
             if cold_s > 0 else float("inf"),
-            "warm_vs_interval": round(interval_s / warm_s, 2)
+            "warm_vs_memo_off": round(memo_off_s / warm_s, 2)
             if warm_s > 0 else float("inf"),
         },
         "memo": counters,
@@ -173,23 +180,22 @@ def bench_chunk_memo(workload: str, seed: int):
 
 def main() -> int:
     parser = argparse.ArgumentParser(
-        description="Time the exhibit suite under the interval kernel and "
-                    "timeline store; record BENCH_exhibits.json.")
+        description="Time the exhibit suite over the timeline store; "
+                    "record BENCH_exhibits.json.")
     parser.add_argument("--instructions", type=int, default=20_000)
     parser.add_argument("--profiles", type=int, default=None,
                         help="benchmark profile count (default: all 26)")
     parser.add_argument("--seed", type=int, default=2004)
     parser.add_argument("--small", action="store_true",
                         help="CI preset: 6 profiles x 6000 instructions")
-    parser.add_argument("--min-cold-speedup", type=float, default=3.0)
     parser.add_argument("--min-warm-speedup", type=float, default=10.0)
     parser.add_argument("--chunk-workload", default=None,
                         help="scaled workload for the chunk-memo "
                              "head-to-head (default: mcf-2m, or "
                              "mcf-200k under --small)")
     parser.add_argument("--min-chunk-speedup", type=float, default=3.0,
-                        help="required cold-memo speedup over the plain "
-                             "interval kernel on --chunk-workload")
+                        help="required cold-memo speedup over the memo-off "
+                             "loop on --chunk-workload")
     parser.add_argument("--output", default="BENCH_exhibits.json")
     args = parser.parse_args()
     if args.small:
@@ -212,18 +218,19 @@ def main() -> int:
         clear_caches()
         clear_warm_snapshots()
 
-    # ---- seed pass: legacy loop, no store, isolated units ---------------
+    # ---- isolated pass: no store, isolated units -------------------------
     fresh()
-    with use_runtime(interval_kernel=False) as context:
+    with use_runtime() as context:
         started = time.perf_counter()
-        seed_out, seed_units = run_suite(settings, profiles,
-                                         isolate_units=True)
-        seed_s = time.perf_counter() - started
-        seed_sims = sim_counters(context.telemetry)
-    print(f"seed (per-cycle loop, no store): {seed_s:.2f}s  {seed_sims}")
+        isolated_out, isolated_units = run_suite(settings, profiles,
+                                                 isolate_units=True)
+        isolated_s = time.perf_counter() - started
+        isolated_sims = sim_counters(context.telemetry)
+    print(f"isolated (no store, no shared memo): {isolated_s:.2f}s  "
+          f"{isolated_sims}")
 
     with TemporaryDirectory(prefix="bench-timeline-") as store_dir:
-        # ---- cold pass: interval kernel, empty store --------------------
+        # ---- cold pass: empty store, shared memo ------------------------
         fresh()
         with use_runtime(cache_dir=store_dir) as context:
             started = time.perf_counter()
@@ -231,7 +238,7 @@ def main() -> int:
                                              isolate_units=False)
             cold_s = time.perf_counter() - started
             cold_sims = sim_counters(context.telemetry)
-        print(f"cold (interval kernel, empty store): {cold_s:.2f}s  "
+        print(f"cold (empty store, shared memo): {cold_s:.2f}s  "
               f"{cold_sims}")
 
         # ---- warm pass: populated store ---------------------------------
@@ -248,40 +255,43 @@ def main() -> int:
     # ---- chunk-memo head-to-head on a SimPoint-scale workload -----------
     chunk = bench_chunk_memo(args.chunk_workload, args.seed)
     print(f"chunk memo ({chunk['workload']}, {chunk['rows']} rows): "
-          f"interval {chunk['seconds']['interval']:.2f}s, "
+          f"memo off {chunk['seconds']['memo_off']:.2f}s, "
           f"cold {chunk['seconds']['cold']:.2f}s "
-          f"({chunk['speedup']['cold_vs_interval']:.2f}x), "
+          f"({chunk['speedup']['cold_vs_memo_off']:.2f}x), "
           f"warm {chunk['seconds']['warm']:.2f}s "
-          f"({chunk['speedup']['warm_vs_interval']:.2f}x)  "
+          f"({chunk['speedup']['warm_vs_memo_off']:.2f}x)  "
           f"{chunk['memo']}")
 
     failures = []
-    for name in seed_out:
-        if cold_out[name] != seed_out[name]:
-            failures.append(f"cold output differs from seed for {name}")
-        if warm_out[name] != seed_out[name]:
-            failures.append(f"warm output differs from seed for {name}")
+    for name in isolated_out:
+        if cold_out[name] != isolated_out[name]:
+            failures.append(f"cold output differs from isolated for {name}")
+        if warm_out[name] != isolated_out[name]:
+            failures.append(f"warm output differs from isolated for {name}")
+    if cold_sims["pipeline_sims"] >= isolated_sims["pipeline_sims"]:
+        failures.append(
+            f"cold pass ran {cold_sims['pipeline_sims']} pipeline "
+            f"simulations, not fewer than the isolated pass's "
+            f"{isolated_sims['pipeline_sims']}: the shared memo reused "
+            f"nothing")
     if warm_sims["pipeline_sims"]:
         failures.append(
             f"warm pass ran {warm_sims['pipeline_sims']} pipeline "
             f"simulations; the store must serve all of them")
     if warm_sims["timeline_store_hits"] <= 0:
         failures.append("warm pass never hit the timeline store")
-    speedup_cold = seed_s / cold_s if cold_s > 0 else float("inf")
-    speedup_warm = seed_s / warm_s if warm_s > 0 else float("inf")
-    if speedup_cold < args.min_cold_speedup:
-        failures.append(f"cold speedup {speedup_cold:.2f}x below the "
-                        f"required {args.min_cold_speedup:.2f}x")
+    speedup_cold = isolated_s / cold_s if cold_s > 0 else float("inf")
+    speedup_warm = isolated_s / warm_s if warm_s > 0 else float("inf")
     if speedup_warm < args.min_warm_speedup:
         failures.append(f"warm speedup {speedup_warm:.2f}x below the "
                         f"required {args.min_warm_speedup:.2f}x")
     if not chunk["outputs_identical"]:
-        failures.append("chunk-memo composed run is not byte-identical "
-                        "to the plain interval kernel")
-    if chunk["speedup"]["cold_vs_interval"] < args.min_chunk_speedup:
+        failures.append("memo-engaged run is not byte-identical to the "
+                        "memo-off loop")
+    if chunk["speedup"]["cold_vs_memo_off"] < args.min_chunk_speedup:
         failures.append(
             f"chunk-memo cold speedup "
-            f"{chunk['speedup']['cold_vs_interval']:.2f}x below the "
+            f"{chunk['speedup']['cold_vs_memo_off']:.2f}x below the "
             f"required {args.min_chunk_speedup:.2f}x")
 
     record = {
@@ -292,27 +302,27 @@ def main() -> int:
             "units": [name for name, _ in exhibit_units(settings, profiles)],
             "accounting_policies": [p.value for p in AccountingPolicy],
         },
-        "seconds": {"seed_suite": round(seed_s, 3),
+        "seconds": {"isolated_suite": round(isolated_s, 3),
                     "cold_suite": round(cold_s, 3),
                     "warm_suite": round(warm_s, 3)},
         "per_unit_seconds": {
-            "seed": {k: round(v, 3) for k, v in seed_units.items()},
+            "isolated": {k: round(v, 3) for k, v in isolated_units.items()},
             "cold": {k: round(v, 3) for k, v in cold_units.items()},
             "warm": {k: round(v, 3) for k, v in warm_units.items()},
         },
-        "simulations": {"seed": seed_sims, "cold": cold_sims,
+        "simulations": {"isolated": isolated_sims, "cold": cold_sims,
                         "warm": warm_sims},
-        "speedup": {"cold_vs_seed": round(speedup_cold, 2),
-                    "warm_vs_seed": round(speedup_warm, 2)},
+        "speedup": {"cold_vs_isolated": round(speedup_cold, 2),
+                    "warm_vs_isolated": round(speedup_warm, 2)},
         "outputs_identical": not any("differs" in f for f in failures),
         "chunk_memo": chunk,
-        "requirements": {"min_cold_speedup": args.min_cold_speedup,
+        "requirements": {"cold_sims_below_isolated": True,
                          "min_warm_speedup": args.min_warm_speedup,
                          "min_chunk_speedup": args.min_chunk_speedup},
         "passed": not failures,
     }
     Path(args.output).write_text(json.dumps(record, indent=2) + "\n")
-    print(f"cold {speedup_cold:.2f}x, warm {speedup_warm:.2f}x vs seed "
+    print(f"cold {speedup_cold:.2f}x, warm {speedup_warm:.2f}x vs isolated "
           f"-> {args.output}")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
