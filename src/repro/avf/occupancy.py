@@ -37,10 +37,7 @@ from repro.pipeline.iq import (
 )
 from repro.pipeline.result import PipelineResult
 
-try:  # NumPy accelerates the interval-record path; optional.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
+import numpy as np
 
 
 @unique
@@ -171,9 +168,9 @@ def compute_breakdown(
 
     A run carrying an :class:`~repro.pipeline.iq.IntervalTimeline` (the
     timing loop's columnar log) is integrated by closed-form interval
-    arithmetic over the columns — vectorised under NumPy when available —
-    without materialising interval objects; a hand-built result with an
-    object list is integrated interval by interval. Every term is an
+    arithmetic over the columns, vectorised under NumPy, without
+    materialising interval objects; a hand-built result with an object
+    list is integrated interval by interval. Every term is an
     integer bit-cycle count well below 2**53, so float accumulation is
     exact in any order and both paths produce identical breakdowns
     (``tests/test_interval_kernel.py`` checks it on the same run in both
@@ -184,12 +181,7 @@ def compute_breakdown(
     conservative = policy is AccountingPolicy.CONSERVATIVE
     timeline = result.timeline
     if timeline is not None:
-        if _np is not None:
-            _integrate_timeline_numpy(breakdown, timeline, deadness,
-                                      conservative)
-        else:
-            _integrate_timeline_rows(breakdown, timeline, deadness,
-                                     conservative)
+        _integrate_timeline(breakdown, timeline, deadness, conservative)
         return breakdown
     bits = breakdown.bits_per_entry
     unace = breakdown.unace_bit_cycles
@@ -234,10 +226,10 @@ def compute_breakdown(
 
 
 # -- interval-record integration ---------------------------------------------
-# Both integrators below consume the timeline's integer columns directly.
+# The integrator below consumes the timeline's integer columns directly.
 # Exactness: every per-row contribution is (bit count) * (cycle count) — an
 # integer below 2**53 — so float64 accumulation is exact in any order and
-# regrouping rows by class code (the vectorised path) changes nothing.
+# regrouping rows by class code changes nothing.
 
 
 _DEADNESS_CACHE_ATTR = "_interval_kernel_arrays"
@@ -251,9 +243,9 @@ def _deadness_arrays(deadness: DeadnessAnalysis):
     if cached is not None:
         return cached
     n = len(deadness.classes)
-    codes = _np.fromiter((CODE_OF[cls] for cls in deadness.classes),
-                         dtype=_np.int64, count=n)
-    dist = _np.full(n, NO_VALUE, dtype=_np.int64)
+    codes = np.fromiter((CODE_OF[cls] for cls in deadness.classes),
+                         dtype=np.int64, count=n)
+    dist = np.full(n, NO_VALUE, dtype=np.int64)
     for seq, distance in deadness.overwrite_distance.items():
         if distance is not None:
             dist[seq] = distance
@@ -262,7 +254,7 @@ def _deadness_arrays(deadness: DeadnessAnalysis):
     return arrays
 
 
-def _integrate_timeline_numpy(
+def _integrate_timeline(
     breakdown: OccupancyBreakdown,
     timeline,
     deadness: Optional[DeadnessAnalysis],
@@ -273,11 +265,11 @@ def _integrate_timeline_numpy(
     if n == 0:
         return
     bits = float(breakdown.bits_per_entry)
-    seq = _np.frombuffer(timeline.seq, dtype=_np.int64)
-    kind = _np.frombuffer(timeline.kind, dtype=_np.int8)
-    alloc = _np.frombuffer(timeline.alloc, dtype=_np.int64)
-    issue = _np.frombuffer(timeline.issue, dtype=_np.int64)
-    dealloc = _np.frombuffer(timeline.dealloc, dtype=_np.int64)
+    seq = np.frombuffer(timeline.seq, dtype=np.int64)
+    kind = np.frombuffer(timeline.kind, dtype=np.int8)
+    alloc = np.frombuffer(timeline.alloc, dtype=np.int64)
+    issue = np.frombuffer(timeline.issue, dtype=np.int64)
+    dealloc = np.frombuffer(timeline.dealloc, dtype=np.int64)
 
     resident = dealloc - alloc
     issued = issue != NO_VALUE
@@ -286,18 +278,18 @@ def _integrate_timeline_numpy(
         (dealloc[issued] - issue[issued]).sum())
 
     if conservative:
-        vulnerable = _np.where(issued, issue - alloc, resident)
-        counted = _np.ones(n, dtype=bool)
+        vulnerable = np.where(issued, issue - alloc, resident)
+        counted = np.ones(n, dtype=bool)
     else:
         # READ_GATED: never-read occupants contribute nothing.
-        vulnerable = _np.where(issued, issue - alloc, 0)
+        vulnerable = np.where(issued, issue - alloc, 0)
         counted = issued
         breakdown.unread_bit_cycles = bits * float(
             resident[~issued].sum())
 
     wrong = kind == KIND_WRONG_PATH
     needs_class = counted & ~wrong
-    codes = _np.full(n, WRONG_PATH_CODE, dtype=_np.int64)
+    codes = np.full(n, WRONG_PATH_CODE, dtype=np.int64)
     if needs_class.any():
         if deadness is None:
             raise ValueError(
@@ -314,9 +306,9 @@ def _integrate_timeline_numpy(
     if not contrib.any():
         return
     c_codes = codes[contrib]
-    c_vulnerable = vulnerable[contrib].astype(_np.float64)
+    c_vulnerable = vulnerable[contrib].astype(np.float64)
     ncodes = len(WEIGHTS_BY_CODE)
-    sums = _np.bincount(c_codes, weights=c_vulnerable, minlength=ncodes)
+    sums = np.bincount(c_codes, weights=c_vulnerable, minlength=ncodes)
     breakdown.ace_bit_cycles = float(sum(
         WEIGHTS_BY_CODE[code].ace_bits * sums[code]
         for code in range(ncodes) if sums[code]))
@@ -336,61 +328,10 @@ def _integrate_timeline_numpy(
             continue
         weight = WEIGHTS_BY_CODE[code].unace_bits
         row_dist = distances[seq[rows]]
-        row_weight = vulnerable[rows].astype(_np.float64) * weight
-        uniq, inverse = _np.unique(row_dist, return_inverse=True)
-        totals = _np.bincount(inverse, weights=row_weight)
+        row_weight = vulnerable[rows].astype(np.float64) * weight
+        uniq, inverse = np.unique(row_dist, return_inverse=True)
+        totals = np.bincount(inverse, weights=row_weight)
         counter = Counter()
         for value, total in zip(uniq.tolist(), totals.tolist()):
             counter[None if value == NO_VALUE else int(value)] = total
         breakdown.fdd_distance_weights[cls] = counter
-
-
-def _integrate_timeline_rows(
-    breakdown: OccupancyBreakdown,
-    timeline,
-    deadness: Optional[DeadnessAnalysis],
-    conservative: bool,
-) -> None:
-    """Column-loop fallback when NumPy is unavailable (same results)."""
-    bits = breakdown.bits_per_entry
-    unace = breakdown.unace_bit_cycles
-    fdd_weights = breakdown.fdd_distance_weights
-    classes = deadness.classes if deadness is not None else None
-    overwrite = (deadness.overwrite_distance
-                 if deadness is not None else None)
-    for seq, kind, alloc, issue, dealloc in zip(
-            timeline.seq, timeline.kind, timeline.alloc, timeline.issue,
-            timeline.dealloc):
-        resident = dealloc - alloc
-        breakdown.resident_bit_cycles += bits * resident
-        if issue != NO_VALUE:
-            vulnerable = issue - alloc
-            breakdown.ex_ace_bit_cycles += bits * (dealloc - issue)
-        elif conservative:
-            vulnerable = resident
-        else:
-            breakdown.unread_bit_cycles += bits * resident
-            continue
-        dyn_class = None
-        if kind == KIND_WRONG_PATH:
-            code = WRONG_PATH_CODE
-        else:
-            if classes is None:
-                raise ValueError(
-                    "committed/squashed intervals need a DeadnessAnalysis")
-            dyn_class = classes[seq]
-            if kind == KIND_SQUASHED and not conservative:
-                code = WRONG_PATH_CODE
-            else:
-                code = CODE_OF[dyn_class]
-        if vulnerable <= 0:
-            continue
-        weights = WEIGHTS_BY_CODE[code]
-        breakdown.ace_bit_cycles += weights.ace_bits * vulnerable
-        if weights.unace_bits:
-            contribution = weights.unace_bits * vulnerable
-            unace[weights.unace_category] = (
-                unace.get(weights.unace_category, 0.0) + contribution)
-            if code != WRONG_PATH_CODE and dyn_class in _PET_TRACKED:
-                counter = fdd_weights.setdefault(dyn_class, Counter())
-                counter[overwrite.get(seq)] += contribution

@@ -8,15 +8,12 @@ Usage::
     python -m repro all --profiles 6 --instructions 20000
 
 ``--jobs N`` fans benchmark runs and campaign trials out over N worker
-processes; results are bit-identical to the serial default. Campaign
-strikes are drawn and classified as vectorised array batches
-(``--no-batch-strikes`` reverts to per-trial sampling; tallies and cache
-keys are identical either way). ``--cache-dir``
-enables the persistent result cache, which doubles as a cross-exhibit
-timeline store: each timing run stores its compact interval timeline, so
-a warmed cache re-runs the whole exhibit suite without a single pipeline
-simulation. The telemetry footer reports simulations run, throughput,
-and hit rates.
+processes; results are bit-identical to the serial default.
+``--cache-dir`` enables the persistent result cache, which doubles as a
+cross-exhibit timeline store: each timing run stores its compact
+interval timeline, so a warmed cache re-runs the whole exhibit suite
+without a single pipeline simulation. The telemetry footer reports
+simulations run, throughput, and hit rates.
 
 Failure semantics: ``--retries`` and ``--trial-timeout`` configure the
 supervision layer (crashed or hung shards are retried with backoff and
@@ -195,16 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chaos-seed", type=int, default=1337,
         help="seed for the chaos injector's decisions (default 1337)")
     parser.add_argument(
-        "--no-static-filter", action="store_true",
-        help="disable the effect oracle's static pre-filter (every "
-             "strike is classified by re-execution, as in the original "
-             "slow path; tallies are identical either way)")
-    parser.add_argument(
-        "--no-batch-strikes", action="store_true",
-        help="sample and classify campaign strikes one trial at a time "
-             "instead of as vectorised arrays (slower; tallies and "
-             "cache keys are bit-identical either way)")
-    parser.add_argument(
         "--service", default=os.environ.get("REPRO_SERVICE") or None,
         metavar="HOST:PORT",
         help="running 'repro serve' instance to use as a fleet-wide "
@@ -319,8 +306,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                             trial_timeout=args.trial_timeout,
                             checkpoint_dir=args.checkpoint_dir,
                             resume=args.resume, chaos=chaos,
-                            static_filter=not args.no_static_filter,
-                            batch_strikes=not args.no_batch_strikes,
                             service=args.service,
                             service_timeout=args.service_timeout,
                             mbu_preset=args.mbu_preset,

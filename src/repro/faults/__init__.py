@@ -11,9 +11,8 @@ nothing. With parity enabled, the π-bit engine decides whether the
 detected error is signalled (true/false DUE) under a tracking level.
 """
 
+from repro.faults.batch import StrikeClassifier
 from repro.faults.campaign import CampaignConfig, CampaignResult, run_campaign
-from repro.faults.injector import StrikeEvaluator, StrikeSampler, evaluate_strike
-from repro.faults.model import Strike
 from repro.faults.oracle import EffectOracle
 
 __all__ = [
@@ -21,8 +20,5 @@ __all__ = [
     "CampaignResult",
     "run_campaign",
     "EffectOracle",
-    "StrikeEvaluator",
-    "StrikeSampler",
-    "evaluate_strike",
-    "Strike",
+    "StrikeClassifier",
 ]

@@ -1,73 +1,58 @@
-"""Vectorised bit-matrix strike batching.
+"""Strike drawing and classification: the campaign's one outcome rule.
 
-The scalar campaign loop pays one Python round-trip per trial: build an
-RNG, sample a strike, walk the evaluator's decision tree, tick a
-counter. This module lifts a whole campaign's strikes into parallel
-arrays and classifies them in bulk:
+A campaign shard turns its trial range into outcomes in two array steps:
 
 * :func:`draw_strike_batch` draws every trial's ``(interval, bit,
-  cycle)`` triple up front. The *draws* replay the exact per-trial
-  :func:`~repro.util.rng.derive_seed` streams the scalar sampler uses
-  (two ``randrange`` calls against the trial's private Mersenne
-  Twister), so the sampled sequence is bit-identical for any seed and
-  any sharding; only the point→interval mapping — a binary search over
-  the residency prefix sums of the columnar
-  :class:`~repro.pipeline.iq.IntervalTimeline` — is vectorised.
-* :func:`build_kill_masks` precomputes the effect oracle's static
-  pre-filter as one 41-bit mask per trace entry — a ``trace × 41`` bit
-  matrix. Bit ``b`` of ``masks[seq]`` is set iff
-  ``EffectOracle.classify_static(seq, b)`` would prove the flip inert
-  (the exhaustive equivalence is asserted in
-  ``tests/test_strike_batching.py``).
-* :class:`BatchClassifier` runs the evaluator's decision tree as array
-  operations: never-read, ECC-corrected, and wrong-path strikes are
-  tallied without any per-trial Python, and the surviving committed-read
-  strikes look their static verdict up in the bit matrix before falling
-  through to the (memoized) scalar oracle for re-execution.
+  cycle)`` triple — plus the burst ``mask``/``pattern`` of a multi-bit
+  campaign — from the trial's private
+  :func:`~repro.util.rng.derive_seed` stream, so a trial's strike depends
+  only on its index and any sharding reproduces the serial campaign. The
+  point → interval mapping is one binary search over the residency
+  prefix sums of the columnar :class:`~repro.pipeline.iq.IntervalTimeline`.
+* :class:`StrikeClassifier` applies Figure 1's outcome tree (benign,
+  SDC, true/false DUE, corrected). The protection is one row per burst
+  pattern of a decoder action table: unprotected queues escape every
+  pattern, parity detects and single-bit ECC corrects, and an
+  :class:`~repro.due.tracking.EccScheme` supplies its own rows. Never-read,
+  corrected and wrong-path strikes are tallied as array operations; the
+  committed-read survivors look their static verdict up in one 41-bit
+  kill mask per trace entry (:func:`build_kill_masks`) — a burst is
+  inert iff it is a subset of its entry's mask, a single bit being the
+  burst ``1 << bit`` — before falling through to the memoized
+  :class:`~repro.faults.oracle.EffectOracle` for re-execution.
 
-The contract mirrors the rest of the fast-path stack: tallies, tracker
-misses, oracle counters, and cache keys are bit-identical to the scalar
-loop — batching may only change wall-clock. NumPy accelerates both the
-point mapping and the mask lookups; every entry point degrades to a
-pure-Python implementation with identical results when NumPy is absent.
+The per-trial scalar semantics this module replaced live on as the test
+reference (``tests/strike_reference.py``); the differential suites pin
+tallies, tracker misses, oracle counters and oracle entries against it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from array import array
 from bisect import bisect_right
 from collections import Counter
 from itertools import accumulate
-from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+# CPython's C-level Mersenne Twister (random.Random's base class).
+from _random import Random as _CoreRandom
+
 from repro.due.outcomes import FaultOutcome
+from repro.due.pi_bit import PiBitTracker
 from repro.due.tracking import BurstAction, TrackingLevel, classify_burst
 from repro.faults.mbu import (
     CANONICAL_MASKS,
     PMF_RESOLUTION,
     BurstPattern,
-    draw_pattern,
-    draw_second_bit,
     get_preset,
     mask_for,
     representative_bit,
 )
-from repro.faults.model import empty_space_message
+from repro.faults.oracle import _DEAD_DEST_CLASSES, EffectOracle
 from repro.isa.encoding import ENCODING_BITS, Field, field_bits, live_fields
 from repro.pipeline.iq import CODE_BY_KIND, KIND_COMMITTED, NO_VALUE
 from repro.pipeline.result import PipelineResult
-
-try:  # NumPy accelerates the array paths; optional.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
-
-try:  # CPython's C-level Mersenne Twister (random.Random's base class).
-    from _random import Random as _CoreRandom
-except ImportError:  # pragma: no cover - non-CPython fallback
-    _CoreRandom = None
 
 #: Everything a 41-bit syllable can hold.
 _ALL_BITS = (1 << ENCODING_BITS) - 1
@@ -98,25 +83,40 @@ def _live_mask(opcode) -> int:
     return mask
 
 
+def empty_space_message(result: PipelineResult,
+                        label: Optional[str] = None) -> str:
+    """The attributable empty-entry-cycle-space diagnostic.
+
+    ``label`` (the program name) is folded in so campaign quarantine
+    reports can attribute the unsampleable pipeline result to its
+    workload.
+    """
+    origin = f" [{label}]" if label else ""
+    return ("pipeline result has an empty entry-cycle space "
+            f"({result.iq_entries} entries x {result.cycles} "
+            f"cycles){origin}")
+
+
 # ---------------------------------------------------------------------------
 # The strike arrays
 # ---------------------------------------------------------------------------
 
+def _column(values, dtype=np.int64) -> np.ndarray:
+    return np.asarray(values, dtype=dtype).reshape(-1)
+
+
 class StrikeBatch:
-    """Pre-drawn strike triples for trials ``[start, stop)``.
+    """Pre-drawn strikes for trials ``[start, stop)``.
 
-    Three parallel columns, one row per trial, addressed by absolute
-    trial index: ``interval_index`` (row of the pipeline result's
-    interval sequence, :data:`~repro.pipeline.iq.NO_VALUE` for a strike
-    on an idle entry), ``cycle`` (absolute strike cycle, 0 for idle),
-    and ``bit`` (0..40). Plain ``array`` columns keep the batch small
-    and picklable, so shard tuples can carry slices to worker processes.
+    Three parallel columns, one row per trial: ``interval_index`` (row
+    of the pipeline result's interval sequence,
+    :data:`~repro.pipeline.iq.NO_VALUE` for a strike on an idle entry),
+    ``cycle`` (absolute strike cycle, 0 for idle), and ``bit`` (0..40).
 
-    Multi-bit campaigns add two more columns: ``mask`` (the burst flip
-    mask, 0 for a single) and ``pattern`` (the drawn
-    :class:`~repro.faults.mbu.BurstPattern` code). Both are ``None`` for
-    single-bit batches, so pre-MBU pickles, equality, and memory
-    footprint are untouched.
+    Multi-bit campaigns add ``mask`` (the burst flip mask, 0 for a
+    single) and ``pattern`` (the drawn
+    :class:`~repro.faults.mbu.BurstPattern` code); both are ``None`` for
+    single-bit batches.
     """
 
     __slots__ = ("start", "stop", "interval_index", "cycle", "bit",
@@ -133,46 +133,34 @@ class StrikeBatch:
             raise ValueError("mask and pattern columns come as a pair")
         self.start = start
         self.stop = stop
-        self.interval_index = array("q", interval_index)
-        self.cycle = array("q", cycle)
-        self.bit = array("q", bit)
-        self.mask = None if mask is None else array("q", mask)
-        self.pattern = None if pattern is None else array("b", pattern)
-        if not (len(self.interval_index) == len(self.cycle)
-                == len(self.bit) == stop - start):
-            raise ValueError("batch columns must cover exactly [start, stop)")
-        if self.mask is not None and not (
-                len(self.mask) == len(self.pattern) == stop - start):
+        self.interval_index = _column(interval_index)
+        self.cycle = _column(cycle)
+        self.bit = _column(bit)
+        self.mask = None if mask is None else _column(mask)
+        self.pattern = None if pattern is None else _column(pattern, np.int8)
+        columns = [self.interval_index, self.cycle, self.bit]
+        if self.mask is not None:
+            columns += [self.mask, self.pattern]
+        if any(len(column) != stop - start for column in columns):
             raise ValueError("batch columns must cover exactly [start, stop)")
 
     def __len__(self) -> int:
         return self.stop - self.start
 
-    def slice(self, start: int, stop: int) -> "StrikeBatch":
-        """Sub-batch covering trials ``[start, stop)`` (absolute indices)."""
-        if not self.start <= start <= stop <= self.stop:
-            raise ValueError(
-                f"slice [{start}, {stop}) outside batch "
-                f"[{self.start}, {self.stop})")
-        lo, hi = start - self.start, stop - self.start
-        return StrikeBatch(
-            start, stop, self.interval_index[lo:hi],
-            self.cycle[lo:hi], self.bit[lo:hi],
-            None if self.mask is None else self.mask[lo:hi],
-            None if self.pattern is None else self.pattern[lo:hi])
-
     def triples(self) -> List[Tuple[int, int, int]]:
         """``(interval_index, cycle, bit)`` rows, for tests and debugging."""
-        return list(zip(self.interval_index, self.cycle, self.bit))
+        return list(zip(self.interval_index.tolist(), self.cycle.tolist(),
+                        self.bit.tolist()))
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, StrikeBatch)
-                and (self.start, self.stop) == (other.start, other.stop)
-                and self.interval_index == other.interval_index
-                and self.cycle == other.cycle
-                and self.bit == other.bit
-                and self.mask == other.mask
-                and self.pattern == other.pattern)
+        if not isinstance(other, StrikeBatch):
+            return False
+        pairs = [(getattr(self, name), getattr(other, name))
+                 for name in ("interval_index", "cycle", "bit", "mask",
+                              "pattern")]
+        return ((self.start, self.stop) == (other.start, other.stop)
+                and all(a is b if a is None or b is None
+                        else np.array_equal(a, b) for a, b in pairs))
 
     def __repr__(self) -> str:
         return f"StrikeBatch([{self.start}, {self.stop}))"
@@ -187,23 +175,12 @@ def _residency_columns(result: PipelineResult):
     """
     timeline = result.timeline
     if timeline is not None:
-        alloc = timeline.alloc
-        if _np is not None:
-            alloc_arr = _np.frombuffer(alloc, dtype=_np.int64)
-            res_arr = (_np.frombuffer(timeline.dealloc, dtype=_np.int64)
-                       - alloc_arr)
-            resident = array("q")
-            resident.frombytes(res_arr.tobytes())
-            cumulative = array("q")
-            cumulative.frombytes(_np.cumsum(res_arr).tobytes())
-            return alloc, resident, cumulative
-        return timeline.residency_prefix_sums()
+        alloc = np.frombuffer(timeline.alloc, dtype=np.int64)
+        resident = np.frombuffer(timeline.dealloc, dtype=np.int64) - alloc
     else:
-        alloc = array("q", (iv.alloc_cycle for iv in result.intervals))
-        resident = array("q",
-                         (iv.resident_cycles for iv in result.intervals))
-    cumulative = array("q", accumulate(resident))
-    return alloc, resident, cumulative
+        alloc = _column([iv.alloc_cycle for iv in result.intervals])
+        resident = _column([iv.resident_cycles for iv in result.intervals])
+    return alloc, resident, np.cumsum(resident)
 
 
 def _trial_seeds(config, program_name: str, start: int,
@@ -235,24 +212,20 @@ def draw_strike_batch(result: PipelineResult, config, program_name: str,
                       start: int, stop: int) -> StrikeBatch:
     """Draw the strikes of trials ``[start, stop)`` as one batch.
 
-    Per-trial draws replay :class:`~repro.faults.model.StrikeModel`
-    exactly — bit first, then a uniform point over the entry-cycle
-    space, both from the trial's private seed stream (a bare
-    ``random.Random`` here; :class:`~repro.util.rng.DeterministicRng`
-    delegates ``randrange`` to it unchanged) — so the batch is
-    bit-identical to scalar sampling under any sharding. The expensive
-    part, mapping each point onto its occupancy interval and absolute
-    cycle, runs as one vectorised binary search.
+    Each trial draws, from its own seed stream, a bit and then a uniform
+    point over the entry-cycle space (strikes are uniform over entry x
+    cycle x bit, so an occupant is hit in proportion to its residency
+    and an idle entry with the queue's idle fraction). Multi-bit
+    campaigns (``config.mbu_preset`` set) then draw the burst pattern
+    and, for random doubles, the rejection-sampled second bit, strictly
+    after the ``(bit, point)`` pair on the same stream; single-bit
+    campaigns draw nothing more, so their streams are unchanged.
 
-    Multi-bit campaigns (``config.mbu_preset`` set) replay the MBU
-    layer's draws too — the pattern draw and, for random doubles, the
-    rejection-sampled second bit — strictly after the ``(bit, point)``
-    pair on the same stream, exactly as :func:`~repro.faults.mbu.
-    extend_strike` does in the scalar loop, and fill the batch's
-    ``mask``/``pattern`` columns.
+    Raises ``ValueError`` (naming ``program_name``) when the pipeline
+    result has no entry-cycle space to strike.
     """
     alloc, resident, cumulative = _residency_columns(result)
-    resident_total = cumulative[-1] if cumulative else 0
+    resident_total = int(cumulative[-1]) if len(cumulative) else 0
     space_total = result.total_entry_cycles
     if space_total <= 0:
         raise ValueError(empty_space_message(result, program_name))
@@ -260,108 +233,63 @@ def draw_strike_batch(result: PipelineResult, config, program_name: str,
         raise ValueError("occupancy exceeds the entry-cycle space")
 
     preset = (get_preset(config.mbu_preset)
-              if getattr(config, "mbu_preset", None) is not None else None)
-    count = stop - start
-    bits = array("q")
-    points = array("q")
-    masks = array("q") if preset is not None else None
-    patterns = array("b") if preset is not None else None
-    seeds = _trial_seeds(config, program_name, start, stop)
-    if _CoreRandom is not None:
-        # ``randrange(n)`` is pure Python on top of the C generator:
-        # ``k = n.bit_length()``, draw ``getrandbits(k)``, reject while
-        # ``>= n`` (``Random._randbelow``, unchanged since CPython 3.2).
-        # Replaying it directly against the C base class skips two
-        # Python call layers per draw; the golden differential suite
-        # pins the equivalence.
-        bit_width = ENCODING_BITS.bit_length()
-        point_width = space_total.bit_length()
-        pattern_width = PMF_RESOLUTION.bit_length()
-        pattern_cum = (list(accumulate(preset.weights))
-                       if preset is not None else None)
-        for seed in seeds:
-            draw = _CoreRandom(seed).getrandbits
+              if config.mbu_preset is not None else None)
+    bits: List[int] = []
+    points: List[int] = []
+    masks: Optional[List[int]] = [] if preset is not None else None
+    patterns: Optional[List[int]] = [] if preset is not None else None
+    # ``randrange(n)`` is pure Python on top of the C generator:
+    # ``k = n.bit_length()``, draw ``getrandbits(k)``, reject while
+    # ``>= n`` (``Random._randbelow``, unchanged since CPython 3.2).
+    # Replaying it directly against the C base class skips two Python
+    # call layers per draw; the stream-equivalence suite pins it.
+    bit_width = ENCODING_BITS.bit_length()
+    point_width = space_total.bit_length()
+    pattern_width = PMF_RESOLUTION.bit_length()
+    pattern_cum = (list(accumulate(preset.weights))
+                   if preset is not None else None)
+    for seed in _trial_seeds(config, program_name, start, stop):
+        draw = _CoreRandom(seed).getrandbits
+        bit = draw(bit_width)
+        while bit >= ENCODING_BITS:
             bit = draw(bit_width)
-            while bit >= ENCODING_BITS:
-                bit = draw(bit_width)
+        point = draw(point_width)
+        while point >= space_total:
             point = draw(point_width)
-            while point >= space_total:
-                point = draw(point_width)
-            bits.append(bit)
-            points.append(point)
-            if preset is None:
-                continue
-            mass = draw(pattern_width)
-            while mass >= PMF_RESOLUTION:
-                mass = draw(pattern_width)
-            pattern = BurstPattern(bisect_right(pattern_cum, mass))
-            second = None
-            if pattern is BurstPattern.RANDOM_DOUBLE:
-                # The flattened rejection replays draw_second_bit's
-                # nested loops draw for draw: every getrandbits result
-                # is either rejected (out of range or within the +/-1
-                # window) or accepted, in the same order.
-                second = draw(bit_width)
-                while second >= ENCODING_BITS or abs(second - bit) < 2:
-                    second = draw(bit_width)
-            patterns.append(int(pattern))
-            masks.append(mask_for(pattern, bit, second))
-    else:  # pragma: no cover - non-CPython fallback
-        for seed in seeds:
-            rng = Random(seed)
-            bit = rng.randrange(ENCODING_BITS)
-            bits.append(bit)
-            points.append(rng.randrange(space_total))
-            if preset is None:
-                continue
-            pattern = draw_pattern(rng, preset)
-            second = (draw_second_bit(rng, bit)
-                      if pattern is BurstPattern.RANDOM_DOUBLE else None)
-            patterns.append(int(pattern))
-            masks.append(mask_for(pattern, bit, second))
-
-    if _np is not None and count:
-        point_arr = _np.frombuffer(points, dtype=_np.int64)
-        cum_arr = _np.frombuffer(cumulative, dtype=_np.int64)
-        occupied = point_arr < resident_total
-        index_arr = _np.where(
-            occupied,
-            _np.searchsorted(cum_arr, point_arr, side="right"),
-            0)
-        if len(cum_arr):
-            alloc_arr = _np.frombuffer(alloc, dtype=_np.int64)
-            res_arr = _np.frombuffer(resident, dtype=_np.int64)
-            span_start = cum_arr[index_arr] - res_arr[index_arr]
-            cycle_arr = alloc_arr[index_arr] + (point_arr - span_start)
-        else:
-            cycle_arr = _np.zeros(count, dtype=_np.int64)
-        interval_index = array("q")
-        interval_index.frombytes(
-            _np.where(occupied, index_arr, NO_VALUE)
-            .astype(_np.int64, copy=False).tobytes())
-        cycle = array("q")
-        cycle.frombytes(_np.where(occupied, cycle_arr, 0)
-                        .astype(_np.int64, copy=False).tobytes())
-        return StrikeBatch(start, stop, interval_index, cycle, bits,
-                           masks, patterns)
-
-    interval_index = array("q")
-    cycle = array("q")
-    for point in points:
-        if point >= resident_total:
-            interval_index.append(NO_VALUE)
-            cycle.append(0)
+        bits.append(bit)
+        points.append(point)
+        if preset is None:
             continue
-        index = bisect_right(cumulative, point)
+        mass = draw(pattern_width)
+        while mass >= PMF_RESOLUTION:
+            mass = draw(pattern_width)
+        pattern = BurstPattern(bisect_right(pattern_cum, mass))
+        second = None
+        if pattern is BurstPattern.RANDOM_DOUBLE:
+            # Uniform second bit, rejecting out-of-range draws and the
+            # +/-1 window around the first bit.
+            second = draw(bit_width)
+            while second >= ENCODING_BITS or abs(second - bit) < 2:
+                second = draw(bit_width)
+        patterns.append(int(pattern))
+        masks.append(mask_for(pattern, bit, second))
+
+    point_arr = _column(points)
+    occupied = point_arr < resident_total
+    index = np.where(occupied,
+                     np.searchsorted(cumulative, point_arr, side="right"), 0)
+    if len(cumulative):
         span_start = cumulative[index] - resident[index]
-        interval_index.append(index)
-        cycle.append(alloc[index] + (point - span_start))
-    return StrikeBatch(start, stop, interval_index, cycle, bits,
-                       masks, patterns)
+        cycle = np.where(occupied, alloc[index] + (point_arr - span_start),
+                         0)
+    else:
+        cycle = np.zeros(len(point_arr), dtype=np.int64)
+    return StrikeBatch(start, stop, np.where(occupied, index, NO_VALUE),
+                       cycle, bits, masks, patterns)
 
 
 # ---------------------------------------------------------------------------
-# The static pre-filter as a bit matrix
+# The static pre-filter as one kill mask per trace entry
 # ---------------------------------------------------------------------------
 
 def build_kill_masks(baseline, deadness) -> List[int]:
@@ -371,77 +299,102 @@ def build_kill_masks(baseline, deadness) -> List[int]:
     ``classify_static(seq, b)`` proves the flip inert. The three rules
     (non-live field, predicated-false outside QP/OPCODE, dead
     destination value — see :mod:`repro.faults.oracle`) become three
-    mask unions per entry, so a whole campaign's verdicts are two array
-    lookups instead of per-strike field decoding.
+    mask unions per entry, so a campaign's static verdicts are subset
+    tests instead of per-strike field decoding.
     """
-    dead_classes = _dead_dest_classes()
     masks: List[int] = []
     for seq, op in enumerate(baseline.trace):
         kill = _ALL_BITS & ~_live_mask(op.instruction.opcode)
         if not op.executed:
             kill |= _ALL_BITS & ~_QP_OPCODE_MASK
         elif (not op.is_store
-                and deadness.class_of(seq) in dead_classes):
+                and deadness.class_of(seq) in _DEAD_DEST_CLASSES):
             kill |= _VALUE_MASK
         masks.append(kill)
     return masks
 
 
-def _dead_dest_classes():
-    from repro.faults.oracle import _DEAD_DEST_CLASSES
-
-    return _DEAD_DEST_CLASSES
-
-
-def kill_matrix(masks: Sequence[int]):
-    """The masks as a boolean ``trace × 41`` NumPy matrix (None w/o NumPy)."""
-    if _np is None:
-        return None
-    mask_col = _np.fromiter(masks, dtype=_np.int64, count=len(masks))
-    return ((mask_col[:, None] >> _np.arange(ENCODING_BITS)) & 1) \
-        .astype(bool)
-
-
 # ---------------------------------------------------------------------------
-# Batched classification
+# Classification
 # ---------------------------------------------------------------------------
 
-#: Dense outcome codes for the purely-vectorised categories. A survivor
-#: is a committed-read strike that still needs the oracle; the scheme
-#: path distinguishes detected-uncorrectable survivors (which feed the
-#: π-bit tracker like parity) from escaped ones (unprotected tail).
-(_UNREAD, _CORRECTED, _UNACE, _FALSE_DUE, _SURVIVOR,
- _SURVIVOR_DETECT) = range(6)
+#: Outcome codes of the array pass, in tally order; ``_SURVIVOR`` marks
+#: a committed-read strike that still needs the oracle.
+_UNREAD, _CORRECTED, _UNACE, _FALSE_DUE, _SURVIVOR = range(5)
+_CODE_OUTCOME = (FaultOutcome.BENIGN_UNREAD, FaultOutcome.CORRECTED,
+                 FaultOutcome.BENIGN_UNACE, FaultOutcome.FALSE_DUE)
 
-_CODE_OUTCOME = {
-    _UNREAD: FaultOutcome.BENIGN_UNREAD,
-    _CORRECTED: FaultOutcome.CORRECTED,
-    _UNACE: FaultOutcome.BENIGN_UNACE,
-    _FALSE_DUE: FaultOutcome.FALSE_DUE,
+_EFFECT_TO_OUTCOME = {
+    "sdc": FaultOutcome.SDC,
+    "trap": FaultOutcome.TRAP,
+    "hang": FaultOutcome.HANG,
 }
 
 
-class BatchClassifier:
-    """Classifies :class:`StrikeBatch` blocks for one campaign.
+def _action_table(config) -> Tuple[BurstAction, ...]:
+    """The decoder's action on each :class:`BurstPattern`, by code.
 
-    Holds everything shared across a campaign's blocks: the interval
-    columns, the static bit matrix (built lazily — only when a block
-    actually contains committed-read survivors, matching the scalar
-    path's lazy deadness analysis), and the campaign-scoped
-    :class:`~repro.faults.injector.StrikeEvaluator` whose oracle and
-    π-bit tracker the surviving strikes fall through to. Tallies and
-    oracle counters are bit-identical to evaluating each strike with
-    ``evaluator.evaluate``; the instance counters record how much work
-    the vectorised pass absorbed.
+    A lattice scheme classifies each pattern's canonical mask (every
+    drawable mask of a pattern shares its decoder-relevant shape; the
+    bijection is pinned in ``tests/test_mbu.py``). The legacy single-bit
+    flags are fixed rows: no decoder lets everything escape, parity
+    detects, ECC corrects.
+    """
+    if config.scheme is not None:
+        return tuple(classify_burst(config.scheme, CANONICAL_MASKS[pattern])
+                     for pattern in BurstPattern)
+    if config.parity:
+        action = BurstAction.DETECT
+    elif config.ecc:
+        action = BurstAction.CORRECT
+    else:
+        action = BurstAction.ESCAPE
+    return (action,) * len(BurstPattern)
+
+
+class StrikeClassifier:
+    """Figure 1's outcome tree over one campaign's strike batches.
+
+    Built from ``(program, baseline, pipeline_result, config)`` and
+    shared by every batch of a shard: the effect oracle (memoized,
+    preloadable from the persistent cache), the π-bit tracker (stateless
+    per fault; any detecting protection needs it), the interval columns
+    and the kill masks (both built lazily, the masks only once a batch
+    has a survivor the memo cannot answer).
+
+    A strike that is never read after it lands (idle entry, Ex-ACE
+    tail, never-issued occupant) is benign. A read strike meets the
+    decoder: ``CORRECT`` repairs it; ``DETECT`` signals a DUE unless the
+    tracker proves the occupant dead (a detected wrong-path read is a
+    false DUE, suppressed from ``PI_COMMIT`` tracking up); ``ESCAPE``
+    consumes the corruption silently, harmless on the wrong path. A
+    committed survivor's effect comes from the oracle. ``burst_stats``
+    counts multi-bit draws and, for lattice schemes, decoder actions;
+    the instance counters record how much work the array pass absorbed.
     """
 
-    def __init__(self, evaluator, result: PipelineResult) -> None:
-        self.evaluator = evaluator
-        self.result = result
+    def __init__(self, program, baseline, pipeline_result: PipelineResult,
+                 config) -> None:
+        self.config = config
+        self.result = pipeline_result
+        self.oracle = EffectOracle(program, baseline)
+        self.tracker = (
+            PiBitTracker(baseline.trace, config.tracking, config.pet_entries)
+            if config.parity or config.scheme is not None else None)
+        actions = _action_table(config)
+        self._correct = np.array([a is BurstAction.CORRECT for a in actions])
+        self._detect = np.array([a is BurstAction.DETECT for a in actions])
+        self._wrong_detect = (_UNACE
+                              if config.tracking >= TrackingLevel.PI_COMMIT
+                              else _FALSE_DUE)
         self._columns = None  # (seq, kind, issue) per interval row
-        self._masks: Optional[List[int]] = None
-        self._matrix = None
-        # Counters (merged into runtime telemetry by the campaign):
+        self._kill: Optional[List[int]] = None
+        self.burst_stats: Dict[str, int] = {
+            "mbu_multi_bit": 0,
+            "ecc_corrected": 0,
+            "ecc_detected": 0,
+            "ecc_escaped": 0,
+        }
         self.trials = 0
         self.vector_kills = 0
         self.scalar_kills = 0
@@ -455,372 +408,116 @@ class BatchClassifier:
             "batch_reexecutions": self.reexecutions,
         }
 
-    # -- shared, lazily-built tables --------------------------------------
+    def burst_counters(self) -> Dict[str, int]:
+        return dict(self.burst_stats)
 
     def _interval_columns(self):
         if self._columns is None:
             timeline = self.result.timeline
             if timeline is not None:
-                self._columns = (timeline.seq, timeline.kind, timeline.issue)
+                self._columns = (
+                    np.frombuffer(timeline.seq, dtype=np.int64),
+                    np.frombuffer(timeline.kind, dtype=np.int8),
+                    np.frombuffer(timeline.issue, dtype=np.int64))
             else:
                 intervals = self.result.intervals
-                seq = array("q", (NO_VALUE if iv.seq is None else iv.seq
-                                  for iv in intervals))
-                kind = array("b", (CODE_BY_KIND[iv.kind]
-                                   for iv in intervals))
-                issue = array("q", (NO_VALUE if iv.issue_cycle is None
-                                    else iv.issue_cycle for iv in intervals))
-                self._columns = (seq, kind, issue)
+                self._columns = (
+                    _column([NO_VALUE if iv.seq is None else iv.seq
+                             for iv in intervals]),
+                    _column([CODE_BY_KIND[iv.kind] for iv in intervals],
+                            np.int8),
+                    _column([NO_VALUE if iv.issue_cycle is None
+                             else iv.issue_cycle for iv in intervals]))
         return self._columns
-
-    def _kill_masks(self) -> List[int]:
-        if self._masks is None:
-            oracle = self.evaluator.oracle
-            self._masks = build_kill_masks(oracle.baseline, oracle.deadness)
-            self._matrix = kill_matrix(self._masks)
-        return self._masks
-
-    # -- classification ----------------------------------------------------
 
     def classify(self, batch: StrikeBatch) -> Tuple[Counter, int]:
         """``(outcome counts, tracker misses)`` for one batch of trials."""
-        if self.evaluator.scheme is not None or batch.pattern is not None:
-            return self._classify_scheme(batch)
-        if _np is not None:
-            codes, rows, seqs, bits = self._vector_pass_numpy(batch)
-        else:
-            codes, rows, seqs, bits = self._vector_pass_python(batch)
-
-        counts: Counter = Counter()
-        for code, outcome in _CODE_OUTCOME.items():
-            tally = codes.get(code, 0)
-            if tally:
-                counts[outcome] += tally
-        survivors = len(rows)
-        self.trials += len(batch)
-        self.vector_kills += len(batch) - survivors
-        if not survivors:
-            return counts, 0
-        return self._classify_survivors(counts, rows, seqs, bits)
-
-    def _vector_pass_numpy(self, batch: StrikeBatch):
-        """Array form of the evaluator's pre-oracle decision tree."""
         n = len(batch)
-        if n == 0:
-            return {}, [], [], []
+        self.trials += n
         seq_col, kind_col, issue_col = self._interval_columns()
-        index = _np.frombuffer(batch.interval_index, dtype=_np.int64)
-        cycle = _np.frombuffer(batch.cycle, dtype=_np.int64)
-        bits = _np.frombuffer(batch.bit, dtype=_np.int64)
-        occupied = index != NO_VALUE
-        safe = _np.where(occupied, index, 0)
+        occupied = batch.interval_index != NO_VALUE
         if len(seq_col):
-            seqs = _np.frombuffer(seq_col, dtype=_np.int64)[safe]
-            kinds = _np.frombuffer(kind_col, dtype=_np.int8)[safe]
-            issues = _np.frombuffer(issue_col, dtype=_np.int64)[safe]
+            row = np.where(occupied, batch.interval_index, 0)
+            seqs, kinds, issues = seq_col[row], kind_col[row], issue_col[row]
         else:
-            seqs = kinds = issues = _np.zeros(n, dtype=_np.int64)
-        # Never read after the strike: never-issued occupants (issue is
-        # NO_VALUE = -1, always < cycle+1) and strikes in the Ex-ACE tail.
-        read = occupied & (cycle < issues)
-        codes = _np.full(n, _UNREAD, dtype=_np.int8)
-        evaluator = self.evaluator
-        if evaluator.ecc:
-            codes[read] = _CORRECTED
-        else:
-            wrong = read & (kinds != KIND_COMMITTED)
-            if (not evaluator.parity
-                    or evaluator.tracking >= TrackingLevel.PI_COMMIT):
-                codes[wrong] = _UNACE
-            else:
-                codes[wrong] = _FALSE_DUE
-            codes[read & (kinds == KIND_COMMITTED)] = _SURVIVOR
-        tallies = dict(zip(*(part.tolist() for part in _np.unique(
-            codes, return_counts=True))))
-        rows = _np.nonzero(codes == _SURVIVOR)[0]
-        return (tallies, rows.tolist(), seqs[rows].tolist(),
-                bits[rows].tolist())
-
-    def _vector_pass_python(self, batch: StrikeBatch):
-        """Pure-Python fallback with identical tallies and survivors."""
-        seq_col, kind_col, issue_col = self._interval_columns()
-        evaluator = self.evaluator
-        wrong_code = (_UNACE if (not evaluator.parity or
-                                 evaluator.tracking >= TrackingLevel.PI_COMMIT)
-                      else _FALSE_DUE)
-        tallies: Dict[int, int] = {}
-        rows: List[int] = []
-        seqs: List[int] = []
-        bits: List[int] = []
-        for row, (index, cycle, bit) in enumerate(
-                zip(batch.interval_index, batch.cycle, batch.bit)):
-            if index == NO_VALUE or not cycle < issue_col[index]:
-                code = _UNREAD
-            elif evaluator.ecc:
-                code = _CORRECTED
-            elif kind_col[index] != KIND_COMMITTED:
-                code = wrong_code
-            else:
-                rows.append(row)
-                seqs.append(seq_col[index])
-                bits.append(bit)
-                code = _SURVIVOR
-            tallies[code] = tallies.get(code, 0) + 1
-        return tallies, rows, seqs, bits
-
-    def _classify_survivors(self, counts: Counter, rows, seqs, bits):
-        """Walk the committed-read survivors in trial order.
-
-        The static verdicts come from the precomputed bit matrix (one
-        vectorised lookup) instead of per-strike field decoding; the
-        effects themselves come from the shared oracle via
-        :meth:`~repro.faults.oracle.EffectOracle.effect_from_hint`, so
-        memo/static/execution accounting is identical to the scalar
-        loop's ``oracle.effect`` calls.
-        """
-        from repro.faults.injector import _EFFECT_TO_OUTCOME
-
-        evaluator = self.evaluator
-        oracle = evaluator.oracle
-        # Hints are consulted only for strikes the memo cannot answer,
-        # so skip the mask build (and its deadness analysis) when the
-        # filter is off — exactly like the scalar path — or when a
-        # warmed oracle already covers every survivor.
-        if oracle.static_filter and any(
-                not oracle.is_memoized(seq, bit)
-                for seq, bit in zip(seqs, bits)):
-            masks = self._kill_masks()
-            if self._matrix is not None:
-                hints = self._matrix[seqs, bits].tolist()
-            else:
-                hints = [bool((masks[seq] >> bit) & 1)
-                         for seq, bit in zip(seqs, bits)]
-        else:
-            hints = [False] * len(seqs)
-        tracker = evaluator.tracker
-        parity = evaluator.parity
-        executions_before = oracle.executions
-        tracker_misses = 0
-        for seq, bit, hint in zip(seqs, bits, hints):
-            effect = oracle.effect_from_hint(seq, bit, hint)
-            if not parity:
-                if effect == "none":
-                    counts[FaultOutcome.BENIGN_UNACE] += 1
-                else:
-                    counts[_EFFECT_TO_OUTCOME[effect]] += 1
-                continue
-            decision = tracker.process_fault(seq, bit)
-            if decision.signaled:
-                if effect == "none":
-                    counts[FaultOutcome.FALSE_DUE] += 1
-                else:
-                    counts[FaultOutcome.TRUE_DUE] += 1
-            elif effect == "none":
-                counts[FaultOutcome.BENIGN_UNACE] += 1
-            else:
-                counts[_EFFECT_TO_OUTCOME[effect]] += 1
-                tracker_misses += 1
-        executed = oracle.executions - executions_before
-        self.reexecutions += executed
-        self.scalar_kills += len(rows) - executed
-        return counts, tracker_misses
-
-    # -- scheme/MBU classification ----------------------------------------
-
-    def _classify_scheme(self, batch: StrikeBatch) -> Tuple[Counter, int]:
-        """:meth:`classify` under the ECC lattice / multi-bit fault model.
-
-        Burst classification is a lookup over *pattern codes*: the drawn
-        masks of a pattern all share the decoder-relevant shape (weight,
-        adjacency) of its canonical mask, so
-        :func:`~repro.due.tracking.classify_burst` evaluated once per
-        pattern stands for every trial (the bijection is pinned in
-        ``tests/test_mbu.py``). ``scheme=None`` with a pattern column is
-        the unprotected multi-bit campaign: no decoder, wrong-path reads
-        are benign, committed reads fall through to the burst oracle.
-        """
-        actions = (None if self.evaluator.scheme is None else
-                   [classify_burst(self.evaluator.scheme, CANONICAL_MASKS[p])
-                    for p in BurstPattern])
-        if _np is not None:
-            tallies, rows, seqs, detects = self._scheme_pass_numpy(
-                batch, actions)
-        else:
-            tallies, rows, seqs, detects = self._scheme_pass_python(
-                batch, actions)
-        counts: Counter = Counter()
-        for code, outcome in _CODE_OUTCOME.items():
-            tally = tallies.get(code, 0)
-            if tally:
-                counts[outcome] += tally
-        survivors = len(rows)
-        self.trials += len(batch)
-        self.vector_kills += len(batch) - survivors
-        if not survivors:
-            return counts, 0
-        return self._classify_survivors_mbu(counts, batch, rows, seqs,
-                                            detects)
-
-    def _scheme_pass_numpy(self, batch: StrikeBatch, actions):
-        """Array form of the scheme decoder's pre-oracle decision tree."""
-        n = len(batch)
-        if n == 0:
-            return {}, [], [], []
-        seq_col, kind_col, issue_col = self._interval_columns()
-        index = _np.frombuffer(batch.interval_index, dtype=_np.int64)
-        cycle = _np.frombuffer(batch.cycle, dtype=_np.int64)
-        occupied = index != NO_VALUE
-        safe = _np.where(occupied, index, 0)
-        if len(seq_col):
-            seqs = _np.frombuffer(seq_col, dtype=_np.int64)[safe]
-            kinds = _np.frombuffer(kind_col, dtype=_np.int8)[safe]
-            issues = _np.frombuffer(issue_col, dtype=_np.int64)[safe]
-        else:
-            seqs = kinds = issues = _np.zeros(n, dtype=_np.int64)
-        read = occupied & (cycle < issues)
-        if batch.pattern is not None:
-            pattern_arr = _np.frombuffer(batch.pattern, dtype=_np.int8)
-        else:
-            pattern_arr = _np.zeros(n, dtype=_np.int8)
-        stats = self.evaluator.burst_stats
-        stats["mbu_multi_bit"] += int(
-            (pattern_arr != int(BurstPattern.SINGLE)).sum())
+            seqs = kinds = issues = np.zeros(n, dtype=np.int64)
+        # Read after the strike: never-issued occupants (issue NO_VALUE)
+        # and strikes in the Ex-ACE tail are never consumed.
+        read = occupied & (batch.cycle < issues)
+        pattern = (batch.pattern if batch.pattern is not None
+                   else np.zeros(n, dtype=np.int8))
+        corrected = read & self._correct[pattern]
+        detected = read & self._detect[pattern]
+        escaped = read & ~corrected & ~detected
         committed = kinds == KIND_COMMITTED
-        codes = _np.full(n, _UNREAD, dtype=_np.int8)
-        if actions is None:
-            codes[read & ~committed] = _UNACE
-            codes[read & committed] = _SURVIVOR
-        else:
-            correct_lut = _np.array(
-                [a is BurstAction.CORRECT for a in actions])
-            detect_lut = _np.array(
-                [a is BurstAction.DETECT for a in actions])
-            corrected = read & correct_lut[pattern_arr]
-            detected = read & detect_lut[pattern_arr]
-            escaped = read & ~corrected & ~detected
+        stats = self.burst_stats
+        stats["mbu_multi_bit"] += int(np.count_nonzero(
+            pattern != BurstPattern.SINGLE))
+        if self.config.scheme is not None:
             stats["ecc_corrected"] += int(corrected.sum())
             stats["ecc_detected"] += int(detected.sum())
             stats["ecc_escaped"] += int(escaped.sum())
-            codes[corrected] = _CORRECTED
-            wrong_detect = detected & ~committed
-            codes[wrong_detect] = (
-                _UNACE
-                if self.evaluator.tracking >= TrackingLevel.PI_COMMIT
-                else _FALSE_DUE)
-            codes[detected & committed] = _SURVIVOR_DETECT
-            codes[escaped & ~committed] = _UNACE
-            codes[escaped & committed] = _SURVIVOR
-        tallies = dict(zip(*(part.tolist() for part in _np.unique(
-            codes, return_counts=True))))
-        surv = (codes == _SURVIVOR) | (codes == _SURVIVOR_DETECT)
-        rows = _np.nonzero(surv)[0]
-        detects = (codes[rows] == _SURVIVOR_DETECT).tolist()
-        return tallies, rows.tolist(), seqs[rows].tolist(), detects
 
-    def _scheme_pass_python(self, batch: StrikeBatch, actions):
-        """Pure-Python fallback with identical tallies and survivors."""
-        seq_col, kind_col, issue_col = self._interval_columns()
-        evaluator = self.evaluator
-        stats = evaluator.burst_stats
-        suppress_wrong = evaluator.tracking >= TrackingLevel.PI_COMMIT
-        patterns = batch.pattern
-        tallies: Dict[int, int] = {}
-        rows: List[int] = []
-        seqs: List[int] = []
-        detects: List[bool] = []
-        for row, (index, cycle) in enumerate(
-                zip(batch.interval_index, batch.cycle)):
-            pattern = patterns[row] if patterns is not None else 0
-            if pattern != int(BurstPattern.SINGLE):
-                stats["mbu_multi_bit"] += 1
-            if index == NO_VALUE or not cycle < issue_col[index]:
-                code = _UNREAD
-            elif actions is None:
-                if kind_col[index] != KIND_COMMITTED:
-                    code = _UNACE
-                else:
-                    rows.append(row)
-                    seqs.append(seq_col[index])
-                    detects.append(False)
-                    code = _SURVIVOR
-            else:
-                action = actions[pattern]
-                committed = kind_col[index] == KIND_COMMITTED
-                if action is BurstAction.CORRECT:
-                    stats["ecc_corrected"] += 1
-                    code = _CORRECTED
-                elif action is BurstAction.DETECT:
-                    stats["ecc_detected"] += 1
-                    if not committed:
-                        code = _UNACE if suppress_wrong else _FALSE_DUE
-                    else:
-                        rows.append(row)
-                        seqs.append(seq_col[index])
-                        detects.append(True)
-                        code = _SURVIVOR_DETECT
-                else:
-                    stats["ecc_escaped"] += 1
-                    if not committed:
-                        code = _UNACE
-                    else:
-                        rows.append(row)
-                        seqs.append(seq_col[index])
-                        detects.append(False)
-                        code = _SURVIVOR
-            tallies[code] = tallies.get(code, 0) + 1
-        return tallies, rows, seqs, detects
+        codes = np.full(n, _UNREAD, dtype=np.int8)
+        codes[corrected] = _CORRECTED
+        codes[escaped & ~committed] = _UNACE
+        codes[detected & ~committed] = self._wrong_detect
+        survivors = (detected | escaped) & committed
+        codes[survivors] = _SURVIVOR
+        tallies = np.bincount(codes, minlength=_SURVIVOR + 1).tolist()
+        counts = Counter({outcome: tally for outcome, tally
+                          in zip(_CODE_OUTCOME, tallies) if tally})
+        rows = np.flatnonzero(survivors)
+        self.vector_kills += n - len(rows)
+        if not len(rows):
+            return counts, 0
+        bursts = np.left_shift(1, batch.bit[rows])
+        if batch.mask is not None:
+            bursts = np.where(batch.mask[rows] != 0, batch.mask[rows], bursts)
+        return self._classify_survivors(counts, seqs[rows].tolist(),
+                                        bursts.tolist(),
+                                        detected[rows].tolist())
 
-    def _classify_survivors_mbu(self, counts: Counter, batch: StrikeBatch,
-                                rows, seqs, detects):
-        """Walk the committed-read survivors of a scheme/MBU batch.
+    def _classify_survivors(self, counts: Counter, seqs: List[int],
+                            bursts: List[int], detects: List[bool]):
+        """Walk the committed-read survivors in trial order.
 
-        Burst static hints are the subset test ``mask ⊆ kill_mask[seq]``
-        — equivalent to the oracle's per-bit conjunction
+        A burst's static hint is the subset test ``burst ⊆ kill[seq]``,
+        equivalent to the oracle's per-bit conjunction
         (:meth:`~repro.faults.oracle.EffectOracle.classify_static_mask`)
-        because bit ``b`` of the kill mask is exactly
-        ``classify_static(seq, b) is not None``. Detected survivors run
-        the parity-style tracker tail on the burst's representative bit;
-        escaped (or unprotected) survivors run the unprotected tail.
+        because bit ``b`` of the kill mask is exactly ``classify_static(seq,
+        b) is not None``. Hints are consulted only for strikes the memo
+        cannot answer, so a warmed oracle never builds the masks.
+        Detected survivors ask the tracker, on the burst's representative
+        bit, whether the error is signalled.
         """
-        from repro.faults.injector import _EFFECT_TO_OUTCOME
-
-        evaluator = self.evaluator
-        oracle = evaluator.oracle
-        bursts = []
-        for row in rows:
-            mask = batch.mask[row] if batch.mask is not None else 0
-            bursts.append(mask or (1 << batch.bit[row]))
-        if oracle.static_filter and any(
-                not oracle.is_memoized_mask(seq, burst)
-                for seq, burst in zip(seqs, bursts)):
-            masks = self._kill_masks()
-            hints = [(masks[seq] & burst) == burst
+        oracle = self.oracle
+        if any(not oracle.is_memoized_mask(seq, burst)
+               for seq, burst in zip(seqs, bursts)):
+            if self._kill is None:
+                self._kill = build_kill_masks(oracle.baseline,
+                                              oracle.deadness)
+            hints = [(self._kill[seq] & burst) == burst
                      for seq, burst in zip(seqs, bursts)]
         else:
             hints = [False] * len(seqs)
-        tracker = evaluator.tracker
+        tracker = self.tracker
         executions_before = oracle.executions
         tracker_misses = 0
         for seq, burst, hint, detect in zip(seqs, bursts, hints, detects):
             effect = oracle.effect_mask_from_hint(seq, burst, hint)
-            if not detect:
-                if effect == "none":
-                    counts[FaultOutcome.BENIGN_UNACE] += 1
-                else:
-                    counts[_EFFECT_TO_OUTCOME[effect]] += 1
-                continue
-            decision = tracker.process_fault(seq, representative_bit(burst))
-            if decision.signaled:
-                if effect == "none":
-                    counts[FaultOutcome.FALSE_DUE] += 1
-                else:
-                    counts[FaultOutcome.TRUE_DUE] += 1
+            if detect and tracker.process_fault(
+                    seq, representative_bit(burst)).signaled:
+                counts[FaultOutcome.FALSE_DUE if effect == "none"
+                       else FaultOutcome.TRUE_DUE] += 1
             elif effect == "none":
                 counts[FaultOutcome.BENIGN_UNACE] += 1
             else:
                 counts[_EFFECT_TO_OUTCOME[effect]] += 1
-                tracker_misses += 1
+                # A detected error the tracker let through: an artifact
+                # of replaying π propagation over the uncorrupted trace.
+                tracker_misses += detect
         executed = oracle.executions - executions_before
         self.reexecutions += executed
-        self.scalar_kills += len(rows) - executed
+        self.scalar_kills += len(seqs) - executed
         return counts, tracker_misses

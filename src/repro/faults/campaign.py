@@ -12,9 +12,8 @@ from typing import Callable, Dict, Optional, Tuple, Union
 from repro.arch.result import ExecutionResult
 from repro.due.outcomes import FaultOutcome
 from repro.due.tracking import DEFAULT_PET_ENTRIES, EccScheme, TrackingLevel
-from repro.faults.injector import StrikeEvaluator
-from repro.faults.mbu import extend_strike, get_preset
-from repro.faults.model import StrikeModel
+from repro.faults.batch import StrikeClassifier, draw_strike_batch
+from repro.faults.mbu import get_preset
 from repro.faults.oracle import oracle_cache_key, persist
 from repro.isa.program import Program
 from repro.pipeline.result import PipelineResult
@@ -29,7 +28,7 @@ from repro.runtime.resilience import (
     TrialCrash,
     execute_campaign,
 )
-from repro.util.rng import DeterministicRng, derive_seed
+from repro.util.rng import derive_seed
 
 
 @dataclass(frozen=True)
@@ -171,90 +170,25 @@ def run_trial_block(
     start: int,
     stop: int,
     on_trial: Optional[Callable[[int], None]] = None,
-    evaluator: Optional[StrikeEvaluator] = None,
-    strikes=None,
-    classifier=None,
+    classifier: Optional[StrikeClassifier] = None,
 ) -> Tuple[Counter, int]:
     """Classify trials ``[start, stop)``; returns (counts, tracker misses).
 
-    ``on_trial`` (the chaos harness's hook) runs before each trial;
-    exceptions from the hook or the trial itself are re-raised as
-    :class:`TrialCrash` carrying the trial index, so the supervisor can
-    retry or quarantine at the right granularity. ``KeyboardInterrupt``
-    passes through untouched.
+    The block draws its own strikes (:func:`~repro.faults.batch.
+    draw_strike_batch`, a pure function of the trial indices) and
+    classifies them in one batch. ``classifier`` lets blocks of one
+    campaign share a :class:`~repro.faults.batch.StrikeClassifier` (and
+    its warm effect oracle); omitted, a fresh one is built. Either way
+    the tallies are identical — only the amount of re-execution differs.
 
-    ``evaluator`` lets the caller supply a campaign-scoped
-    :class:`StrikeEvaluator` (shared tracker + warm effect oracle);
-    omitted, a fresh one is built for the block. Either way the tallies
-    are identical — only the amount of re-execution differs.
-
-    ``strikes`` (a :class:`~repro.faults.batch.StrikeBatch` covering at
-    least ``[start, stop)``) routes the block through the vectorised
-    classifier instead of the per-trial loop; ``classifier`` optionally
-    supplies the campaign-scoped
-    :class:`~repro.faults.batch.BatchClassifier` so blocks share its
-    precomputed masks. Tallies and oracle accounting are bit-identical
-    either way — batching is purely a wall-clock optimisation.
+    ``on_trial`` (the chaos harness's hook) runs for every trial index
+    before anything is drawn. Exceptions from the hook, the draw (an
+    unsampleable pipeline result) or the classification are re-raised
+    as :class:`TrialCrash` so the supervisor can retry, or split the
+    block into single trials and quarantine the failing indices; tallies
+    are only returned once the whole block completes.
+    ``KeyboardInterrupt`` passes through untouched.
     """
-    if evaluator is None:
-        evaluator = StrikeEvaluator(
-            program, baseline,
-            parity=config.parity,
-            tracking=config.tracking,
-            pet_entries=config.pet_entries,
-            ecc=config.ecc,
-            scheme=config.scheme,
-            static_filter=get_runtime().static_filter,
-        )
-    if strikes is not None:
-        return _run_block_batched(pipeline_result, start, stop, on_trial,
-                                  evaluator, strikes, classifier)
-    sampler = StrikeModel(pipeline_result, label=program.name)
-    preset = (get_preset(config.mbu_preset)
-              if config.mbu_preset is not None else None)
-    counts: Counter = Counter()
-    tracker_misses = 0
-    for index in range(start, stop):
-        try:
-            if on_trial is not None:
-                on_trial(index)
-            rng = DeterministicRng(trial_seed(config, program.name, index))
-            strike = sampler.sample(rng)
-            if preset is not None:
-                strike = extend_strike(strike, rng, preset)
-            verdict = evaluator.evaluate(strike)
-        except RuntimeFault:
-            raise
-        except Exception as exc:
-            raise TrialCrash(
-                f"trial {index} raised {type(exc).__name__}: {exc}",
-                trial_index=index) from exc
-        counts[verdict.outcome] += 1
-        if verdict.tracker_miss:
-            tracker_misses += 1
-    return counts, tracker_misses
-
-
-def _run_block_batched(
-    pipeline_result: PipelineResult,
-    start: int,
-    stop: int,
-    on_trial: Optional[Callable[[int], None]],
-    evaluator: StrikeEvaluator,
-    strikes,
-    classifier,
-) -> Tuple[Counter, int]:
-    """The batched body of :func:`run_trial_block`.
-
-    Chaos hooks fire for every trial index up front — a hook exception
-    discards the whole block exactly as in the scalar loop (tallies are
-    only returned once the block completes, so partial work was never
-    observable). Classification failures surface as :class:`TrialCrash`
-    so the supervisor's retry/quarantine machinery, which then splits
-    the block into single-trial batches, isolates the failing index.
-    """
-    from repro.faults.batch import BatchClassifier
-
     if on_trial is not None:
         for index in range(start, stop):
             try:
@@ -265,19 +199,17 @@ def _run_block_batched(
                 raise TrialCrash(
                     f"trial {index} raised {type(exc).__name__}: {exc}",
                     trial_index=index) from exc
-    if classifier is None:
-        classifier = BatchClassifier(evaluator, pipeline_result)
-    batch = strikes
-    if (batch.start, batch.stop) != (start, stop):
-        batch = batch.slice(start, stop)
     try:
-        return classifier.classify(batch)
+        if classifier is None:
+            classifier = StrikeClassifier(program, baseline, pipeline_result,
+                                          config)
+        return classifier.classify(draw_strike_batch(
+            pipeline_result, config, program.name, start, stop))
     except RuntimeFault:
         raise
     except Exception as exc:
         raise TrialCrash(
-            f"batched block [{start}, {stop}) raised "
-            f"{type(exc).__name__}: {exc}",
+            f"trials [{start}, {stop}) raised {type(exc).__name__}: {exc}",
             trial_index=start if stop - start == 1 else None) from exc
 
 
@@ -350,9 +282,7 @@ def run_campaign(
         counts, tracker_misses, completeness, oracle_new = execute_campaign(
             program, baseline, pipeline_result, config, effective_jobs,
             policy=runtime.policy, telemetry=telemetry, journal=journal,
-            chaos=chaos, cache_dir=runtime.cache_dir,
-            static_filter=runtime.static_filter,
-            batch_strikes=runtime.batch_strikes)
+            chaos=chaos, cache_dir=runtime.cache_dir)
     except CampaignInterrupted:
         # The pool is drained and the journal (if any) holds every
         # completed block; account for the time and hand the partial

@@ -3,20 +3,14 @@
 A single particle can deposit charge across neighbouring storage cells,
 so beyond the paper's single-bit model the physically observed error
 patterns are dominated by *adjacent* 2- and 3-bit bursts, with a small
-tail of independent (non-adjacent) doubles. This module draws those
-shapes from severity-preset probability mass functions, layered on top
-of the existing strike sampler:
-
-* :func:`extend_strike` consumes draws from the *same* per-trial
-  :func:`~repro.util.rng.derive_seed` stream as
-  :class:`~repro.faults.model.StrikeModel`, strictly **after** the
-  sampler's ``(bit, point)`` pair. A campaign with MBU off therefore
-  replays the identical stream with zero extra draws — single-bit
-  tallies, cache keys, and sharding behaviour are untouched.
-* Every draw goes through ``randrange`` so the batched path
-  (:func:`~repro.faults.batch.draw_strike_batch`) can replay the exact
-  Mersenne ``getrandbits`` protocol and stay bit-identical to the
-  scalar loop under any sharding.
+tail of independent (non-adjacent) doubles. This module defines those
+shapes and the severity-preset probability mass functions they are
+drawn from. The draws themselves ride the per-trial
+:func:`~repro.util.rng.derive_seed` stream in
+:func:`~repro.faults.batch.draw_strike_batch`, strictly **after** the
+``(bit, point)`` pair every strike draws, so a campaign with MBU off
+draws nothing extra and its tallies, cache keys and sharding are those
+of the single-bit model.
 
 Pattern geometry is canonical by construction: adjacent bursts are
 clamped into the 41-bit word (a burst at the array edge folds inward,
@@ -24,18 +18,16 @@ as on a physical row), and the second bit of a random double is
 rejection-sampled to be at least two positions away from the first —
 so the four patterns and the four mask *shapes* (single, adjacent run
 of 2, adjacent run of 3, non-adjacent pair) are in bijection, which is
-what lets the vectorised classifier act on pattern codes while the
-scalar evaluator classifies the mask itself.
+what lets the classifier act on pattern codes instead of masks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum, unique
 from typing import Dict, Optional, Tuple
 
 from repro.isa.encoding import ENCODING_BITS, Field, field_bits
-from repro.faults.model import Strike
 
 #: Integer PMF resolution: preset weights sum to this, and the pattern
 #: draw is one ``randrange(PMF_RESOLUTION)`` — replayable bit-exactly.
@@ -110,32 +102,8 @@ def get_preset(name: str) -> MbuPreset:
 
 
 # ---------------------------------------------------------------------------
-# Drawing
+# Burst masks
 # ---------------------------------------------------------------------------
-
-def draw_pattern(rng, preset: MbuPreset) -> BurstPattern:
-    """One pattern draw: a single ``randrange(PMF_RESOLUTION)``."""
-    point = rng.randrange(PMF_RESOLUTION)
-    acc = 0
-    for pattern in BurstPattern:
-        acc += preset.weights[pattern]
-        if point < acc:
-            return pattern
-    raise AssertionError("preset weights do not cover the PMF resolution")
-
-
-def draw_second_bit(rng, bit: int) -> int:
-    """Second bit of a random double: uniform, rejecting the +/-1 window.
-
-    The rejection loop re-draws whole ``randrange`` calls, so the batch
-    replay (which re-implements ``randrange`` over ``getrandbits``) sees
-    the identical stream.
-    """
-    second = rng.randrange(ENCODING_BITS)
-    while abs(second - bit) < 2:
-        second = rng.randrange(ENCODING_BITS)
-    return second
-
 
 def _adjacent_mask(bit: int, width: int) -> int:
     """Adjacent run of ``width`` bits anchored at ``bit``, clamped in-word."""
@@ -145,10 +113,10 @@ def _adjacent_mask(bit: int, width: int) -> int:
 
 def mask_for(pattern: BurstPattern, bit: int,
              second: Optional[int] = None) -> int:
-    """Burst mask of a drawn pattern (0 for SINGLE: ``Strike``'s "no burst").
+    """Burst mask of a drawn pattern (0 for SINGLE: "no burst").
 
-    Pure function of the drawn values, shared by the scalar sampler and
-    the batched drawer so their masks cannot diverge.
+    Pure function of the drawn values, shared by the batch drawer and
+    the test reference so their masks cannot diverge.
     """
     if pattern is BurstPattern.SINGLE:
         return 0
@@ -161,26 +129,8 @@ def mask_for(pattern: BurstPattern, bit: int,
     return (1 << bit) | (1 << second)
 
 
-def extend_strike(strike: Strike, rng, preset: MbuPreset) -> Strike:
-    """Grow one sampled strike into a burst.
-
-    Must be called immediately after ``StrikeModel.sample`` on the same
-    per-trial stream: the pattern draw (plus the rejection-sampled
-    second bit of a random double) consumes draws strictly after the
-    sampler's ``(bit, point)`` pair. Idle strikes draw their shape too —
-    the particle does not know the entry was empty — which keeps the
-    scalar and batched draw protocols uniform across every trial.
-    """
-    pattern = draw_pattern(rng, preset)
-    if pattern is BurstPattern.SINGLE:
-        return strike
-    second = (draw_second_bit(rng, strike.bit)
-              if pattern is BurstPattern.RANDOM_DOUBLE else None)
-    return replace(strike, mask=mask_for(pattern, strike.bit, second))
-
-
 # ---------------------------------------------------------------------------
-# Mask utilities shared by the injector, tracker, and batch classifier
+# Mask utilities shared by the tracker and the strike classifier
 # ---------------------------------------------------------------------------
 
 def _field_mask(field: Field) -> int:

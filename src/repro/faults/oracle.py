@@ -5,7 +5,7 @@ answer depends only on ``(program, seq, bit)`` — a finite space that
 Monte-Carlo campaigns and tracking-level ablations hit repeatedly. The
 :class:`EffectOracle` removes that redundancy on three levels:
 
-1. **In-process memo**: every computed ``(seq, bit) -> effect`` is kept,
+1. **In-process memo**: every computed ``(seq, mask) -> effect`` is kept,
    so a campaign pays for each distinct strike point once, not once per
    trial, and ablations over tracking levels (which share the strike
    space) pay nothing at all.
@@ -47,9 +47,9 @@ run resumes from the baseline snapshot at or before the struck ``seq``
 and stops as soon as its state and outputs so far rejoin the baseline's
 at a later snapshot (:meth:`FunctionalSimulator.run`, ``resume``).
 
-The static filter is semantics-preserving by construction; the
-``--no-static-filter`` escape hatch exists to *measure* it, not because
-results differ.
+The static filter is semantics-preserving by construction;
+:meth:`EffectOracle.reexecute` bypasses memo and filter for the tests
+that check both against re-execution.
 """
 
 from __future__ import annotations
@@ -86,6 +86,16 @@ _VALUE_FIELDS = (Field.R2, Field.R3, Field.IMM7)
 _MASK_KEY_BASE = 1 << ENCODING_BITS
 
 
+def _memo_key(seq: int, mask: int) -> Tuple[int, int]:
+    """Memo key of flipping ``mask`` at ``seq``: ``(seq, bit)`` for a
+    single bit, ``(seq, _MASK_KEY_BASE | mask)`` for a burst."""
+    if mask <= 0:
+        raise ValueError("burst mask must have at least one set bit")
+    if mask & (mask - 1) == 0:
+        return seq, mask.bit_length() - 1
+    return seq, _MASK_KEY_BASE | mask
+
+
 def default_limits(baseline: ExecutionResult) -> ExecutionLimits:
     """The execution budget ``architectural_effect`` has always used."""
     return ExecutionLimits(
@@ -105,26 +115,24 @@ def effect_of(rerun: ExecutionResult, baseline_signature: Tuple) -> str:
 
 
 class EffectOracle:
-    """Per-program memo of ``(seq, bit) -> architectural effect``.
+    """Per-program memo of ``(seq, mask) -> architectural effect``.
 
     One instance is scoped to a ``(program, baseline)`` pair — typically
-    one campaign — and answers :meth:`effect` by memo lookup, then static
-    classification, then (only when both fail) re-execution. Entries
-    loaded via :meth:`preload` (from the persistent cache) are served
-    without re-executing; entries computed locally are retrievable via
-    :meth:`new_entries` for merging back into the cache.
+    one campaign shard — and answers :meth:`effect_mask` by memo lookup,
+    then static classification, then (only when both fail) re-execution.
+    Entries loaded via :meth:`preload` (from the persistent cache) are
+    served without re-executing; entries computed locally are
+    retrievable via :meth:`new_entries` for merging back into the cache.
     """
 
     def __init__(
         self,
         program: Program,
         baseline: ExecutionResult,
-        static_filter: bool = True,
         limits: Optional[ExecutionLimits] = None,
     ) -> None:
         self.program = program
         self.baseline = baseline
-        self.static_filter = static_filter
         self.limits = limits or default_limits(baseline)
         #: Computed once and shared by every re-execution comparison.
         self._baseline_signature = baseline.output_signature()
@@ -154,15 +162,6 @@ class EffectOracle:
         """Entries computed by *this* oracle (preloaded ones excluded)."""
         return dict(self._new)
 
-    def is_memoized(self, seq: int, bit: int) -> bool:
-        """Whether ``effect(seq, bit)`` would be served from the memo.
-
-        Lets the batched classifier skip building static-verdict tables
-        for strikes a warmed oracle will answer anyway; does not count
-        as a memo hit.
-        """
-        return (seq, bit) in self._table
-
     def counters(self) -> Dict[str, int]:
         return {
             "oracle_memo_hits": self.memo_hits,
@@ -176,41 +175,45 @@ class EffectOracle:
 
     def effect(self, seq: int, bit: int) -> str:
         """Architectural effect of flipping ``bit`` of instruction ``seq``."""
-        inert = (self.static_filter and not self.is_memoized(seq, bit)
-                 and self.classify_static(seq, bit) is not None)
-        return self.effect_from_hint(seq, bit, inert)
+        return self.effect_mask(seq, 1 << bit)
 
-    def effect_from_hint(self, seq: int, bit: int, inert_hint: bool) -> str:
-        """:meth:`effect` with the static verdict supplied by the caller.
+    def effect_mask(self, seq: int, mask: int) -> str:
+        """Architectural effect of flipping the bits of ``mask`` at ``seq``."""
+        inert = (not self.is_memoized_mask(seq, mask)
+                 and self.classify_static_mask(seq, mask) is not None)
+        return self.effect_mask_from_hint(seq, mask, inert)
 
-        The batched classifier (:mod:`repro.faults.batch`) precomputes
-        every static verdict as a bit matrix, so re-deriving it per
-        strike would waste the batching; ``inert_hint`` must equal
-        ``classify_static(seq, bit) is not None`` (the equivalence is
-        proven exhaustively in ``tests/test_strike_batching.py``).
-        Memoization, counter accounting, and the ``static_filter`` gate
-        behave exactly as in :meth:`effect`.
+    def effect_mask_from_hint(self, seq: int, mask: int,
+                              inert_hint: bool) -> str:
+        """:meth:`effect_mask` with the static verdict supplied by the caller.
+
+        ``inert_hint`` must equal ``classify_static_mask(seq, mask) is
+        not None`` — which, because the static rules compose per bit, is
+        exactly "``mask`` is a subset of the strike classifier's kill
+        mask" (:func:`repro.faults.batch.build_kill_masks`); the
+        equivalence is pinned in ``tests/test_strike_batching.py`` and
+        ``tests/test_mbu.py``.
         """
-        return self._resolve(seq, bit, 1 << bit, inert_hint)
-
-    def _resolve(self, seq: int, tag: int, mask: int,
-                 inert_hint: bool) -> str:
-        """Answer ``(seq, tag)`` from the memo, the static verdict or a
-        re-execution with ``mask`` flipped at ``seq``."""
-        key = (seq, tag)
+        key = _memo_key(seq, mask)
         cached = self._table.get(key)
         if cached is not None:
             self.memo_hits += 1
             return cached
-        if self.static_filter and inert_hint:
+        if inert_hint:
             self.static_kills += 1
             effect = "none"
         else:
-            self.executions += 1
-            effect = self._reexecute(seq, mask)
+            effect = self.reexecute(seq, mask)
         self._table[key] = effect
         self._new[key] = effect
         return effect
+
+    def is_memoized_mask(self, seq: int, mask: int) -> bool:
+        """Whether :meth:`effect_mask` would be served from the memo.
+
+        Does not count as a memo hit.
+        """
+        return _memo_key(seq, mask) in self._table
 
     def classify_static(self, seq: int, bit: int) -> Optional[str]:
         """Provably-inert classification, or None when execution is needed.
@@ -232,44 +235,6 @@ class EffectOracle:
             if self.deadness.class_of(seq) in _DEAD_DEST_CLASSES:
                 return "dead destination value"
         return None
-
-    # -- multi-bit bursts --------------------------------------------------
-
-    def effect_mask(self, seq: int, mask: int) -> str:
-        """Architectural effect of flipping every bit of ``mask`` at ``seq``.
-
-        Single-bit masks route through :meth:`effect` so MBU campaigns
-        share (and extend) the same memo and persisted table as
-        single-bit campaigns — the 41 per-seq singles dominate every
-        preset's PMF.
-        """
-        inert = (self.static_filter and not self.is_memoized_mask(seq, mask)
-                 and self.classify_static_mask(seq, mask) is not None)
-        return self.effect_mask_from_hint(seq, mask, inert)
-
-    def effect_mask_from_hint(self, seq: int, mask: int,
-                              inert_hint: bool) -> str:
-        """:meth:`effect_mask` with the static verdict supplied by the caller.
-
-        ``inert_hint`` must equal ``classify_static_mask(seq, mask) is
-        not None`` — which, because the static rules compose per bit, is
-        exactly "``mask`` is a subset of the batched kill mask"; the
-        equivalence is pinned in ``tests/test_mbu.py``.
-        """
-        if mask <= 0:
-            raise ValueError("burst mask must have at least one set bit")
-        if mask & (mask - 1) == 0:
-            return self.effect_from_hint(seq, mask.bit_length() - 1,
-                                         inert_hint)
-        return self._resolve(seq, _MASK_KEY_BASE | mask, mask, inert_hint)
-
-    def is_memoized_mask(self, seq: int, mask: int) -> bool:
-        """Whether :meth:`effect_mask` would be served from the memo."""
-        if mask <= 0:
-            raise ValueError("burst mask must have at least one set bit")
-        if mask & (mask - 1) == 0:
-            return self.is_memoized(seq, mask.bit_length() - 1)
-        return (seq, _MASK_KEY_BASE | mask) in self._table
 
     def classify_static_mask(self, seq: int, mask: int) -> Optional[str]:
         """Provably-inert classification of a whole burst, or None.
@@ -310,8 +275,11 @@ class EffectOracle:
             self._deadness = analyze_deadness(self.baseline)
         return self._deadness
 
-    def _reexecute(self, seq: int, mask: int) -> str:
+    def reexecute(self, seq: int, mask: int) -> str:
         """The slow path: re-execute with ``mask`` flipped at ``seq``.
+
+        Bypasses the memo and the static filter (tests use it to check
+        both against re-execution) but ticks the execution counters.
 
         The run resumes from the baseline snapshot at or before ``seq``
         and stops as soon as its state rejoins the baseline's at a later
@@ -321,6 +289,7 @@ class EffectOracle:
         # Local import: injector imports this module at definition time.
         from repro.faults.injector import corrupt_burst
 
+        self.executions += 1
         original = self.baseline.trace[seq].instruction
         corrupted = corrupt_burst(original, mask)
         if corrupted == original:

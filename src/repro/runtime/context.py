@@ -12,9 +12,9 @@ the benchmark suite install a configured context from ``--jobs`` /
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Any, Iterator, Optional, Union
 
 from repro.runtime.cache import ResultCache
 from repro.runtime.chaos import ChaosConfig
@@ -37,15 +37,6 @@ class RuntimeContext:
     checkpoint_dir: Optional[Path] = None
     #: Continue an interrupted campaign from its checkpoint journal.
     resume: bool = False
-    #: Let the effect oracle classify provably-inert strikes without
-    #: re-execution (``--no-static-filter`` turns this off to measure the
-    #: filter / reproduce seed-era wall-clock; tallies are identical).
-    static_filter: bool = True
-    #: Draw each campaign's strikes as one array batch and classify them
-    #: through the vectorised bit-matrix pre-filter
-    #: (``--no-batch-strikes`` selects per-trial sampling; tallies,
-    #: cache keys, and oracle counters are bit-identical either way).
-    batch_strikes: bool = True
     #: ``host:port`` of a running ``repro serve`` instance to use as the
     #: fleet-wide timeline store (``--service`` / ``REPRO_SERVICE``).
     #: Timing entries missing locally are fetched from it and computed
@@ -101,83 +92,51 @@ def reset_runtime() -> RuntimeContext:
     return set_runtime(RuntimeContext())
 
 
-def configure(
-    jobs: int = 1,
+def _build(
     cache_dir: Optional[Union[str, Path]] = None,
     no_cache: bool = False,
     retries: Optional[int] = None,
     trial_timeout: Optional[float] = None,
-    checkpoint_dir: Optional[Union[str, Path]] = None,
-    resume: bool = False,
-    chaos: Optional[Union[ChaosConfig, str]] = None,
     chaos_seed: int = 1337,
-    static_filter: bool = True,
-    batch_strikes: bool = True,
-    service: Optional[str] = None,
-    service_timeout: Optional[float] = None,
-    mbu_preset: Optional[str] = None,
-    ecc_scheme: Optional[str] = None,
+    **settings: Any,
 ) -> RuntimeContext:
-    """Build and install a context from CLI-style knobs.
+    """A context from :class:`RuntimeContext` fields plus CLI-style knobs.
 
-    ``no_cache`` wins over ``cache_dir``: it disables both cache reads
-    and cache writes even when a directory is supplied. ``chaos`` may be
-    a :class:`ChaosConfig` or a ``--chaos``-style comma list.
+    Any field may be passed by name; a None value keeps the field's
+    default. ``cache_dir`` opens a :class:`ResultCache` unless ``cache``
+    is given; ``no_cache`` wins over both, disabling cache reads and
+    writes even when a directory is supplied. ``retries`` and
+    ``trial_timeout`` override the corresponding :class:`RetryPolicy`
+    fields, and ``chaos`` may be a :class:`ChaosConfig` or a
+    ``--chaos``-style comma list (seeded by ``chaos_seed``).
     """
-    cache = None
-    if cache_dir is not None and not no_cache:
-        cache = ResultCache(cache_dir)
-    policy = RetryPolicy(
-        retries=RetryPolicy.retries if retries is None else retries,
-        trial_timeout=trial_timeout,
-    )
-    if isinstance(chaos, str):
-        chaos = ChaosConfig.parse(chaos, seed=chaos_seed)
-    return set_runtime(RuntimeContext(
-        jobs=jobs, cache=cache, policy=policy, chaos=chaos,
-        checkpoint_dir=None if checkpoint_dir is None
-        else Path(checkpoint_dir),
-        resume=resume, static_filter=static_filter,
-        batch_strikes=batch_strikes, service=service,
-        service_timeout=service_timeout,
-        mbu_preset=mbu_preset, ecc_scheme=ecc_scheme))
+    settings = {name: value for name, value in settings.items()
+                if value is not None}
+    if no_cache:
+        settings.pop("cache", None)
+    elif cache_dir is not None and "cache" not in settings:
+        settings["cache"] = ResultCache(cache_dir)
+    overrides = {name: value for name, value in (
+        ("retries", retries), ("trial_timeout", trial_timeout))
+        if value is not None}
+    if overrides:
+        settings["policy"] = replace(
+            settings.get("policy") or RetryPolicy(), **overrides)
+    if isinstance(settings.get("chaos"), str):
+        settings["chaos"] = ChaosConfig.parse(settings["chaos"],
+                                              seed=chaos_seed)
+    return RuntimeContext(**settings)
+
+
+def configure(**settings: Any) -> RuntimeContext:
+    """Build and install a context (see :func:`_build` for the knobs)."""
+    return set_runtime(_build(**settings))
 
 
 @contextmanager
-def use_runtime(
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    cache_dir: Optional[Union[str, Path]] = None,
-    no_cache: bool = False,
-    telemetry: Optional[Telemetry] = None,
-    policy: Optional[RetryPolicy] = None,
-    chaos: Optional[ChaosConfig] = None,
-    checkpoint_dir: Optional[Union[str, Path]] = None,
-    resume: bool = False,
-    static_filter: bool = True,
-    batch_strikes: bool = True,
-    service: Optional[str] = None,
-    service_timeout: Optional[float] = None,
-    mbu_preset: Optional[str] = None,
-    ecc_scheme: Optional[str] = None,
-) -> Iterator[RuntimeContext]:
-    """Scoped context install; restores the previous context on exit."""
-    if cache is None and cache_dir is not None and not no_cache:
-        cache = ResultCache(cache_dir)
-    if no_cache:
-        cache = None
-    context = RuntimeContext(jobs=jobs, cache=cache,
-                             telemetry=telemetry or Telemetry(),
-                             policy=policy or RetryPolicy(),
-                             chaos=chaos,
-                             checkpoint_dir=checkpoint_dir,
-                             resume=resume,
-                             static_filter=static_filter,
-                             batch_strikes=batch_strikes,
-                             service=service,
-                             service_timeout=service_timeout,
-                             mbu_preset=mbu_preset,
-                             ecc_scheme=ecc_scheme)
+def use_runtime(**settings: Any) -> Iterator[RuntimeContext]:
+    """Scoped :func:`configure`; restores the previous context on exit."""
+    context = _build(**settings)
     previous = get_runtime()
     set_runtime(context)
     try:

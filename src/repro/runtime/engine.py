@@ -15,22 +15,17 @@ anyway (counter sums, ordered result lists).
 Failure handling lives in :mod:`repro.runtime.resilience`: every fan-out
 here runs under a :class:`~repro.runtime.resilience.Supervisor` that
 classifies failures, retries with backoff, enforces watchdog deadlines,
-and rebuilds the pool when workers die.
+and rebuilds the pool when workers die. Campaign trials fan out through
+:func:`repro.runtime.resilience.execute_campaign`.
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.runtime.chaos import ChaosConfig, ChaosInjector
-from repro.runtime.resilience import (
-    RetryPolicy,
-    SupervisedTask,
-    Supervisor,
-    execute_campaign,
-)
+from repro.runtime.resilience import RetryPolicy, SupervisedTask, Supervisor
 from repro.runtime.telemetry import Telemetry
 
 
@@ -52,31 +47,6 @@ def shard_trials(trials: int, shards: int) -> List[range]:
         blocks.append(range(start, start + size))
         start += size
     return blocks
-
-
-def run_campaign_parallel(
-    program,
-    baseline,
-    pipeline_result,
-    config,
-    jobs: int,
-    telemetry: Optional[Telemetry] = None,
-    policy: Optional[RetryPolicy] = None,
-    journal=None,
-    chaos: Optional[ChaosConfig] = None,
-    batch_strikes: bool = True,
-) -> Tuple[Counter, int]:
-    """Fan campaign trials out over ``jobs`` supervised worker processes.
-
-    Thin wrapper over :func:`repro.runtime.resilience.execute_campaign`
-    kept for API continuity; the full return (including the
-    :class:`CompletenessReport`) is available from ``execute_campaign``.
-    """
-    counts, tracker_misses, _, _ = execute_campaign(
-        program, baseline, pipeline_result, config, jobs,
-        policy=policy, telemetry=telemetry, journal=journal, chaos=chaos,
-        batch_strikes=batch_strikes)
-    return counts, tracker_misses
 
 
 def _worker_counters(context) -> dict:

@@ -539,26 +539,21 @@ def plan_blocks(spans: Sequence[Tuple[int, int]], jobs: int,
 def shard_worker(program, baseline, pipeline_result, config,
                  start: int, stop: int,
                  chaos_config: Optional[ChaosConfig],
-                 cache_dir: Optional[str], static_filter: bool,
-                 strikes, attempt: int):
+                 cache_dir: Optional[str], attempt: int):
     """Classify trials ``[start, stop)`` under optional chaos injection.
 
-    Runs in a worker process (or inline when serial). Builds a
-    campaign-scoped :class:`~repro.faults.injector.StrikeEvaluator` —
-    preloading its effect oracle from the persistent cache when
-    ``cache_dir`` is given — and returns ``(counts dict, tracker_misses,
-    elapsed_seconds, oracle new-entry dict, oracle counter dict)``; the
-    parent merges the last two so no re-execution is ever repeated in a
-    later run.
-
-    ``strikes`` (a pre-drawn :class:`~repro.faults.batch.StrikeBatch`
-    slice covering the shard, or None for per-trial sampling) selects
-    the vectorised classification path; retry and quarantine still
-    operate on trial indices either way, because a batch slice is a pure
+    Runs in a worker process (or inline when serial). Builds the
+    shard's :class:`~repro.faults.batch.StrikeClassifier` — preloading
+    its effect oracle from the persistent cache when ``cache_dir`` is
+    given — draws and classifies the shard's strikes, and returns
+    ``(counts dict, tracker_misses, elapsed_seconds, oracle new-entry
+    dict, counter dict)``; the parent merges the last two so no
+    re-execution is ever repeated in a later run. Retry and quarantine
+    operate on trial indices, because a shard's strikes are a pure
     function of the indices it covers.
     """
+    from repro.faults.batch import StrikeClassifier
     from repro.faults.campaign import run_trial_block
-    from repro.faults.injector import StrikeEvaluator
     from repro.faults.oracle import load_persisted, oracle_cache_key
 
     injector = ChaosInjector(chaos_config) if chaos_config else None
@@ -572,39 +567,25 @@ def shard_worker(program, baseline, pipeline_result, config,
             injector.maybe_delay(("trial", index))
             injector.maybe_raise(("trial", index), attempt)
 
-    evaluator = StrikeEvaluator(
-        program, baseline,
-        parity=config.parity, tracking=config.tracking,
-        pet_entries=config.pet_entries, ecc=config.ecc,
-        scheme=getattr(config, "scheme", None),
-        static_filter=static_filter)
+    classifier = StrikeClassifier(program, baseline, pipeline_result, config)
     if cache_dir is not None:
         from repro.runtime.cache import ResultCache
 
-        evaluator.oracle.preload(load_persisted(
+        classifier.oracle.preload(load_persisted(
             ResultCache(cache_dir), oracle_cache_key(program)))
-
-    classifier = None
-    if strikes is not None:
-        from repro.faults.batch import BatchClassifier
-
-        classifier = BatchClassifier(evaluator, pipeline_result)
 
     began = time.perf_counter()
     counts, tracker_misses = run_trial_block(
         program, baseline, pipeline_result, config, start, stop,
-        on_trial=on_trial, evaluator=evaluator, strikes=strikes,
-        classifier=classifier)
-    stats = evaluator.oracle.counters()
-    if classifier is not None:
-        stats.update(classifier.counters())
-    if (getattr(config, "scheme", None) is not None
-            or getattr(config, "mbu_preset", None) is not None):
+        on_trial=on_trial, classifier=classifier)
+    stats = classifier.oracle.counters()
+    stats.update(classifier.counters())
+    if config.scheme is not None or config.mbu_preset is not None:
         # Legacy single-bit campaigns skip the merge so their telemetry
         # dumps stay byte-identical to pre-MBU runs.
-        stats.update(evaluator.burst_counters())
+        stats.update(classifier.burst_counters())
     return (dict(counts), tracker_misses, time.perf_counter() - began,
-            evaluator.oracle.new_entries(), stats)
+            classifier.oracle.new_entries(), stats)
 
 
 def validate_shard(value: Any, task: SupervisedTask) -> None:
@@ -644,8 +625,6 @@ def execute_campaign(
     journal=None,
     chaos: Optional[ChaosConfig] = None,
     cache_dir: Optional[str] = None,
-    static_filter: bool = True,
-    batch_strikes: bool = True,
 ) -> Tuple[Counter, int, CompletenessReport, Dict[Tuple[int, int], str]]:
     """Run a campaign under full supervision.
 
@@ -657,12 +636,9 @@ def execute_campaign(
     oracle_new)`` where ``oracle_new`` is the union of effect-oracle
     entries the shards computed (for the caller to persist).
 
-    With ``batch_strikes`` the whole campaign's strikes are drawn once
-    up front (:func:`~repro.faults.batch.draw_strike_batch`) and shard
-    tuples carry array slices; tallies, cache keys, and oracle counters
-    are bit-identical to per-trial sampling. A degenerate pipeline
-    result that cannot be sampled falls back to the scalar path so its
-    failure surfaces through the usual per-shard taxonomy.
+    Each shard draws its own trials' strikes, so a degenerate pipeline
+    result that cannot be sampled fails inside every shard as a
+    :class:`TrialCrash` and ends in the quarantine report.
 
     A corrupt journal is discarded (counted in telemetry) and the
     campaign restarts from zero — never trust, always re-derive.
@@ -705,24 +681,6 @@ def execute_campaign(
 
     blocks = plan_blocks(remaining, jobs, fine=journal is not None)
 
-    batch = None
-    if batch_strikes and blocks:
-        from repro.faults.batch import draw_strike_batch
-
-        lo = min(start for start, _ in blocks)
-        hi = max(stop for _, stop in blocks)
-        try:
-            batch = draw_strike_batch(pipeline_result, config,
-                                      program.name, lo, hi)
-        except KeyboardInterrupt:
-            raise
-        except Exception:
-            # Unsampleable pipeline result (e.g. empty entry-cycle
-            # space): let the scalar path raise the identical error
-            # inside the shards, where retry/quarantine accounting
-            # already knows what to do with it.
-            batch = None
-
     def on_result(index: int, task: SupervisedTask, value) -> None:
         nonlocal tracker_misses
         shard_counts, shard_misses, seconds, shard_oracle, oracle_stats = value
@@ -744,8 +702,7 @@ def execute_campaign(
             SupervisedTask(
                 fn=shard_worker,
                 args=(program, baseline, pipeline_result, config,
-                      start, stop, chaos, cache_dir, static_filter,
-                      None if batch is None else batch.slice(start, stop)),
+                      start, stop, chaos, cache_dir),
                 items=stop - start, key=(start, stop), deadline=True)
             for start, stop in spans
         ]

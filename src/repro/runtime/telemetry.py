@@ -216,7 +216,7 @@ class Telemetry:
 
         ``vector kills`` are trials the array pass resolved outright
         (never-read, ECC-corrected, wrong-path); ``scalar kills`` are
-        committed-read survivors the bit-matrix masks or the oracle memo
+        committed-read survivors the kill masks or the oracle memo
         settled without re-execution; the rest re-executed.
         """
         c = self.counters

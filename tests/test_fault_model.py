@@ -1,14 +1,15 @@
-"""Strike-sampling tests."""
+"""Strike-sampling tests (of the per-trial reference sampler, which the
+batch drawer is checked against in ``tests/test_strike_batching.py``)."""
 
 import pytest
 
-from repro.faults.model import Strike, StrikeModel
 from repro.isa.encoding import ENCODING_BITS
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.pipeline.iq import OccupancyInterval, OccupantKind
 from repro.pipeline.result import PipelineResult
 from repro.util.rng import DeterministicRng
+from tests.strike_reference import StrikeModel
 
 
 def make_result(intervals, cycles=100, entries=4):

@@ -1,22 +1,23 @@
-"""Single-strike evaluation tests."""
+"""Single-strike evaluation tests.
+
+Corruption and re-execution are the production ground truth; the
+one-strike classifications run through the per-trial reference
+(``tests/strike_reference.py``) that the campaign classifier is
+differentially checked against.
+"""
 
 import pytest
 
 from repro.arch.executor import FunctionalSimulator
 from repro.due.outcomes import FaultOutcome
 from repro.due.tracking import TrackingLevel
-from repro.faults.injector import (
-    StrikeVerdict,
-    architectural_effect,
-    corrupt_instruction,
-    evaluate_strike,
-)
-from repro.faults.model import Strike
+from repro.faults.injector import architectural_effect, corrupt_instruction
 from repro.isa.encoding import Field, field_bits
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.pipeline.iq import OccupancyInterval, OccupantKind
 from tests.helpers import I, program
+from tests.strike_reference import Strike, evaluate_strike
 
 R3_BIT = next(iter(field_bits(Field.R3)))
 IMM_BIT = next(iter(field_bits(Field.IMM7)))

@@ -192,31 +192,13 @@ class TestEdgeCases:
 
 
 class TestBreakdownPaths:
-    """The three breakdown integrators are interchangeable."""
+    """Breakdowns read the timeline columns without materialising
+    interval objects."""
 
     @pytest.fixture(scope="class")
     def fast_result(self, small_program, small_execution, squash_machine):
         return PipelineSimulator(small_program, small_execution.trace,
                                  squash_machine, seed=TEST_SEED).run()
-
-    def test_python_fallback_matches_numpy(self, fast_result, small_deadness,
-                                           monkeypatch):
-        import repro.avf.occupancy as occ
-
-        for policy in AccountingPolicy:
-            vectorised = compute_breakdown(fast_result, small_deadness,
-                                           policy)
-            monkeypatch.setattr(occ, "_np", None)
-            fallback = compute_breakdown(fast_result, small_deadness, policy)
-            monkeypatch.undo()
-            assert vectorised.ace_bit_cycles == fallback.ace_bit_cycles
-            assert vectorised.unace_bit_cycles == fallback.unace_bit_cycles
-            assert (vectorised.fdd_distance_weights
-                    == fallback.fdd_distance_weights)
-            assert (vectorised.resident_bit_cycles
-                    == fallback.resident_bit_cycles)
-            assert vectorised.unread_bit_cycles == fallback.unread_bit_cycles
-            assert vectorised.ex_ace_bit_cycles == fallback.ex_ace_bit_cycles
 
     def test_timeline_requires_deadness(self, fast_result):
         with pytest.raises(ValueError):

@@ -4,13 +4,14 @@ The MBU tier extends three contracts at once, and each gets its own
 proof here:
 
 * golden — for every ``TrackingLevel`` x ``EccScheme`` combination
-  (plus the unprotected multi-bit queue), a pinned-seed campaign
-  classified through the batched path must produce the same tallies,
-  tracker misses, burst counters, confidence intervals, and oracle
-  accounting as the scalar per-trial loop, on both the plain and the
+  and every ``EccScheme`` x MBU preset (plus the unprotected multi-bit
+  queue), a pinned-seed campaign classified by the production path
+  must produce the same tallies, tracker misses, burst counters,
+  confidence intervals, and oracle accounting as the per-trial
+  reference (``tests/strike_reference.py``), on both the plain and the
   squash-heavy pipeline — mirroring ``test_strike_batching.py``;
-* stream equivalence — hypothesis properties that the batched drawer
-  replays the scalar ``sample`` + ``extend_strike`` draw sequence
+* stream equivalence — hypothesis properties that the batch drawer
+  replays the reference ``sample`` + ``extend_strike`` draw sequence
   bit-for-bit for any seed, preset, and ``--jobs N`` sharding, and that
   single-bit campaigns draw zero extra randomness;
 * ECC soundness — the ``classify_burst`` action table checked against
@@ -18,10 +19,8 @@ proof here:
   mask of weight <= 3, plus the pattern-code/canonical-mask bijection
   the vectorised classifier relies on;
 * lattice endpoints — ``scheme=PARITY`` / ``scheme=SEC`` reproduce the
-  legacy ``parity`` / ``ecc`` booleans verdict-for-verdict on identical
-  strikes;
-* fallback parity — the pure-Python path (NumPy absent) reproduces the
-  NumPy batches and tallies column-for-column, mask columns included.
+  legacy ``parity`` / ``ecc`` booleans tally-for-tally on identical
+  strikes.
 
 Plus the FIT projection algebra, the design-space sweep exhibit's
 byte-stability across worker counts, telemetry/CLI wiring, and the
@@ -36,7 +35,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.faults.batch as batch_mod
 from repro.avf.fit import (
     DEFAULT_STRUCTURE_BITS,
     ENV_MULTIPLIER,
@@ -50,7 +48,6 @@ from repro.avf.fit import (
     scheme_fit_cells,
 )
 from repro.cli import build_parser, main
-from repro.due.outcomes import FaultOutcome
 from repro.due.tracking import (
     CHECK_BITS,
     SCHEME_LADDER,
@@ -61,34 +58,40 @@ from repro.due.tracking import (
 )
 from repro.experiments import fitsweep
 from repro.experiments.common import ExperimentSettings, clear_caches
-from repro.faults.batch import BatchClassifier, StrikeBatch, draw_strike_batch
-from repro.faults.campaign import (
-    CampaignConfig,
-    CampaignResult,
-    run_campaign,
-    run_trial_block,
-    trial_seed,
+from repro.faults.batch import (
+    StrikeBatch,
+    StrikeClassifier,
+    draw_strike_batch,
+    empty_space_message,
 )
-from repro.faults.injector import StrikeEvaluator
+from repro.faults.campaign import CampaignConfig, run_campaign, trial_seed
 from repro.faults.mbu import (
     CANONICAL_MASKS,
     PMF_RESOLUTION,
     PRESETS,
     BurstPattern,
     MbuPreset,
-    draw_second_bit,
-    extend_strike,
     get_preset,
     mask_for,
     representative_bit,
 )
-from repro.faults.model import Strike, StrikeModel, empty_space_message
 from repro.faults.oracle import EffectOracle
 from repro.isa.encoding import ENCODING_BITS, Field, field_bits
 from repro.runtime.context import get_runtime, reset_runtime, use_runtime
 from repro.runtime.engine import shard_trials
 from repro.runtime.telemetry import Telemetry
 from repro.util.rng import DeterministicRng
+from tests.strike_reference import (
+    Strike,
+    StrikeModel,
+    assert_matches_reference,
+    draw_second_bit,
+    extend_strike,
+    production_block,
+    reference_block,
+    sample_strike,
+    sub_batch,
+)
 
 PRESET_NAMES = tuple(sorted(PRESETS))
 
@@ -108,30 +111,6 @@ def _config_id(config):
     return f"{scheme}-{config.tracking.name.lower()}"
 
 
-def _evaluator(prog, baseline, config, **kwargs):
-    return StrikeEvaluator(
-        prog, baseline, parity=config.parity, tracking=config.tracking,
-        pet_entries=config.pet_entries, ecc=config.ecc,
-        scheme=config.scheme, **kwargs)
-
-
-def _scalar_block(prog, baseline, pipeline, config):
-    evaluator = _evaluator(prog, baseline, config)
-    counts, misses = run_trial_block(prog, baseline, pipeline, config,
-                                     0, config.trials, evaluator=evaluator)
-    return counts, misses, evaluator
-
-
-def _batched_block(prog, baseline, pipeline, config, **eval_kwargs):
-    evaluator = _evaluator(prog, baseline, config, **eval_kwargs)
-    batch = draw_strike_batch(pipeline, config, prog.name, 0, config.trials)
-    classifier = BatchClassifier(evaluator, pipeline)
-    counts, misses = run_trial_block(prog, baseline, pipeline, config,
-                                     0, config.trials, evaluator=evaluator,
-                                     strikes=batch, classifier=classifier)
-    return counts, misses, evaluator, classifier
-
-
 class TestGoldenDifferential:
     """Batched MBU campaigns are bit-identical to the scalar loop for
     every protection point of the lattice."""
@@ -139,32 +118,8 @@ class TestGoldenDifferential:
     @pytest.mark.parametrize("config", _mbu_configs(), ids=_config_id)
     def test_batched_matches_scalar(self, config, small_program,
                                     small_execution, small_pipeline):
-        sc, sm, s_eval = _scalar_block(small_program, small_execution,
-                                       small_pipeline, config)
-        bc, bm, b_eval, classifier = _batched_block(
-            small_program, small_execution, small_pipeline, config)
-        assert bc == sc
-        assert bm == sm
-        # Burst accounting (multi-bit draws + decoder actions) and
-        # oracle accounting must be indistinguishable.
-        assert b_eval.burst_counters() == s_eval.burst_counters()
-        assert b_eval.oracle.counters() == s_eval.oracle.counters()
-        assert b_eval.oracle.new_entries() == s_eval.oracle.new_entries()
-        scalar_result = CampaignResult(config=config, counts=Counter(sc),
-                                       tracker_misses=sm)
-        batched_result = CampaignResult(config=config, counts=Counter(bc),
-                                        tracker_misses=bm)
-        for name in ("sdc_avf_estimate", "due_avf_estimate",
-                     "corrected_estimate", "residual_uncorrectable_estimate"):
-            assert (getattr(batched_result, name)
-                    == getattr(scalar_result, name))
-        for outcome in FaultOutcome:
-            assert (batched_result.rate_confidence(outcome)
-                    == scalar_result.rate_confidence(outcome))
-        stats = classifier.counters()
-        assert stats["batch_trials"] == config.trials
-        assert (stats["batch_vector_kills"] + stats["batch_scalar_kills"]
-                + stats["batch_reexecutions"]) == config.trials
+        assert_matches_reference(small_program, small_execution,
+                                 small_pipeline, config)
 
     @pytest.mark.parametrize("config", [
         CampaignConfig(trials=40, seed=77, scheme=scheme,
@@ -176,14 +131,22 @@ class TestGoldenDifferential:
     def test_batched_matches_scalar_on_squash_pipeline(
             self, config, small_program, small_execution, squash_pipeline):
         """Squash-heavy pipelines exercise the wrong-path DETECT/ESCAPE
-        branches the vector pass classifies without the oracle."""
-        sc, sm, s_eval = _scalar_block(small_program, small_execution,
-                                       squash_pipeline, config)
-        bc, bm, b_eval, _ = _batched_block(
-            small_program, small_execution, squash_pipeline, config)
-        assert (bc, bm) == (sc, sm)
-        assert b_eval.burst_counters() == s_eval.burst_counters()
-        assert b_eval.oracle.counters() == s_eval.oracle.counters()
+        branches the array pass classifies without the oracle."""
+        assert_matches_reference(small_program, small_execution,
+                                 squash_pipeline, config)
+
+    @pytest.mark.parametrize("pipeline", ["small_pipeline",
+                                          "squash_pipeline"])
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    @pytest.mark.parametrize("scheme", list(SCHEME_LADDER) + [None],
+                             ids=lambda s: "none" if s is None else s.value)
+    def test_every_scheme_and_preset(self, scheme, preset, pipeline,
+                                     request, small_program,
+                                     small_execution):
+        config = CampaignConfig(trials=40, seed=78, scheme=scheme,
+                                mbu_preset=preset)
+        assert_matches_reference(small_program, small_execution,
+                                 request.getfixturevalue(pipeline), config)
 
     def test_campaign_actually_draws_bursts(self, small_program,
                                             small_execution, small_pipeline):
@@ -192,9 +155,9 @@ class TestGoldenDifferential:
         would be a broken sampler, not luck."""
         config = CampaignConfig(trials=40, seed=77, scheme=EccScheme.TAEC,
                                 mbu_preset="space")
-        _, _, evaluator = _scalar_block(small_program, small_execution,
-                                        small_pipeline, config)
-        counters = evaluator.burst_counters()
+        _, _, classifier = production_block(small_program, small_execution,
+                                            small_pipeline, config)
+        counters = classifier.burst_counters()
         assert counters["mbu_multi_bit"] > 0
         assert (counters["ecc_corrected"] + counters["ecc_detected"]
                 + counters["ecc_escaped"]) > 0
@@ -204,9 +167,9 @@ class TestGoldenDifferential:
         """No scheme, only bursts: the multi-bit draw counter ticks but
         no decoder action can be claimed."""
         config = CampaignConfig(trials=40, seed=77, mbu_preset="space")
-        _, _, evaluator = _scalar_block(small_program, small_execution,
-                                        small_pipeline, config)
-        counters = evaluator.burst_counters()
+        _, _, classifier = production_block(small_program, small_execution,
+                                            small_pipeline, config)
+        counters = classifier.burst_counters()
         assert counters["mbu_multi_bit"] > 0
         assert counters["ecc_corrected"] == 0
         assert counters["ecc_detected"] == 0
@@ -220,15 +183,14 @@ class TestGoldenDifferential:
         with use_runtime(jobs=3):
             sharded = run_campaign(small_program, small_execution,
                                    small_pipeline, config)
-        with use_runtime(batch_strikes=False):
-            scalar = run_campaign(small_program, small_execution,
-                                  small_pipeline, config)
-        assert sharded.counts == scalar.counts
-        assert sharded.tracker_misses == scalar.tracker_misses
+        counts, misses, _ = reference_block(small_program, small_execution,
+                                            small_pipeline, config)
+        assert sharded.counts == counts
+        assert sharded.tracker_misses == misses
 
 
 class TestBurstStreamEquivalence:
-    """The batched drawer replays the scalar sample+extend draw stream."""
+    """The batch drawer replays the reference sample+extend draw stream."""
 
     @given(seed=st.integers(min_value=0, max_value=2 ** 16),
            jobs=st.integers(min_value=1, max_value=8),
@@ -254,13 +216,13 @@ class TestBurstStreamEquivalence:
             else:
                 assert full.mask[index] != 0
         # Any --jobs N sharding: a shard's independent draw equals the
-        # corresponding slice of the whole-campaign batch, mask and
+        # corresponding rows of the whole-campaign batch, mask and
         # pattern columns included.
         for block in shard_trials(config.trials, jobs):
             shard = draw_strike_batch(small_pipeline, config,
                                       small_program.name,
                                       block.start, block.stop)
-            assert shard == full.slice(block.start, block.stop)
+            assert shard == sub_batch(full, block.start, block.stop)
 
     @given(seed=st.integers(min_value=0, max_value=2 ** 16))
     @settings(max_examples=8, deadline=None)
@@ -430,44 +392,52 @@ class TestEccSoundness:
 class TestLatticeEndpoints:
     """scheme=PARITY / scheme=SEC reproduce the legacy booleans."""
 
+    @staticmethod
+    def _classify_both(legacy, lattice, program, baseline, pipeline):
+        """Both configs' classifiers on the legacy config's strikes (the
+        campaign seeds fork on the ``parity`` flag, so the comparison
+        must share one batch)."""
+        batch = draw_strike_batch(pipeline, legacy, program.name, 0,
+                                  legacy.trials)
+        return [StrikeClassifier(program, baseline, pipeline,
+                                 config).classify(batch)
+                for config in (legacy, lattice)]
+
     @pytest.mark.parametrize("tracking", list(TrackingLevel),
                              ids=[t.name.lower() for t in TrackingLevel])
     def test_scheme_parity_matches_legacy_parity(self, tracking,
                                                  small_program,
                                                  small_execution,
                                                  small_pipeline):
-        """On identical single-bit strikes (campaign seeds fork on the
-        ``parity`` flag, so the comparison must be evaluator-level), the
-        PARITY lattice point is verdict-for-verdict the legacy path."""
-        legacy = StrikeEvaluator(small_program, small_execution,
-                                 parity=True, tracking=tracking)
-        lattice = StrikeEvaluator(small_program, small_execution,
-                                  scheme=EccScheme.PARITY, tracking=tracking)
-        sampler = StrikeModel(small_pipeline)
-        rng = DeterministicRng(1234)
-        for _ in range(120):
-            strike = sampler.sample(rng)
-            assert lattice.evaluate(strike) == legacy.evaluate(strike)
+        """On identical single-bit strikes the PARITY lattice point is
+        tally-for-tally the legacy path."""
+        legacy, lattice = self._classify_both(
+            CampaignConfig(trials=120, seed=1234, parity=True,
+                           tracking=tracking),
+            CampaignConfig(trials=120, seed=1234, scheme=EccScheme.PARITY,
+                           tracking=tracking),
+            small_program, small_execution, small_pipeline)
+        assert lattice == legacy
 
     def test_scheme_sec_matches_legacy_ecc(self, small_program,
                                            small_execution, small_pipeline):
-        legacy = StrikeEvaluator(small_program, small_execution, ecc=True)
-        lattice = StrikeEvaluator(small_program, small_execution,
-                                  scheme=EccScheme.SEC)
-        sampler = StrikeModel(small_pipeline)
-        rng = DeterministicRng(99)
-        for _ in range(120):
-            strike = sampler.sample(rng)
-            assert lattice.evaluate(strike) == legacy.evaluate(strike)
+        legacy, lattice = self._classify_both(
+            CampaignConfig(trials=120, seed=99, ecc=True),
+            CampaignConfig(trials=120, seed=99, scheme=EccScheme.SEC),
+            small_program, small_execution, small_pipeline)
+        assert lattice == legacy
 
     def test_scheme_excludes_legacy_flags(self, small_program,
-                                          small_execution):
+                                          small_execution, small_pipeline):
+        """No classifier can be built for a scheme plus a legacy flag:
+        the config it is built from refuses the combination."""
         with pytest.raises(ValueError, match="lattice"):
-            StrikeEvaluator(small_program, small_execution,
-                            parity=True, scheme=EccScheme.PARITY)
+            StrikeClassifier(small_program, small_execution, small_pipeline,
+                             CampaignConfig(parity=True,
+                                            scheme=EccScheme.PARITY))
         with pytest.raises(ValueError, match="lattice"):
-            StrikeEvaluator(small_program, small_execution,
-                            ecc=True, scheme=EccScheme.SEC)
+            StrikeClassifier(small_program, small_execution, small_pipeline,
+                             CampaignConfig(ecc=True, scheme=EccScheme.SEC))
 
 
 class TestRepresentativeBit:
@@ -518,58 +488,22 @@ class TestMaskOracleSoundness:
 
     def test_static_mask_filter_is_sound(self, small_program,
                                          small_execution, small_pipeline):
-        """Filtered and unfiltered evaluators agree on every burst
-        outcome: whatever the conjunction filters would also have been
-        benign under re-execution."""
+        """Every drawn burst the conjunction filters re-executes to
+        "none": whatever the filter kills was benign anyway."""
         config = CampaignConfig(trials=150, seed=5, mbu_preset="space")
-        filtered = StrikeEvaluator(small_program, small_execution)
-        unfiltered = StrikeEvaluator(small_program, small_execution,
-                                     static_filter=False)
+        oracle = EffectOracle(small_program, small_execution)
         sampler = StrikeModel(small_pipeline)
-        preset = get_preset("space")
+        killed = 0
         for index in range(config.trials):
-            rng = DeterministicRng(
-                trial_seed(config, small_program.name, index))
-            strike = extend_strike(sampler.sample(rng), rng, preset)
-            assert (filtered.evaluate(strike).outcome
-                    == unfiltered.evaluate(strike).outcome)
-        assert filtered.oracle.static_kills > 0
-        assert unfiltered.oracle.static_kills == 0
-
-
-class TestFallbackParity:
-    """The pure-Python drawer/classifier path is exercised and identical."""
-
-    @pytest.mark.parametrize("config", [
-        CampaignConfig(trials=40, seed=13, scheme=EccScheme.TAEC,
-                       tracking=TrackingLevel.PI_COMMIT,
-                       mbu_preset="space"),
-        CampaignConfig(trials=40, seed=13, scheme=EccScheme.SEC_DED,
-                       mbu_preset="terrestrial"),
-        CampaignConfig(trials=40, seed=13, mbu_preset="avionics"),
-    ], ids=["taec-pi-commit", "sec-ded", "unprotected"])
-    def test_python_fallback_matches_numpy(self, monkeypatch, config,
-                                           small_program, small_execution,
-                                           small_pipeline):
-        with_np = _batched_block(small_program, small_execution,
-                                 small_pipeline, config)
-        numpy_batch = draw_strike_batch(small_pipeline, config,
-                                        small_program.name, 0,
-                                        config.trials)
-        monkeypatch.setattr(batch_mod, "_np", None)
-        fallback_batch = draw_strike_batch(small_pipeline, config,
-                                           small_program.name, 0,
-                                           config.trials)
-        assert fallback_batch == numpy_batch
-        without_np = _batched_block(small_program, small_execution,
-                                    small_pipeline, config)
-        assert without_np[0] == with_np[0]
-        assert without_np[1] == with_np[1]
-        assert (without_np[2].burst_counters()
-                == with_np[2].burst_counters())
-        assert (without_np[2].oracle.counters()
-                == with_np[2].oracle.counters())
-        assert without_np[3].counters() == with_np[3].counters()
+            strike = sample_strike(sampler, config, small_program.name,
+                                   index)
+            if strike.interval is None or strike.interval.seq is None:
+                continue
+            seq, burst = strike.interval.seq, strike.burst_mask
+            if oracle.classify_static_mask(seq, burst) is not None:
+                assert oracle.reexecute(seq, burst) == "none", (seq, burst)
+                killed += 1
+        assert killed > 0
 
 
 class TestStrikeBatchMbuColumns:
@@ -584,10 +518,11 @@ class TestStrikeBatchMbuColumns:
         config = CampaignConfig(trials=20, seed=1, mbu_preset="space")
         batch = draw_strike_batch(small_pipeline, config,
                                   small_program.name, 0, 20)
-        part = batch.slice(5, 12)
+        part = draw_strike_batch(small_pipeline, config,
+                                 small_program.name, 5, 12)
         assert list(part.mask) == list(batch.mask[5:12])
         assert list(part.pattern) == list(batch.pattern[5:12])
-        assert part == batch.slice(5, 12)
+        assert part == sub_batch(batch, 5, 12)
         assert part != batch
 
     def test_mbu_batch_differs_from_plain_batch(self, small_program,
@@ -611,8 +546,7 @@ class TestEmptySpaceDiagnostic:
         assert "empty entry-cycle space" in message
         assert "[crafty/ooo-l0]" in message
         assert f"{empty.iq_entries} entries x 0 cycles" in message
-        # Label-less call sites (direct StrikeModel construction) keep
-        # the legacy unlabelled message.
+        # Label-less call sites keep the unlabelled message.
         assert "[" not in empty_space_message(empty)
 
     def test_strike_model_raises_with_label(self, small_pipeline):

@@ -11,10 +11,10 @@ contract three ways:
   slow path (``architectural_effect``);
 * sampled — statically-killed points of the session workload are spot
   checked by re-execution;
-* end-to-end — campaign tallies from every fast-path configuration
-  (shared evaluator, static filter on/off, preloaded oracle) must equal
-  the seed-era per-trial loop across every tracking level, plus the
-  unprotected and ECC configurations.
+* end-to-end — campaign tallies from the production classifier (cold
+  and with a preloaded oracle) must equal the seed-era per-trial loop
+  (one throwaway evaluator per trial) across every tracking level, plus
+  the unprotected and ECC configurations.
 """
 
 from collections import Counter
@@ -24,18 +24,14 @@ import pytest
 from repro.arch.executor import FunctionalSimulator
 from repro.due.pi_bit import PiBitTracker
 from repro.due.tracking import TrackingLevel
+from repro.faults.batch import StrikeClassifier
 from repro.faults.campaign import (
     CampaignConfig,
     run_campaign,
     run_trial_block,
     trial_seed,
 )
-from repro.faults.injector import (
-    StrikeEvaluator,
-    architectural_effect,
-    evaluate_strike,
-)
-from repro.faults.model import StrikeModel
+from repro.faults.injector import architectural_effect
 from repro.faults.oracle import (
     EffectOracle,
     load_persisted,
@@ -50,6 +46,7 @@ from repro.runtime.context import use_runtime
 from repro.runtime.telemetry import Telemetry
 from repro.util.rng import DeterministicRng
 from tests.helpers import I, program
+from tests.strike_reference import StrikeModel, evaluate_strike
 
 R3_BIT = next(iter(field_bits(Field.R3)))
 IMM_BIT = next(iter(field_bits(Field.IMM7)))
@@ -122,7 +119,7 @@ class TestStaticFilterSoundness:
 class TestOracleMemo:
     def test_memo_serves_repeats_without_reexecution(self, rule_setup):
         prog, baseline = rule_setup
-        oracle = EffectOracle(prog, baseline, static_filter=False)
+        oracle = EffectOracle(prog, baseline)
         first = oracle.effect(0, IMM_BIT)
         second = oracle.effect(0, IMM_BIT)
         assert first == second == "sdc"
@@ -138,10 +135,12 @@ class TestOracleMemo:
         assert (oracle.static_kills, oracle.memo_hits) == (1, 1)
 
     def test_filter_off_reexecutes_inert_points(self, rule_setup):
+        """``reexecute`` bypasses the static filter and the memo."""
         prog, baseline = rule_setup
-        oracle = EffectOracle(prog, baseline, static_filter=False)
-        assert oracle.effect(1, IMM_BIT) == "none"
+        oracle = EffectOracle(prog, baseline)
+        assert oracle.reexecute(1, 1 << IMM_BIT) == "none"
         assert (oracle.executions, oracle.static_kills) == (1, 0)
+        assert oracle.new_entries() == {}
 
     def test_preload_serves_without_execution(self, rule_setup):
         prog, baseline = rule_setup
@@ -278,51 +277,22 @@ class TestGoldenEquivalence:
         golden = _seed_slow_path(small_program, small_execution,
                                  small_pipeline, config)
 
-        # Campaign-scoped evaluator, static filter on (the default path).
-        fast = run_trial_block(small_program, small_execution,
-                               small_pipeline, config, 0, config.trials)
-        assert fast == golden
-
-        # Static filter off: same tallies, more re-execution.
-        unfiltered = StrikeEvaluator(
-            small_program, small_execution, parity=config.parity,
-            tracking=config.tracking, pet_entries=config.pet_entries,
-            ecc=config.ecc, static_filter=False)
+        # The production classifier with a cold oracle.
+        donor = StrikeClassifier(small_program, small_execution,
+                                 small_pipeline, config)
         assert run_trial_block(small_program, small_execution,
                                small_pipeline, config, 0, config.trials,
-                               evaluator=unfiltered) == golden
+                               classifier=donor) == golden
 
         # Warm oracle (as after a persisted-cache load): zero execution.
-        donor = StrikeEvaluator(
-            small_program, small_execution, parity=config.parity,
-            tracking=config.tracking, pet_entries=config.pet_entries,
-            ecc=config.ecc)
-        run_trial_block(small_program, small_execution, small_pipeline,
-                        config, 0, config.trials, evaluator=donor)
-        warm_oracle = EffectOracle(small_program, small_execution)
-        warm_oracle.preload(donor.oracle.new_entries())
-        warm = StrikeEvaluator(
-            small_program, small_execution, parity=config.parity,
-            tracking=config.tracking, pet_entries=config.pet_entries,
-            ecc=config.ecc, oracle=warm_oracle)
+        warm = StrikeClassifier(small_program, small_execution,
+                                small_pipeline, config)
+        warm.oracle.preload(donor.oracle.new_entries())
         assert run_trial_block(small_program, small_execution,
                                small_pipeline, config, 0, config.trials,
-                               evaluator=warm) == golden
-        assert warm_oracle.executions == 0
-        assert warm_oracle.static_kills == 0
-
-    def test_run_campaign_identical_with_filter_off(
-            self, small_program, small_execution, small_pipeline):
-        config = CampaignConfig(trials=60, seed=11, parity=True,
-                                tracking=TrackingLevel.REG_PI)
-        with use_runtime():
-            fast = run_campaign(small_program, small_execution,
-                                small_pipeline, config)
-        with use_runtime(static_filter=False):
-            slow = run_campaign(small_program, small_execution,
-                                small_pipeline, config)
-        assert fast.counts == slow.counts
-        assert fast.tracker_misses == slow.tracker_misses
+                               classifier=warm) == golden
+        assert warm.oracle.executions == 0
+        assert warm.oracle.static_kills == 0
 
     def test_campaign_ticks_oracle_telemetry(
             self, small_program, small_execution, small_pipeline):

@@ -117,12 +117,12 @@ def snapshot_log(prog, baseline, **run_kwargs):
 def exhaustive(loop_setup):
     """Oracle and ground-truth verdicts for every strike point."""
     prog, baseline, _ = loop_setup
-    oracle = EffectOracle(prog, baseline, static_filter=False)
+    oracle = EffectOracle(prog, baseline)
     verdicts = {}
     for seq in range(len(baseline.trace)):
         for bit in range(ENCODING_BITS):
             verdicts[seq, bit] = (
-                oracle.effect(seq, bit),
+                oracle.reexecute(seq, 1 << bit),
                 architectural_effect(prog, baseline, seq, bit))
     return oracle, verdicts
 
@@ -256,12 +256,12 @@ class TestCorners:
     @pytest.fixture
     def oracle(self, loop_setup):
         prog, baseline, _ = loop_setup
-        return EffectOracle(prog, baseline, static_filter=False)
+        return EffectOracle(prog, baseline)
 
     def test_dead_value_flip_converges_early(self, loop_setup, oracle):
         prog, baseline, interval = loop_setup
         seq = seqs_at(baseline, PC_MOVI_CLEAR)[0]
-        assert oracle.effect(seq, IMM_BIT) == "none"
+        assert oracle.reexecute(seq, 1 << IMM_BIT) == "none"
         assert architectural_effect(prog, baseline, seq, IMM_BIT) == "none"
         assert oracle.converged == 1
         assert oracle.replayed_insts <= 2 * interval
@@ -280,7 +280,7 @@ class TestCorners:
         after = seq // interval + 1
         assert struck.snapshots[after:] == log.snapshots[after:]
         assert struck.outputs != log.outputs
-        assert oracle.effect(seq, IMM_BIT) == "sdc"
+        assert oracle.reexecute(seq, 1 << IMM_BIT) == "sdc"
         assert architectural_effect(prog, baseline, seq, IMM_BIT) == "sdc"
         assert oracle.converged == 0
 
@@ -296,7 +296,7 @@ class TestCorners:
         # Memory maps differ by a key holding 0: architecturally equal
         # (unmapped words read as 0), so the verdict is "none", but the
         # conservative dict comparison never lets the run exit early.
-        assert oracle.effect(seq, IMM_BIT) == "none"
+        assert oracle.reexecute(seq, 1 << IMM_BIT) == "none"
         assert architectural_effect(prog, baseline, seq, IMM_BIT) == "none"
         assert oracle.converged == 0
         # Replayed from the snapshot before the strike to the HALT.
@@ -314,7 +314,7 @@ class TestCorners:
         seq = next(s for s in seqs_at(baseline, PC_NOP_IN_F)
                    if s % interval > interval - 4)
         assert corrupt_burst(nop, mask) == I(Opcode.CALL, imm=1)
-        assert oracle.effect_mask(seq, mask) == "sdc"
+        assert oracle.reexecute(seq, mask) == "sdc"
         assert oracle.converged == 0
 
 
@@ -324,14 +324,14 @@ class TestCorners:
 def test_generated_programs_match_full_reexecution(profile, seed, data):
     prog = synthesize(profile, target_instructions=1000, seed=seed)
     baseline = FunctionalSimulator(prog).run()
-    oracle = EffectOracle(prog, baseline, static_filter=False)
+    oracle = EffectOracle(prog, baseline)
     simulator = FunctionalSimulator(prog, default_limits(baseline))
     signature = baseline.output_signature()
     seqs = st.integers(0, len(baseline.trace) - 1)
     for seq, bit in data.draw(st.lists(
             st.tuples(seqs, st.integers(0, ENCODING_BITS - 1)),
             min_size=20, max_size=20)):
-        assert oracle.effect(seq, bit) == architectural_effect(
+        assert oracle.reexecute(seq, 1 << bit) == architectural_effect(
             prog, baseline, seq, bit)
     for seq, mask in data.draw(st.lists(
             st.tuples(seqs, st.integers(1, (1 << ENCODING_BITS) - 1)),
@@ -339,7 +339,7 @@ def test_generated_programs_match_full_reexecution(profile, seed, data):
         corrupted = corrupt_burst(baseline.trace[seq].instruction, mask)
         full = simulator.run(record_trace=False, override_seq=seq,
                              override_instruction=corrupted)
-        assert oracle.effect_mask(seq, mask) == effect_of(full, signature)
+        assert oracle.reexecute(seq, mask) == effect_of(full, signature)
 
 
 class TestObservability:

@@ -19,6 +19,7 @@ from repro.faults.campaign import CampaignConfig, run_campaign
 from repro.pipeline.config import Trigger
 from repro.runtime.cache import MISS, ResultCache, cache_key
 from repro.runtime.context import configure, reset_runtime, use_runtime
+from repro.runtime.resilience import RetryPolicy
 from repro.workloads.profile import BenchmarkProfile
 
 CONFIG = CampaignConfig(trials=25, seed=6, parity=True)
@@ -219,6 +220,34 @@ class TestCampaignCaching:
             assert context.cache is not None
         finally:
             reset_runtime()
+
+    def test_settings_are_the_context_fields(self, tmp_path):
+        """``configure()`` and ``use_runtime()`` take every
+        ``RuntimeContext`` field by name plus the CLI-style knobs, and
+        nothing else."""
+        policy = RetryPolicy(retries=5)
+        with use_runtime(jobs=2, policy=policy, checkpoint_dir=tmp_path,
+                         resume=True, service="localhost:1",
+                         service_timeout=2.0, mbu_preset="space",
+                         ecc_scheme="dec") as context:
+            assert context.jobs == 2 and context.policy is policy
+            assert context.checkpoint_dir == tmp_path and context.resume
+            assert context.service == "localhost:1"
+            assert context.service_timeout == 2.0
+            assert (context.mbu_preset, context.ecc_scheme) == ("space",
+                                                                "dec")
+        try:
+            context = configure(retries=0, trial_timeout=1.5,
+                                chaos="kill-worker", chaos_seed=7)
+            assert (context.policy.retries,
+                    context.policy.trial_timeout) == (0, 1.5)
+            assert context.chaos.modes == ("kill-worker",)
+            assert context.chaos.seed == 7
+        finally:
+            reset_runtime()
+        for removed in ("static_filter", "batch_strikes"):
+            with pytest.raises(TypeError):
+                configure(**{removed: False})
 
 
 class TestExperimentCaching:

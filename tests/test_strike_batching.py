@@ -1,29 +1,29 @@
-"""Differential harness for the vectorised strike batcher.
+"""Differential harness for the strike classifier.
 
-The batcher's contract is the same as every other fast path in this
-repo: *bit-identical results*. These tests prove it four ways:
+Campaigns classify strikes along one production path: each trial range
+is drawn as a :class:`~repro.faults.batch.StrikeBatch` and classified by
+a :class:`~repro.faults.batch.StrikeClassifier`. These tests pin it
+against the per-trial reference in ``tests/strike_reference.py``:
 
-* golden — for every protection configuration (each ``TrackingLevel``
-  plus unprotected and ECC), a pinned-seed campaign classified through
-  the batched path must produce the same tallies, tracker misses,
-  confidence intervals, and oracle counters as the scalar per-trial
-  loop, on both the plain and the squash-heavy pipeline;
+* golden — for every ``TrackingLevel`` x {unprotected, parity, ECC}, a
+  pinned-seed campaign must produce the reference's tallies, tracker
+  misses, confidence intervals, oracle counters and oracle entries
+  (and zero burst counters), on both the plain and the squash-heavy
+  pipeline;
 * stream equivalence — a hypothesis property that the array sampler
   draws exactly the (interval, bit, cycle) sequence the per-trial
   ``derive_seed`` sampler draws, for any seed and any ``--jobs N``
   sharding of the index space;
 * mask soundness — every (instruction, bit) flip of a tiny program that
-  exercises all three static rules: the precomputed bit-matrix kills a
-  strike iff ``EffectOracle.classify_static`` kills it;
-* fallback parity — the pure-Python path (NumPy absent) reproduces the
-  NumPy results batch-for-batch and tally-for-tally.
+  exercises all three static rules: the precomputed kill masks kill a
+  strike iff ``EffectOracle.classify_static`` kills it.
 
-Plus the cache-key non-forking guarantee (a batched campaign's tally is
-served warm to a scalar run and vice versa) and a pinned regression for
-the mcf-181 OOO+L0 baseline pathology from ROADMAP.
+Plus the worker-count-independent cache key, the quarantine of a
+degenerate pipeline result, and a pinned regression for the mcf-181
+OOO+L0 baseline pathology from ROADMAP.
 """
 
-from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -31,24 +31,15 @@ from hypothesis import strategies as st
 
 import repro.faults.batch as batch_mod
 from repro.arch.executor import FunctionalSimulator
-from repro.cli import build_parser, main
+from repro.due.outcomes import FaultOutcome
 from repro.due.tracking import TrackingLevel
-from repro.faults.batch import (
-    BatchClassifier,
-    StrikeBatch,
-    build_kill_masks,
-    draw_strike_batch,
-    kill_matrix,
-)
+from repro.faults.batch import StrikeBatch, build_kill_masks, draw_strike_batch
 from repro.faults.campaign import (
     CampaignConfig,
-    CampaignResult,
     run_campaign,
     run_trial_block,
     trial_seed,
 )
-from repro.faults.injector import StrikeEvaluator
-from repro.faults.model import StrikeModel
 from repro.faults.oracle import EffectOracle
 from repro.isa.encoding import ENCODING_BITS
 from repro.isa.opcodes import Opcode
@@ -60,13 +51,22 @@ from repro.pipeline.config import (
 )
 from repro.pipeline.core import PipelineSimulator
 from repro.pipeline.iq import NO_VALUE
-from repro.runtime.context import reset_runtime, use_runtime
+from repro.runtime.context import use_runtime
 from repro.runtime.engine import shard_trials
+from repro.runtime.resilience import RetryPolicy, TrialCrash
 from repro.runtime.telemetry import Telemetry
 from repro.util.rng import DeterministicRng
 from repro.workloads.codegen import synthesize
 from repro.workloads.spec2000 import get_profile
 from tests.helpers import I, program
+from tests.strike_reference import (
+    StrikeEvaluator,
+    StrikeModel,
+    assert_matches_reference,
+    reference_block,
+    sample_strike,
+    sub_batch,
+)
 
 STATIC_REASONS = {
     "non-live field",
@@ -74,128 +74,84 @@ STATIC_REASONS = {
     "dead destination value",
 }
 
+ZERO_BURSTS = {"mbu_multi_bit": 0, "ecc_corrected": 0, "ecc_detected": 0,
+               "ecc_escaped": 0}
+
 
 def _golden_configs():
-    configs = [CampaignConfig(trials=50, seed=77)]
+    """Every TrackingLevel x {unprotected, parity, ecc} (the strike
+    stream forks on the tracking level, so each is a distinct campaign)."""
+    configs = [CampaignConfig(trials=50, seed=77, tracking=level)
+               for level in TrackingLevel]
     configs += [CampaignConfig(trials=50, seed=77, parity=True,
                                tracking=level) for level in TrackingLevel]
-    configs.append(CampaignConfig(trials=50, seed=77, ecc=True))
+    configs += [CampaignConfig(trials=50, seed=77, ecc=True, tracking=level)
+                for level in TrackingLevel]
     return configs
 
 
 def _config_id(config):
-    if config.ecc:
-        return "ecc"
     if config.parity:
         return config.tracking.name.lower()
-    return "unprotected"
+    kind = "ecc" if config.ecc else "unprotected"
+    if config.tracking is TrackingLevel.PARITY_ONLY:
+        return kind
+    return f"{kind}-{config.tracking.name.lower()}"
 
 
-def _evaluator(prog, baseline, config, **kwargs):
-    return StrikeEvaluator(
-        prog, baseline, parity=config.parity, tracking=config.tracking,
-        pet_entries=config.pet_entries, ecc=config.ecc, **kwargs)
-
-
-def _scalar_block(prog, baseline, pipeline, config):
-    evaluator = _evaluator(prog, baseline, config)
-    counts, misses = run_trial_block(prog, baseline, pipeline, config,
-                                     0, config.trials, evaluator=evaluator)
-    return counts, misses, evaluator
-
-
-def _batched_block(prog, baseline, pipeline, config, **eval_kwargs):
-    evaluator = _evaluator(prog, baseline, config, **eval_kwargs)
-    batch = draw_strike_batch(pipeline, config, prog.name, 0, config.trials)
-    classifier = BatchClassifier(evaluator, pipeline)
-    counts, misses = run_trial_block(prog, baseline, pipeline, config,
-                                     0, config.trials, evaluator=evaluator,
-                                     strikes=batch, classifier=classifier)
-    return counts, misses, evaluator, classifier
+def _squash_id(config):
+    if config.parity and config.tracking is TrackingLevel.PARITY_ONLY:
+        return "parity"
+    return _config_id(config)
 
 
 class TestGoldenDifferential:
-    """Satellite (a): batched vs scalar, every protection configuration."""
+    """The production classifier against the per-trial reference."""
 
     @pytest.mark.parametrize("config", _golden_configs(), ids=_config_id)
     def test_batched_matches_scalar(self, config, small_program,
                                     small_execution, small_pipeline):
-        sc, sm, s_eval = _scalar_block(small_program, small_execution,
-                                       small_pipeline, config)
-        bc, bm, b_eval, classifier = _batched_block(
+        classifier, _ = assert_matches_reference(
             small_program, small_execution, small_pipeline, config)
-        assert bc == sc
-        assert bm == sm
-        # Oracle accounting must be indistinguishable: same memo hits,
-        # static kills, executions, and the same computed entries.
-        assert b_eval.oracle.counters() == s_eval.oracle.counters()
-        assert b_eval.oracle.new_entries() == s_eval.oracle.new_entries()
-        # Derived statistics (rates + binomial CIs) follow.
-        scalar_result = CampaignResult(config=config, counts=Counter(sc),
-                                       tracker_misses=sm)
-        batched_result = CampaignResult(config=config, counts=Counter(bc),
-                                        tracker_misses=bm)
-        assert (batched_result.sdc_avf_estimate
-                == scalar_result.sdc_avf_estimate)
-        assert (batched_result.due_avf_estimate
-                == scalar_result.due_avf_estimate)
-        from repro.due.outcomes import FaultOutcome
+        # Single-bit campaigns never claim a burst or a decoder action.
+        assert classifier.burst_counters() == ZERO_BURSTS
 
-        for outcome in FaultOutcome:
-            assert (batched_result.rate_confidence(outcome)
-                    == scalar_result.rate_confidence(outcome))
-        # Every trial is accounted for exactly once by the classifier.
-        stats = classifier.counters()
-        assert stats["batch_trials"] == config.trials
-        survivors = stats["batch_trials"] - stats["batch_vector_kills"]
-        assert (stats["batch_scalar_kills"] + stats["batch_reexecutions"]
-                == survivors)
-
-    @pytest.mark.parametrize("config", [
-        CampaignConfig(trials=50, seed=77, parity=True),
-        CampaignConfig(trials=50, seed=77),
-    ], ids=["parity", "unprotected"])
+    @pytest.mark.parametrize("config", _golden_configs(), ids=_squash_id)
     def test_batched_matches_scalar_on_squash_pipeline(
             self, config, small_program, small_execution, squash_pipeline):
         """The squash-heavy pipeline exercises the wrong-path/squashed
-        interval kinds the vector pass classifies without the oracle."""
-        sc, sm, s_eval = _scalar_block(small_program, small_execution,
-                                       squash_pipeline, config)
-        bc, bm, b_eval, _ = _batched_block(
+        interval kinds the array pass classifies without the oracle."""
+        classifier, _ = assert_matches_reference(
             small_program, small_execution, squash_pipeline, config)
-        assert (bc, bm) == (sc, sm)
-        assert b_eval.oracle.counters() == s_eval.oracle.counters()
+        assert classifier.burst_counters() == ZERO_BURSTS
 
-    def test_static_filter_off_matches_scalar(self, small_program,
-                                              small_execution,
-                                              small_pipeline):
-        """``--no-static-filter`` composes with batching: both paths
-        re-execute every survivor and still agree."""
-        config = CampaignConfig(trials=40, seed=9, parity=True)
-        unfiltered = _evaluator(small_program, small_execution, config,
-                                static_filter=False)
-        sc, sm = run_trial_block(small_program, small_execution,
-                                 small_pipeline, config, 0, config.trials,
-                                 evaluator=unfiltered)
-        bc, bm, b_eval, _ = _batched_block(
-            small_program, small_execution, small_pipeline, config,
-            static_filter=False)
-        assert (bc, bm) == (sc, sm)
-        assert b_eval.oracle.counters() == unfiltered.oracle.counters()
-        assert b_eval.oracle.static_kills == 0
+    def test_squash_pipeline_reads_wrong_path_strikes(
+            self, small_program, small_execution, squash_pipeline):
+        """The squash differential covers the wrong-path branch only if
+        some strike is read on the wrong path: under parity without π
+        tracking those are false DUEs that never reach the oracle."""
+        config = CampaignConfig(trials=50, seed=77, parity=True)
+        evaluator = StrikeEvaluator.for_config(small_program,
+                                               small_execution, config)
+        sampler = StrikeModel(squash_pipeline)
+        verdicts = [evaluator.evaluate(sample_strike(
+            sampler, config, small_program.name, index))
+            for index in range(config.trials)]
+        assert any(v.outcome is FaultOutcome.FALSE_DUE
+                   and v.architectural_effect == "not_executed"
+                   for v in verdicts)
 
-    def test_run_campaign_batched_vs_no_batch_flag(
+    def test_run_campaign_matches_reference(
             self, small_program, small_execution, small_pipeline):
         config = CampaignConfig(trials=60, seed=11, parity=True,
                                 tracking=TrackingLevel.REG_PI)
         with use_runtime():
-            batched = run_campaign(small_program, small_execution,
-                                   small_pipeline, config)
-        with use_runtime(batch_strikes=False):
-            scalar = run_campaign(small_program, small_execution,
+            result = run_campaign(small_program, small_execution,
                                   small_pipeline, config)
-        assert batched.counts == scalar.counts
-        assert batched.tracker_misses == scalar.tracker_misses
+        counts, misses, _ = reference_block(small_program, small_execution,
+                                            small_pipeline, config)
+        assert result.counts == counts
+        assert result.tracker_misses == misses
 
     def test_run_campaign_sharded_batched_matches_serial_scalar(
             self, small_program, small_execution, small_pipeline):
@@ -203,33 +159,32 @@ class TestGoldenDifferential:
         with use_runtime(jobs=3):
             sharded = run_campaign(small_program, small_execution,
                                    small_pipeline, config)
-        with use_runtime(batch_strikes=False):
-            scalar = run_campaign(small_program, small_execution,
-                                  small_pipeline, config)
-        assert sharded.counts == scalar.counts
-        assert sharded.tracker_misses == scalar.tracker_misses
+        counts, misses, _ = reference_block(small_program, small_execution,
+                                            small_pipeline, config)
+        assert sharded.counts == counts
+        assert sharded.tracker_misses == misses
 
     def test_cache_key_does_not_fork(self, tmp_path, small_program,
                                      small_execution, small_pipeline):
-        """Batched and scalar campaigns share one cache entry: a tally
-        computed batched is served warm to a ``--no-batch-strikes`` run
-        (and the other way round), so results can never diverge by mode."""
+        """The worker count is not part of the campaign cache key: a
+        tally computed serially is served warm to a sharded run (and the
+        other way round), so results can never diverge by ``--jobs``."""
         config = CampaignConfig(trials=30, seed=5, parity=True)
         with use_runtime(cache_dir=tmp_path) as context:
             cold = run_campaign(small_program, small_execution,
                                 small_pipeline, config)
             assert context.telemetry.counters["campaign_trials"] == 30
-        with use_runtime(cache_dir=tmp_path, batch_strikes=False) as context:
+        with use_runtime(cache_dir=tmp_path, jobs=2) as context:
             warm = run_campaign(small_program, small_execution,
                                 small_pipeline, config)
-            # Served entirely from the batched run's cache entry.
+            # Served entirely from the serial run's cache entry.
             assert context.telemetry.counters["campaign_trials"] == 0
             assert context.cache.hits >= 1
         assert warm.counts == cold.counts
         assert warm.tracker_misses == cold.tracker_misses
 
         other = CampaignConfig(trials=30, seed=6, parity=True)
-        with use_runtime(cache_dir=tmp_path, batch_strikes=False) as context:
+        with use_runtime(cache_dir=tmp_path, jobs=2) as context:
             cold2 = run_campaign(small_program, small_execution,
                                  small_pipeline, other)
         with use_runtime(cache_dir=tmp_path) as context:
@@ -240,7 +195,7 @@ class TestGoldenDifferential:
 
 
 class TestSamplerStreamEquivalence:
-    """Satellite (b): the array sampler replays the scalar draw stream."""
+    """The array sampler replays the per-trial draw stream."""
 
     @given(seed=st.integers(min_value=0, max_value=2 ** 16),
            jobs=st.integers(min_value=1, max_value=8))
@@ -264,12 +219,12 @@ class TestSamplerStreamEquivalence:
                 assert strike.interval is intervals[row]
                 assert cycle == strike.cycle
         # Any --jobs N sharding: a shard's independent draw equals the
-        # corresponding slice of the whole-campaign batch.
+        # corresponding rows of the whole-campaign batch.
         for block in shard_trials(config.trials, jobs):
             shard = draw_strike_batch(small_pipeline, config,
                                       small_program.name,
                                       block.start, block.stop)
-            assert shard == full.slice(block.start, block.stop)
+            assert shard == sub_batch(full, block.start, block.stop)
 
     @given(seed=st.integers(min_value=0, max_value=2 ** 32),
            parity=st.booleans())
@@ -313,8 +268,8 @@ def rule_setup():
 
 
 class TestMaskSoundness:
-    """Satellite (c): bit-matrix masks == scalar static rules, point by
-    point, over every (instruction, bit) flip."""
+    """Kill masks == the oracle's static rules, point by point, over
+    every (instruction, bit) flip."""
 
     def test_masks_match_classify_static_exhaustively(self, rule_setup):
         prog, baseline = rule_setup
@@ -347,62 +302,6 @@ class TestMaskSoundness:
                 killed += static is not None
         assert checked > 0 and killed > 0
 
-    def test_kill_matrix_mirrors_mask_bits(self, rule_setup):
-        if batch_mod._np is None:
-            pytest.skip("NumPy not available")
-        prog, baseline = rule_setup
-        masks = build_kill_masks(baseline, EffectOracle(prog,
-                                                        baseline).deadness)
-        matrix = kill_matrix(masks)
-        assert matrix.shape == (len(masks), ENCODING_BITS)
-        for seq, mask in enumerate(masks):
-            for bit in range(ENCODING_BITS):
-                assert bool(matrix[seq, bit]) == bool((mask >> bit) & 1)
-
-
-class TestFallbackParity:
-    """Satellite (d): the pure-Python path is exercised and identical."""
-
-    @pytest.mark.parametrize("config", [
-        CampaignConfig(trials=40, seed=13, parity=True,
-                       tracking=TrackingLevel.PI_COMMIT),
-        CampaignConfig(trials=40, seed=13, ecc=True),
-        CampaignConfig(trials=40, seed=13),
-    ], ids=["pi_commit", "ecc", "unprotected"])
-    def test_python_fallback_matches_numpy(self, monkeypatch, config,
-                                           small_program, small_execution,
-                                           small_pipeline):
-        with_np = _batched_block(small_program, small_execution,
-                                 small_pipeline, config)
-        numpy_batch = draw_strike_batch(small_pipeline, config,
-                                        small_program.name, 0,
-                                        config.trials)
-        monkeypatch.setattr(batch_mod, "_np", None)
-        fallback_batch = draw_strike_batch(small_pipeline, config,
-                                           small_program.name, 0,
-                                           config.trials)
-        assert fallback_batch == numpy_batch
-        without_np = _batched_block(small_program, small_execution,
-                                    small_pipeline, config)
-        assert without_np[0] == with_np[0]
-        assert without_np[1] == with_np[1]
-        assert (without_np[2].oracle.counters()
-                == with_np[2].oracle.counters())
-        assert without_np[3].counters() == with_np[3].counters()
-
-    def test_run_campaign_under_fallback(self, monkeypatch, small_program,
-                                         small_execution, small_pipeline):
-        config = CampaignConfig(trials=30, seed=2, parity=True)
-        with use_runtime():
-            with_np = run_campaign(small_program, small_execution,
-                                   small_pipeline, config)
-        monkeypatch.setattr(batch_mod, "_np", None)
-        with use_runtime():
-            without_np = run_campaign(small_program, small_execution,
-                                      small_pipeline, config)
-        assert without_np.counts == with_np.counts
-        assert without_np.tracker_misses == with_np.tracker_misses
-
 
 class TestStrikeBatch:
     def test_len_slice_and_equality(self, small_program, small_pipeline):
@@ -410,22 +309,13 @@ class TestStrikeBatch:
         batch = draw_strike_batch(small_pipeline, config,
                                   small_program.name, 0, 20)
         assert len(batch) == 20
-        part = batch.slice(5, 12)
+        part = draw_strike_batch(small_pipeline, config,
+                                 small_program.name, 5, 12)
         assert (part.start, part.stop, len(part)) == (5, 12, 7)
         assert part.triples() == batch.triples()[5:12]
-        assert part == batch.slice(5, 12)
+        assert part == sub_batch(batch, 5, 12)
         assert part != batch
-        assert batch.slice(0, 20) == batch
-
-    def test_slice_outside_range_rejected(self, small_program,
-                                          small_pipeline):
-        config = CampaignConfig(trials=10, seed=1)
-        batch = draw_strike_batch(small_pipeline, config,
-                                  small_program.name, 2, 8)
-        with pytest.raises(ValueError):
-            batch.slice(0, 5)
-        with pytest.raises(ValueError):
-            batch.slice(5, 9)
+        assert sub_batch(batch, 0, 20) == batch
 
     def test_mismatched_columns_rejected(self):
         with pytest.raises(ValueError):
@@ -433,14 +323,41 @@ class TestStrikeBatch:
 
     def test_degenerate_pipeline_raises_like_strike_model(
             self, small_program, small_pipeline):
-        from dataclasses import replace
-
         empty = replace(small_pipeline, cycles=0, intervals=[])
         config = CampaignConfig(trials=5, seed=1)
         with pytest.raises(ValueError, match="empty entry-cycle space"):
             draw_strike_batch(empty, config, small_program.name, 0, 5)
         with pytest.raises(ValueError, match="empty entry-cycle space"):
             StrikeModel(empty)
+
+
+class TestDegeneratePipeline:
+    """An unsampleable pipeline result fails inside every shard and ends
+    in the quarantine report, attributed to its workload."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_trial_is_quarantined(self, jobs, small_program,
+                                        small_execution, small_pipeline):
+        empty = replace(small_pipeline, cycles=0, intervals=[])
+        config = CampaignConfig(trials=4, seed=1, parity=True)
+        with use_runtime(jobs=jobs, policy=RetryPolicy(retries=0)):
+            result = run_campaign(small_program, small_execution, empty,
+                                  config)
+        report = result.completeness
+        assert report.quarantined == (0, 1, 2, 3)
+        assert report.trials_succeeded == 0
+        assert result.trials == 0
+
+    def test_crash_names_the_workload(self, small_program, small_execution,
+                                      small_pipeline):
+        empty = replace(small_pipeline, cycles=0, intervals=[])
+        config = CampaignConfig(trials=4, seed=1, parity=True)
+        with pytest.raises(TrialCrash) as info:
+            run_trial_block(small_program, small_execution, empty, config,
+                            2, 3)
+        assert info.value.trial_index == 2
+        assert "empty entry-cycle space" in str(info.value)
+        assert f"[{small_program.name}]" in str(info.value)
 
 
 class TestTelemetryAndFlags:
@@ -457,15 +374,6 @@ class TestTelemetryAndFlags:
                 + counters["batch_reexecutions"]) == 40
         assert "batch:" in summary
 
-    def test_no_batch_leaves_counters_silent(self, small_program,
-                                             small_execution,
-                                             small_pipeline):
-        with use_runtime(batch_strikes=False) as context:
-            run_campaign(small_program, small_execution, small_pipeline,
-                         CampaignConfig(trials=20, seed=3))
-            assert context.telemetry.counters["batch_trials"] == 0
-            assert "batch:" not in context.telemetry.format_summary()
-
     def test_batch_line_format(self):
         telemetry = Telemetry()
         telemetry.merge_counters({"batch_trials": 10,
@@ -474,21 +382,6 @@ class TestTelemetryAndFlags:
                                   "batch_reexecutions": 1})
         assert ("batch: 7 vector kills, 2 scalar kills, 1 re-executions "
                 "over 10 trials") in telemetry.format_summary()
-
-    def test_parser_flag_default_and_toggle(self):
-        assert not build_parser().parse_args(["figure1"]).no_batch_strikes
-        assert build_parser().parse_args(
-            ["figure1", "--no-batch-strikes"]).no_batch_strikes
-
-    def test_main_with_no_batch_strikes(self, capsys):
-        try:
-            assert main(["figure1", "--instructions", "6000",
-                         "--trials", "20", "--no-batch-strikes"]) == 0
-            out = capsys.readouterr().out
-            assert "unprotected" in out
-            assert "batch:" not in out
-        finally:
-            reset_runtime()
 
 
 def test_mcf_ooo_l0_baseline_completes():

@@ -3,28 +3,20 @@
 Times one parity fault-injection campaign three ways on the same
 workload and strike sequence:
 
-* ``seed`` — the seed-era loop: one throwaway evaluator per trial, no
-  memoization, no static filter (every committed read strike re-executes
-  the whole program);
-* ``cold`` — the campaign-scoped evaluator with an empty effect oracle
-  (memo + static filter fill in as the campaign runs, and the table is
+* ``seed`` — the seed-era loop, taken from the per-trial reference in
+  ``tests/strike_reference.py``: one throwaway evaluator per trial, no
+  memoization, no static filter (every committed read strike
+  re-executes);
+* ``cold`` — the production campaign with an empty effect oracle (memo
+  + static filter fill in as the campaign runs, and the table is
   persisted through the result cache);
 * ``warm`` — the same campaign re-run against the persisted oracle
   table. The campaign *tally* cache entry is deleted first so all trials
   genuinely run; only per-strike re-execution is skipped.
 
-The warm strike *engine* is then timed head-to-head — the same block of
-trials classified once through the scalar per-trial loop
-(``--no-batch-strikes``) and once through the vectorised strike batcher,
-both against the persisted oracle table — to measure what array
-sampling and classification buy per trial. Campaign-level plumbing
-(cache-key hashing, result persistence) is identical in both modes and
-excluded, since it would otherwise swamp the per-trial difference.
-
 All paths must produce bit-identical outcome tallies — the run aborts
 if they do not. Results land in ``BENCH_campaign.json`` and the process
-exits non-zero when the warm speedup drops below ``--min-speedup`` or
-the batched-vs-scalar speedup drops below ``--min-batch-speedup``.
+exits non-zero when the warm speedup drops below ``--min-speedup``.
 
     PYTHONPATH=src python tools/bench_campaign.py
     PYTHONPATH=src python tools/bench_campaign.py \
@@ -43,21 +35,19 @@ from tempfile import TemporaryDirectory
 
 from repro.due.tracking import TrackingLevel
 from repro.experiments.common import ExperimentSettings, run_benchmark
-from repro.faults.batch import BatchClassifier, draw_strike_batch
-from repro.faults.campaign import (
-    CampaignConfig,
-    run_campaign,
-    run_trial_block,
-    trial_seed,
-)
-from repro.faults.injector import StrikeEvaluator, evaluate_strike
-from repro.faults.model import StrikeModel
-from repro.faults.oracle import load_persisted, oracle_cache_key
+from repro.faults.campaign import CampaignConfig, run_campaign
 from repro.pipeline.config import Trigger
 from repro.runtime.cache import cache_key
 from repro.runtime.context import use_runtime
-from repro.util.rng import DeterministicRng
 from repro.workloads.spec2000 import get_profile
+
+# The seed-era pass runs the test suite's per-trial reference.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.strike_reference import (  # noqa: E402
+    StrikeModel,
+    evaluate_strike,
+    sample_strike,
+)
 
 
 def seed_slow_path(run, config):
@@ -65,9 +55,9 @@ def seed_slow_path(run, config):
     sampler = StrikeModel(run.pipeline)
     counts: Counter = Counter()
     for index in range(config.trials):
-        rng = DeterministicRng(trial_seed(config, run.program.name, index))
         verdict = evaluate_strike(
-            sampler.sample(rng), run.program, run.execution,
+            sample_strike(sampler, config, run.program.name, index),
+            run.program, run.execution,
             parity=config.parity, tracking=config.tracking,
             pet_entries=config.pet_entries, ecc=config.ecc)
         counts[verdict.outcome] += 1
@@ -103,9 +93,6 @@ def main() -> int:
     parser.add_argument("--min-speedup", type=float, default=3.0,
                         help="required warm-vs-seed wall-clock ratio "
                              "(default 3.0)")
-    parser.add_argument("--min-batch-speedup", type=float, default=2.0,
-                        help="required warm batched-vs-scalar wall-clock "
-                             "ratio (default 2.0)")
     parser.add_argument("--output", default="BENCH_campaign.json")
     args = parser.parse_args()
 
@@ -137,77 +124,22 @@ def main() -> int:
             warm, warm_s = timed(lambda: run_campaign(
                 run.program, run.execution, run.pipeline, config))
             warm_oracle = oracle_counters(context.telemetry)
-        print(f"warm fast path: {warm_s:.2f}s  {warm_oracle}")
-
-        # Head-to-head strike engine against the persisted oracle: the
-        # scalar per-trial loop vs the vectorised strike batcher. Same
-        # memo table, same strike sequence — the difference is pure
-        # sampling/classification machinery. Best-of-5, interleaved, to
-        # shrug off scheduler noise.
-        with use_runtime(cache_dir=cache_dir) as context:
-            table = load_persisted(context.cache,
-                                   oracle_cache_key(run.program))
-
-    def preloaded_evaluator():
-        evaluator = StrikeEvaluator(
-            run.program, run.execution, parity=config.parity,
-            tracking=config.tracking, pet_entries=config.pet_entries,
-            ecc=config.ecc)
-        evaluator.oracle.preload(table)
-        return evaluator
-
-    def scalar_engine():
-        return run_trial_block(run.program, run.execution, run.pipeline,
-                               config, 0, config.trials,
-                               evaluator=preloaded_evaluator())[0]
-
-    last_classifier = {}
-
-    def batched_engine():
-        evaluator = preloaded_evaluator()
-        strikes = draw_strike_batch(run.pipeline, config, run.program.name,
-                                    0, config.trials)
-        classifier = BatchClassifier(evaluator, run.pipeline)
-        last_classifier["value"] = classifier
-        return run_trial_block(run.program, run.execution, run.pipeline,
-                               config, 0, config.trials,
-                               evaluator=evaluator, strikes=strikes,
-                               classifier=classifier)[0]
-
-    scalar = batched = None
-    scalar_s = batched_s = float("inf")
-    for _ in range(5):
-        scalar, seconds = timed(scalar_engine)
-        scalar_s = min(scalar_s, seconds)
-        batched, seconds = timed(batched_engine)
-        batched_s = min(batched_s, seconds)
-    batch_stats = last_classifier["value"].counters()
-    print(f"warm scalar engine: {scalar_s * 1000:.1f}ms "
-          f"({config.trials / scalar_s:,.0f} trials/s)")
-    print(f"warm batched engine: {batched_s * 1000:.1f}ms "
-          f"({config.trials / batched_s:,.0f} trials/s)  {batch_stats}")
+            warm_batch = batch_counters(context.telemetry)
+        print(f"warm fast path: {warm_s:.2f}s  {warm_oracle}  {warm_batch}")
 
     failures = []
     if cold.counts != golden or warm.counts != golden:
         failures.append("fast-path tallies differ from the seed slow path")
-    if scalar != golden or batched != golden:
-        failures.append("batched/scalar tallies differ from the seed "
-                        "slow path")
     if warm_oracle["oracle_memo_hits"] <= 0:
         failures.append("warm run never hit the persisted oracle")
-    if batch_stats["batch_trials"] != args.trials:
-        failures.append("batched run did not classify every trial through "
-                        "the batcher")
+    if warm_batch["batch_trials"] != args.trials:
+        failures.append("warm run did not classify every trial through "
+                        "the strike classifier")
     speedup_warm = seed_s / warm_s if warm_s > 0 else float("inf")
     speedup_cold = seed_s / cold_s if cold_s > 0 else float("inf")
-    speedup_batch = (scalar_s / batched_s if batched_s > 0
-                     else float("inf"))
     if speedup_warm < args.min_speedup:
         failures.append(f"warm speedup {speedup_warm:.2f}x below the "
                         f"required {args.min_speedup:.2f}x")
-    if speedup_batch < args.min_batch_speedup:
-        failures.append(f"batched speedup {speedup_batch:.2f}x below the "
-                        f"required {args.min_batch_speedup:.2f}x")
 
     record = {
         "benchmark": args.benchmark,
@@ -218,30 +150,19 @@ def main() -> int:
                      "seed": args.seed},
         "seconds": {"seed_slow_path": round(seed_s, 3),
                     "cold_fast_path": round(cold_s, 3),
-                    "warm_fast_path": round(warm_s, 3),
-                    "warm_scalar_engine": round(scalar_s, 4),
-                    "warm_batched_engine": round(batched_s, 4)},
-        "trials_per_second": {
-            "warm_scalar": round(config.trials / scalar_s, 1)
-            if scalar_s > 0 else None,
-            "warm_batched": round(config.trials / batched_s, 1)
-            if batched_s > 0 else None},
+                    "warm_fast_path": round(warm_s, 3)},
         "speedup": {"cold_vs_seed": round(speedup_cold, 2),
-                    "warm_vs_seed": round(speedup_warm, 2),
-                    "batched_vs_scalar": round(speedup_batch, 2)},
+                    "warm_vs_seed": round(speedup_warm, 2)},
         "oracle": {"cold": cold_oracle, "warm": warm_oracle},
-        "batch": batch_stats,
+        "batch": warm_batch,
         "tallies_identical": (cold.counts == golden
-                              and warm.counts == golden
-                              and scalar == golden
-                              and batched == golden),
+                              and warm.counts == golden),
         "min_speedup_required": args.min_speedup,
-        "min_batch_speedup_required": args.min_batch_speedup,
         "passed": not failures,
     }
     Path(args.output).write_text(json.dumps(record, indent=2) + "\n")
-    print(f"cold {speedup_cold:.2f}x, warm {speedup_warm:.2f}x vs seed, "
-          f"batched {speedup_batch:.2f}x vs scalar -> {args.output}")
+    print(f"cold {speedup_cold:.2f}x, warm {speedup_warm:.2f}x vs seed "
+          f"-> {args.output}")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -4,9 +4,7 @@ Runs the ``fitsweep`` exhibit twice — serial and with a sharded worker
 pool — and requires the *formatted text* to be byte-identical: the
 multi-bit campaigns underneath ride per-trial seed streams, so any
 ``--jobs N`` must reproduce the serial tallies bit-for-bit, and the FIT
-algebra on top is closed-form. A scalar-vs-batched pass re-runs the
-serial sweep with ``--no-batch-strikes`` semantics and must also match
-byte-for-byte.
+algebra on top is closed-form.
 
 Results (timings, per-pass campaign counters, the equality verdicts,
 and the exhibit text itself) land in ``BENCH_fit.json``; the formatted
@@ -30,10 +28,10 @@ from repro.experiments.common import ExperimentSettings, clear_caches
 from repro.runtime.context import use_runtime
 
 
-def run_pass(settings, trials, preset, jobs, batch_strikes=True):
+def run_pass(settings, trials, preset, jobs):
     """One full sweep under its own runtime; returns (text, secs, sims)."""
     clear_caches()
-    with use_runtime(jobs=jobs, batch_strikes=batch_strikes) as context:
+    with use_runtime(jobs=jobs) as context:
         started = time.perf_counter()
         result = fitsweep.run(settings, trials=trials, preset_name=preset)
         text = fitsweep.format_result(result)
@@ -77,25 +75,16 @@ def main() -> int:
     sharded_text, sharded_s, sharded_sims = run_pass(
         settings, args.trials, args.preset, jobs=args.jobs)
     print(f"jobs={args.jobs}: {sharded_s:.2f}s  {sharded_sims}")
-    scalar_text, scalar_s, scalar_sims = run_pass(
-        settings, args.trials, args.preset, jobs=1, batch_strikes=False)
-    print(f"scalar (no batching): {scalar_s:.2f}s  {scalar_sims}")
     clear_caches()
 
     failures = []
     if sharded_text != serial_text:
         failures.append(
             f"jobs={args.jobs} exhibit text differs from serial")
-    if scalar_text != serial_text:
-        failures.append("scalar exhibit text differs from batched serial")
     if sharded_sims != serial_sims:
         failures.append(
             f"jobs={args.jobs} campaign counters differ from serial: "
             f"{sharded_sims} vs {serial_sims}")
-    if scalar_sims != serial_sims:
-        failures.append(
-            f"scalar campaign counters differ from batched: "
-            f"{scalar_sims} vs {serial_sims}")
     if not serial_sims["mbu_multi_bit"]:
         failures.append("sweep drew no multi-bit bursts; preset not wired")
 
@@ -108,18 +97,16 @@ def main() -> int:
                      "trials": args.trials, "seed": args.seed,
                      "preset": args.preset, "jobs": args.jobs},
         "seconds": {"serial": round(serial_s, 3),
-                    "sharded": round(sharded_s, 3),
-                    "scalar": round(scalar_s, 3)},
+                    "sharded": round(sharded_s, 3)},
         "counters": serial_sims,
         "byte_identical": {
             "sharded_vs_serial": sharded_text == serial_text,
-            "scalar_vs_batched": scalar_text == serial_text,
         },
         "exhibit": args.exhibit_output,
         "passed": not failures,
     }
     Path(args.output).write_text(json.dumps(record, indent=2) + "\n")
-    print(f"byte-identical across jobs and batching -> {args.output}"
+    print(f"byte-identical across jobs -> {args.output}"
           if not failures else f"-> {args.output}")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
