@@ -67,9 +67,15 @@ _remote_stores: Dict[str, object] = {}
 
 
 def clear_caches() -> None:
-    """Drop memoised functional and timing results (mainly for tests)."""
+    """Drop memoised functional and timing results and the strike
+    subjects derived from them, and shut the active context's worker
+    pool down (mainly for tests)."""
+    from repro.faults.batch import clear_subjects
+
     _functional_cache.clear()
     _run_cache.clear()
+    clear_subjects()
+    get_runtime().pool.shutdown()
 
 
 def close_remote_stores() -> None:
@@ -151,6 +157,14 @@ def functional_parts(
     if disk_key is not None:
         runtime.cache.put(disk_key, _functional_cache[key])
     return _functional_cache[key]
+
+
+def adopt_functional(
+    profile: BenchmarkProfile, settings: ExperimentSettings,
+    parts: Tuple[Program, ExecutionResult, DeadnessAnalysis],
+) -> None:
+    """Memoise functional parts computed in another process."""
+    _functional_cache[_functional_key(profile, settings)] = parts
 
 
 def run_benchmark(
@@ -257,7 +271,10 @@ def run_benchmarks(
                 cache_dir=runtime.cache_dir, telemetry=runtime.telemetry,
                 policy=runtime.policy, chaos=runtime.chaos,
                 service=runtime.service,
-                service_timeout=runtime.service_timeout)
+                service_timeout=runtime.service_timeout,
+                functional=[
+                    _functional_cache.get(_functional_key(p, settings))
+                    for p in pending])
             for profile, run in zip(pending, runs):
                 _run_cache[_run_key(
                     profile, settings,

@@ -11,7 +11,7 @@ nothing. With parity enabled, the π-bit engine decides whether the
 detected error is signalled (true/false DUE) under a tracking level.
 """
 
-from repro.faults.batch import StrikeClassifier
+from repro.faults.batch import StrikeClassifier, StrikeSubject
 from repro.faults.campaign import CampaignConfig, CampaignResult, run_campaign
 from repro.faults.oracle import EffectOracle
 
@@ -21,4 +21,5 @@ __all__ = [
     "run_campaign",
     "EffectOracle",
     "StrikeClassifier",
+    "StrikeSubject",
 ]

@@ -9,6 +9,11 @@ A campaign shard turns its trial range into outcomes in two array steps:
   only on its index and any sharding reproduces the serial campaign. The
   point → interval mapping is one binary search over the residency
   prefix sums of the columnar :class:`~repro.pipeline.iq.IntervalTimeline`.
+* :class:`StrikeSubject` holds what the program and its baseline run
+  determine — output signature and budget, deadness, kill masks,
+  snapshot log. It is derived at most once per process per program and
+  shared by every campaign and block on it; pooled shards name it with
+  a slim :class:`SubjectToken` instead of carrying the baseline.
 * :class:`StrikeClassifier` applies Figure 1's outcome tree (benign,
   SDC, true/false DUE, corrected). The protection is one row per burst
   pattern of a decoder action table: unprotected queues escape every
@@ -29,15 +34,25 @@ tallies, tracker misses, oracle counters and oracle entries against it.
 from __future__ import annotations
 
 import hashlib
+import threading
 from bisect import bisect_right
-from collections import Counter
-from itertools import accumulate
+from collections import Counter, OrderedDict
+from dataclasses import dataclass
+from itertools import accumulate, chain
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 # CPython's C-level Mersenne Twister (random.Random's base class).
 from _random import Random as _CoreRandom
 
+from repro.analysis.deadcode import analyze_deadness
+from repro.arch.executor import (
+    FunctionalSimulator,
+    SnapshotLog,
+    snapshot_interval,
+)
+from repro.arch.result import ExecutionResult
 from repro.due.outcomes import FaultOutcome
 from repro.due.pi_bit import PiBitTracker
 from repro.due.tracking import BurstAction, TrackingLevel, classify_burst
@@ -49,10 +64,17 @@ from repro.faults.mbu import (
     mask_for,
     representative_bit,
 )
-from repro.faults.oracle import _DEAD_DEST_CLASSES, EffectOracle
+from repro.faults.oracle import (
+    _DEAD_DEST_CLASSES,
+    EffectOracle,
+    default_limits,
+)
 from repro.isa.encoding import ENCODING_BITS, Field, field_bits, live_fields
+from repro.isa.program import Program
 from repro.pipeline.iq import CODE_BY_KIND, KIND_COMMITTED, NO_VALUE
 from repro.pipeline.result import PipelineResult
+from repro.runtime.cache import cache_key
+from repro.runtime.resilience import SubjectMismatch
 
 #: Everything a 41-bit syllable can hold.
 _ALL_BITS = (1 << ENCODING_BITS) - 1
@@ -315,6 +337,182 @@ def build_kill_masks(baseline, deadness) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
+# The strike subject: what every campaign on one program shares
+# ---------------------------------------------------------------------------
+
+class StrikeSubject:
+    """What a program and its baseline run determine for every strike.
+
+    The baseline's output signature and the re-execution budget are
+    taken at construction; the deadness analysis, the kill masks, the
+    snapshot log and the :attr:`key` are derived on first use. None of
+    it depends on the campaign configuration, so one subject serves
+    every campaign, configuration and trial block on the program
+    (:func:`local_subject` and :func:`resolve_subject` keep it for the
+    life of the process). The per-configuration parts, the effect
+    oracle's memo and the π-bit tracker, stay in
+    :class:`StrikeClassifier`: no memo is shared across configurations,
+    so counters never depend on which process ran which block.
+    """
+
+    def __init__(self, program: Program, baseline: ExecutionResult,
+                 key: Optional[str] = None) -> None:
+        self.program = program
+        self.baseline = baseline
+        #: Budget of every re-execution (a corrupted run may loop).
+        self.limits = default_limits(baseline)
+        #: What every re-execution's signature is compared against.
+        self.signature = baseline.output_signature()
+        self._key = key
+        self._deadness = None
+        self._kill: Optional[List[int]] = None
+        self._snapshots: Optional[SnapshotLog] = None
+
+    @property
+    def key(self) -> str:
+        """:func:`subject_key` of the program and baseline."""
+        if self._key is None:
+            self._key = subject_key(self.program, self.baseline)
+        return self._key
+
+    @property
+    def deadness(self):
+        """The baseline's dead-code analysis (the dead-destination rule)."""
+        if self._deadness is None:
+            self._deadness = analyze_deadness(self.baseline)
+        return self._deadness
+
+    @property
+    def kill_masks(self) -> List[int]:
+        """:func:`build_kill_masks` of the baseline."""
+        if self._kill is None:
+            self._kill = build_kill_masks(self.baseline, self.deadness)
+        return self._kill
+
+    @property
+    def snapshots(self) -> SnapshotLog:
+        """Snapshots every re-execution resumes from: one extra baseline
+        run under the re-execution budget."""
+        if self._snapshots is None:
+            self._snapshots = FunctionalSimulator(
+                self.program, self.limits).run(
+                record_trace=False,
+                snapshot_every=snapshot_interval(len(self.baseline.trace)),
+            ).snapshots
+        return self._snapshots
+
+
+#: Trace-entry fields a subject key covers besides ``mem_addr`` and
+#: ``src_gprs``; the instruction is left out because the program fixes
+#: it at each pc.
+_ENTRY_FIELDS = attrgetter("pc", "next_pc", "executed", "dest_gpr",
+                           "dest_pred", "invocation", "is_store", "is_load",
+                           "branch_taken", "is_output")
+
+
+def subject_key(program: Program, baseline: ExecutionResult) -> str:
+    """Digest naming the subject of ``(program, baseline)``.
+
+    Covers the program's canonical bytes and the whole run: status,
+    outputs, function activations and every trace entry. Re-deriving
+    the run in another process gives the same key; a truncated or
+    otherwise different run of the same program does not.
+    """
+    trace = baseline.trace
+    activations = sorted((key, record.entry_pc, record.call_seq,
+                          record.return_seq)
+                         for key, record in baseline.invocations.items())
+    digest = hashlib.sha256(cache_key("strike-subject", program).encode())
+    digest.update(repr((baseline.status.value, baseline.outputs,
+                        len(trace), activations)).encode())
+    digest.update(np.fromiter(chain.from_iterable(map(_ENTRY_FIELDS, trace)),
+                              dtype=np.int64).tobytes())
+    digest.update(np.fromiter((NO_VALUE if op.mem_addr is None
+                               else op.mem_addr for op in trace),
+                              dtype=np.int64, count=len(trace)).tobytes())
+    digest.update(repr([op.src_gprs for op in trace]).encode())
+    return digest.hexdigest()
+
+
+@dataclass(frozen=True)
+class SubjectToken:
+    """Names a :class:`StrikeSubject` across processes.
+
+    ``key`` is the subject's :attr:`~StrikeSubject.key`. A process
+    holding no subject under ``key`` builds one from ``baseline`` when
+    the token carries it; otherwise it re-derives the baseline as the
+    program's own default run and raises
+    :class:`~repro.runtime.resilience.SubjectMismatch` unless that run
+    has the same key. Pooled shards carry no baseline: the program is
+    tens of kB, the baseline hundreds.
+    """
+
+    key: str
+    program: Program
+    baseline: Optional[ExecutionResult] = None
+
+
+#: Bound on the subjects one process keeps: a long-lived worker or
+#: server meets many programs over its life.
+SUBJECT_CACHE_ENTRIES = 4
+
+#: Subjects this process holds by key, least recently used first.
+_SUBJECTS: "OrderedDict[str, StrikeSubject]" = OrderedDict()
+#: Guards ``_SUBJECTS`` (a server resolves campaigns on several threads).
+_LOCK = threading.Lock()
+
+
+def _adopt(subject: StrikeSubject) -> StrikeSubject:
+    """The held subject under ``subject.key``, else ``subject``, now held."""
+    key = subject.key
+    with _LOCK:
+        subject = _SUBJECTS.setdefault(key, subject)
+        _SUBJECTS.move_to_end(key)
+        while len(_SUBJECTS) > SUBJECT_CACHE_ENTRIES:
+            _SUBJECTS.popitem(last=False)
+    return subject
+
+
+def local_subject(program: Program,
+                  baseline: ExecutionResult) -> StrikeSubject:
+    """This process's subject of the caller's ``program`` and ``baseline``.
+
+    Looked up by object identity first, so many campaigns on one
+    baseline digest it once, then by key.
+    """
+    with _LOCK:
+        for key, subject in _SUBJECTS.items():
+            if subject.program is program and subject.baseline is baseline:
+                _SUBJECTS.move_to_end(key)
+                return subject
+    return _adopt(StrikeSubject(program, baseline))
+
+
+def resolve_subject(token: SubjectToken) -> StrikeSubject:
+    """This process's subject for ``token``, derived on first use."""
+    with _LOCK:
+        subject = _SUBJECTS.get(token.key)
+        if subject is not None:
+            _SUBJECTS.move_to_end(token.key)
+            return subject
+    baseline = token.baseline
+    if baseline is None:
+        baseline = FunctionalSimulator(token.program).run()
+        if subject_key(token.program, baseline) != token.key:
+            raise SubjectMismatch(
+                f"the campaign's baseline of {token.program.name} is not "
+                f"the program's own run ({baseline.status.value}, "
+                f"{len(baseline.trace)} commits when re-derived)")
+    return _adopt(StrikeSubject(token.program, baseline, token.key))
+
+
+def clear_subjects() -> None:
+    """Forget every subject this process holds."""
+    with _LOCK:
+        _SUBJECTS.clear()
+
+
+# ---------------------------------------------------------------------------
 # Classification
 # ---------------------------------------------------------------------------
 
@@ -355,12 +553,12 @@ def _action_table(config) -> Tuple[BurstAction, ...]:
 class StrikeClassifier:
     """Figure 1's outcome tree over one campaign's strike batches.
 
-    Built from ``(program, baseline, pipeline_result, config)`` and
-    shared by every batch of a shard: the effect oracle (memoized,
-    preloadable from the persistent cache), the π-bit tracker (stateless
-    per fault; any detecting protection needs it), the interval columns
-    and the kill masks (both built lazily, the masks only once a batch
-    has a survivor the memo cannot answer).
+    Built from a :class:`StrikeSubject`, the campaign's pipeline result
+    and its config, and shared by every batch of a shard. It adds the
+    per-configuration parts to the subject: the effect oracle's memo
+    (preloadable from the persistent cache), the π-bit tracker
+    (stateless per fault; any detecting protection needs it), the
+    decoder's action table and the interval columns (built lazily).
 
     A strike that is never read after it lands (idle entry, Ex-ACE
     tail, never-issued occupant) is benign. A read strike meets the
@@ -373,13 +571,15 @@ class StrikeClassifier:
     the instance counters record how much work the array pass absorbed.
     """
 
-    def __init__(self, program, baseline, pipeline_result: PipelineResult,
-                 config) -> None:
+    def __init__(self, subject: StrikeSubject,
+                 pipeline_result: PipelineResult, config) -> None:
+        self.subject = subject
         self.config = config
         self.result = pipeline_result
-        self.oracle = EffectOracle(program, baseline)
+        self.oracle = EffectOracle(subject)
         self.tracker = (
-            PiBitTracker(baseline.trace, config.tracking, config.pet_entries)
+            PiBitTracker(subject.baseline.trace, config.tracking,
+                         config.pet_entries)
             if config.parity or config.scheme is not None else None)
         actions = _action_table(config)
         self._correct = np.array([a is BurstAction.CORRECT for a in actions])
@@ -388,7 +588,6 @@ class StrikeClassifier:
                               if config.tracking >= TrackingLevel.PI_COMMIT
                               else _FALSE_DUE)
         self._columns = None  # (seq, kind, issue) per interval row
-        self._kill: Optional[List[int]] = None
         self.burst_stats: Dict[str, int] = {
             "mbu_multi_bit": 0,
             "ecc_corrected": 0,
@@ -487,17 +686,15 @@ class StrikeClassifier:
         (:meth:`~repro.faults.oracle.EffectOracle.classify_static_mask`)
         because bit ``b`` of the kill mask is exactly ``classify_static(seq,
         b) is not None``. Hints are consulted only for strikes the memo
-        cannot answer, so a warmed oracle never builds the masks.
+        cannot answer, so a warmed oracle never asks for the masks.
         Detected survivors ask the tracker, on the burst's representative
         bit, whether the error is signalled.
         """
         oracle = self.oracle
         if any(not oracle.is_memoized_mask(seq, burst)
                for seq, burst in zip(seqs, bursts)):
-            if self._kill is None:
-                self._kill = build_kill_masks(oracle.baseline,
-                                              oracle.deadness)
-            hints = [(self._kill[seq] & burst) == burst
+            kill = self.subject.kill_masks
+            hints = [(kill[seq] & burst) == burst
                      for seq, burst in zip(seqs, bursts)]
         else:
             hints = [False] * len(seqs)

@@ -12,7 +12,11 @@ from typing import Callable, Dict, Optional, Tuple, Union
 from repro.arch.result import ExecutionResult
 from repro.due.outcomes import FaultOutcome
 from repro.due.tracking import DEFAULT_PET_ENTRIES, EccScheme, TrackingLevel
-from repro.faults.batch import StrikeClassifier, draw_strike_batch
+from repro.faults.batch import (
+    StrikeClassifier,
+    draw_strike_batch,
+    local_subject,
+)
 from repro.faults.mbu import get_preset
 from repro.faults.oracle import oracle_cache_key, persist
 from repro.isa.program import Program
@@ -178,8 +182,10 @@ def run_trial_block(
     draw_strike_batch`, a pure function of the trial indices) and
     classifies them in one batch. ``classifier`` lets blocks of one
     campaign share a :class:`~repro.faults.batch.StrikeClassifier` (and
-    its warm effect oracle); omitted, a fresh one is built. Either way
-    the tallies are identical — only the amount of re-execution differs.
+    its warm effect oracle); omitted, a fresh one is built over the
+    process's :class:`~repro.faults.batch.StrikeSubject` of ``(program,
+    baseline)``. Either way the tallies are identical — only the amount
+    of re-execution differs.
 
     ``on_trial`` (the chaos harness's hook) runs for every trial index
     before anything is drawn. Exceptions from the hook, the draw (an
@@ -201,8 +207,8 @@ def run_trial_block(
                     trial_index=index) from exc
     try:
         if classifier is None:
-            classifier = StrikeClassifier(program, baseline, pipeline_result,
-                                          config)
+            classifier = StrikeClassifier(local_subject(program, baseline),
+                                          pipeline_result, config)
         return classifier.classify(draw_strike_batch(
             pipeline_result, config, program.name, start, stop))
     except RuntimeFault:

@@ -56,13 +56,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.analysis.deadcode import DynClass, analyze_deadness
-from repro.arch.executor import (
-    ExecutionLimits,
-    FunctionalSimulator,
-    SnapshotLog,
-    snapshot_interval,
-)
+from repro.analysis.deadcode import DynClass
+from repro.arch.executor import ExecutionLimits, FunctionalSimulator
 from repro.arch.result import ExecutionResult, ExecutionStatus
 from repro.isa.encoding import ENCODING_BITS, Field, field_at_bit, live_fields
 from repro.isa.program import Program
@@ -115,29 +110,21 @@ def effect_of(rerun: ExecutionResult, baseline_signature: Tuple) -> str:
 
 
 class EffectOracle:
-    """Per-program memo of ``(seq, mask) -> architectural effect``.
+    """Per-configuration memo of ``(seq, mask) -> architectural effect``.
 
-    One instance is scoped to a ``(program, baseline)`` pair — typically
-    one campaign shard — and answers :meth:`effect_mask` by memo lookup,
-    then static classification, then (only when both fail) re-execution.
-    Entries loaded via :meth:`preload` (from the persistent cache) are
-    served without re-executing; entries computed locally are
-    retrievable via :meth:`new_entries` for merging back into the cache.
+    Built over a :class:`~repro.faults.batch.StrikeSubject`, which holds
+    what the program and its baseline determine (output signature,
+    budget, deadness, snapshot log) and may be shared by many oracles.
+    The memo itself belongs to one instance, typically one campaign
+    shard, and answers :meth:`effect_mask` by memo lookup, then static
+    classification, then (only when both fail) re-execution. Entries
+    loaded via :meth:`preload` (from the persistent cache) are served
+    without re-executing; entries computed locally are retrievable via
+    :meth:`new_entries` for merging back into the cache.
     """
 
-    def __init__(
-        self,
-        program: Program,
-        baseline: ExecutionResult,
-        limits: Optional[ExecutionLimits] = None,
-    ) -> None:
-        self.program = program
-        self.baseline = baseline
-        self.limits = limits or default_limits(baseline)
-        #: Computed once and shared by every re-execution comparison.
-        self._baseline_signature = baseline.output_signature()
-        self._deadness = None  # lazy: only the dead-dest rule needs it
-        self._snapshots: Optional[SnapshotLog] = None  # lazy: re-execution
+    def __init__(self, subject) -> None:
+        self.subject = subject
         self._table: Dict[Tuple[int, int], str] = {}
         self._new: Dict[Tuple[int, int], str] = {}
         # Counters (mirrored into runtime telemetry by the campaign):
@@ -146,6 +133,14 @@ class EffectOracle:
         self.executions = 0
         self.replayed_insts = 0
         self.converged = 0
+
+    @property
+    def baseline(self) -> ExecutionResult:
+        return self.subject.baseline
+
+    @property
+    def deadness(self):
+        return self.subject.deadness
 
     # -- persistence hooks -------------------------------------------------
 
@@ -269,12 +264,6 @@ class EffectOracle:
             return reasons[0]
         return "burst: " + " + ".join(sorted(set(reasons)))
 
-    @property
-    def deadness(self):
-        if self._deadness is None:
-            self._deadness = analyze_deadness(self.baseline)
-        return self._deadness
-
     def reexecute(self, seq: int, mask: int) -> str:
         """The slow path: re-execute with ``mask`` flipped at ``seq``.
 
@@ -284,28 +273,24 @@ class EffectOracle:
         The run resumes from the baseline snapshot at or before ``seq``
         and stops as soon as its state rejoins the baseline's at a later
         snapshot (see :meth:`FunctionalSimulator.run`); the snapshot log
-        is one extra baseline run, made on the first re-execution.
+        is the subject's, one extra baseline run made on the first
+        re-execution of any oracle over it.
         """
         # Local import: injector imports this module at definition time.
         from repro.faults.injector import corrupt_burst
 
         self.executions += 1
-        original = self.baseline.trace[seq].instruction
+        subject = self.subject
+        original = subject.baseline.trace[seq].instruction
         corrupted = corrupt_burst(original, mask)
         if corrupted == original:
             raise AssertionError("a strike must change the instruction")
-        simulator = FunctionalSimulator(self.program, self.limits)
-        if self._snapshots is None:
-            self._snapshots = simulator.run(
-                record_trace=False,
-                snapshot_every=snapshot_interval(len(self.baseline.trace)),
-            ).snapshots
-        rerun = simulator.run(record_trace=False, override_seq=seq,
-                              override_instruction=corrupted,
-                              resume=self._snapshots)
+        rerun = FunctionalSimulator(subject.program, subject.limits).run(
+            record_trace=False, override_seq=seq,
+            override_instruction=corrupted, resume=subject.snapshots)
         self.replayed_insts += rerun.steps
         self.converged += rerun.converged
-        return effect_of(rerun, self._baseline_signature)
+        return effect_of(rerun, subject.signature)
 
 
 # ---------------------------------------------------------------------------

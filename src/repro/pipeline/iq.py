@@ -159,24 +159,6 @@ class IntervalTimeline(Sequence):
         """Sum of ``dealloc - alloc`` without touching objects."""
         return sum(self.dealloc) - sum(self.alloc)
 
-    def residency_prefix_sums(self) -> Tuple[array, array, array]:
-        """``(alloc, resident, cumulative)`` columns of the interval log.
-
-        ``resident[i]`` is ``dealloc[i] - alloc[i]`` and ``cumulative`` its
-        running sum — the coordinate system the strike batcher places
-        uniform entry-cycle points in. Splicing relocated blocks must leave
-        these columns identical to a timeline rebuilt from flat records;
-        the hypothesis round-trip suite pins that.
-        """
-        alloc = self.alloc
-        resident = array("q", (d - a for a, d in zip(alloc, self.dealloc)))
-        cumulative = array("q")
-        total = 0
-        for r in resident:
-            total += r
-            cumulative.append(total)
-        return alloc, resident, cumulative
-
     # -- relocatable column blocks (chunk-compositional fast path) ---------
 
     def block(self, start: int, stop: int) -> "IntervalBlock":

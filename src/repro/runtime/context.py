@@ -18,7 +18,7 @@ from typing import Any, Iterator, Optional, Union
 
 from repro.runtime.cache import ResultCache
 from repro.runtime.chaos import ChaosConfig
-from repro.runtime.resilience import RetryPolicy
+from repro.runtime.resilience import RetryPolicy, WorkerPool
 from repro.runtime.telemetry import Telemetry
 
 
@@ -67,6 +67,18 @@ class RuntimeContext:
             self.checkpoint_dir = Path(self.checkpoint_dir)
         if self.resume and self.checkpoint_dir is None:
             raise ValueError("resume requires a checkpoint_dir")
+        self._pool = WorkerPool(self.jobs)
+
+    @property
+    def pool(self) -> WorkerPool:
+        """The worker pool every fan-out under this context borrows.
+
+        Started on the first pooled fan-out and kept until
+        :func:`use_runtime` exits, :func:`configure` or
+        :func:`reset_runtime` replaces the context, or
+        :func:`~repro.experiments.common.clear_caches` runs.
+        """
+        return self._pool
 
     @property
     def cache_dir(self) -> Optional[str]:
@@ -87,9 +99,17 @@ def set_runtime(context: RuntimeContext) -> RuntimeContext:
     return context
 
 
+def _replace(context: RuntimeContext) -> RuntimeContext:
+    previous = get_runtime()
+    set_runtime(context)
+    if previous is not context:
+        previous.pool.shutdown()
+    return context
+
+
 def reset_runtime() -> RuntimeContext:
     """Back to the serial, cache-less default (mainly for tests)."""
-    return set_runtime(RuntimeContext())
+    return _replace(RuntimeContext())
 
 
 def _build(
@@ -129,13 +149,17 @@ def _build(
 
 
 def configure(**settings: Any) -> RuntimeContext:
-    """Build and install a context (see :func:`_build` for the knobs)."""
-    return set_runtime(_build(**settings))
+    """Build and install a context (see :func:`_build` for the knobs).
+
+    The context it replaces shuts its worker pool down.
+    """
+    return _replace(_build(**settings))
 
 
 @contextmanager
 def use_runtime(**settings: Any) -> Iterator[RuntimeContext]:
-    """Scoped :func:`configure`; restores the previous context on exit."""
+    """Scoped :func:`configure`; restores the previous context on exit
+    and shuts the scoped context's worker pool down."""
     context = _build(**settings)
     previous = get_runtime()
     set_runtime(context)
@@ -143,3 +167,4 @@ def use_runtime(**settings: Any) -> Iterator[RuntimeContext]:
         yield context
     finally:
         set_runtime(previous)
+        context.pool.shutdown()

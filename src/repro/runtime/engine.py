@@ -14,8 +14,9 @@ anyway (counter sums, ordered result lists).
 
 Failure handling lives in :mod:`repro.runtime.resilience`: every fan-out
 here runs under a :class:`~repro.runtime.resilience.Supervisor` that
-classifies failures, retries with backoff, enforces watchdog deadlines,
-and rebuilds the pool when workers die. Campaign trials fan out through
+borrows the runtime context's worker pool, classifies failures, retries
+with backoff, enforces watchdog deadlines, and replaces the pool when
+workers die. Campaign trials fan out through
 :func:`repro.runtime.resilience.execute_campaign`.
 """
 
@@ -61,29 +62,53 @@ def _worker_counters(context) -> dict:
     return counters
 
 
-def _benchmark_task(profile, settings, trigger, cache_dir: Optional[str],
-                    chaos: Optional[ChaosConfig], service: Optional[str],
+def _fresh_worker(cache_dir: Optional[str], **settings):
+    """Install a private serial context in a pool worker and empty the
+    in-process memos an earlier task in the same worker left behind, so
+    every task computes, and counts, exactly what it would in a fresh
+    process whatever ran before it."""
+    from repro.experiments.common import clear_caches
+    from repro.pipeline.compose import clear_chunk_memos
+    from repro.pipeline.core import clear_warm_snapshots
+    from repro.runtime.cache import ResultCache
+    from repro.runtime.context import RuntimeContext, set_runtime
+
+    cache = ResultCache(cache_dir) if cache_dir else None
+    context = set_runtime(RuntimeContext(jobs=1, cache=cache, **settings))
+    clear_caches()
+    clear_warm_snapshots()
+    clear_chunk_memos()
+    return context
+
+
+def _benchmark_task(profile, settings, trigger, parts,
+                    cache_dir: Optional[str], chaos: Optional[ChaosConfig],
+                    service: Optional[str],
                     service_timeout: Optional[float], attempt: int):
     """Worker: one full benchmark run under a private serial context.
 
+    ``parts`` are the profile's functional parts when the parent already
+    holds them (None otherwise), so the worker times the program instead
+    of simulating it again. Returns ``((parts or None, pipeline, report),
+    counters, seconds)``: parts the parent shipped are not sent back.
     The worker reads and writes the same stores as the parent: the
     shared cache directory and, when ``service`` is set, the fleet-wide
     timeline store of that ``repro serve`` instance.
     """
-    from repro.experiments.common import run_benchmark
-    from repro.runtime.cache import ResultCache
-    from repro.runtime.context import RuntimeContext, set_runtime
+    from repro.experiments.common import adopt_functional, run_benchmark
 
     if chaos is not None:
         ChaosInjector(chaos).maybe_kill(("benchmark", profile.name), attempt)
-    cache = ResultCache(cache_dir) if cache_dir else None
-    context = set_runtime(RuntimeContext(jobs=1, cache=cache,
-                                         service=service,
-                                         service_timeout=service_timeout))
+    context = _fresh_worker(cache_dir, service=service,
+                            service_timeout=service_timeout)
+    if parts is not None:
+        adopt_functional(profile, settings, parts)
     began = time.perf_counter()
     run = run_benchmark(profile, settings, trigger)
     elapsed = time.perf_counter() - began
-    return run, _worker_counters(context), elapsed
+    own = None if parts is not None else (run.program, run.execution,
+                                          run.deadness)
+    return (own, run.pipeline, run.report), _worker_counters(context), elapsed
 
 
 def run_benchmarks_parallel(
@@ -97,10 +122,13 @@ def run_benchmarks_parallel(
     chaos: Optional[ChaosConfig] = None,
     service: Optional[str] = None,
     service_timeout: Optional[float] = None,
+    functional: Optional[Sequence[Any]] = None,
 ) -> List[Any]:
     """Map ``run_benchmark`` over profiles across supervised processes.
 
-    Returns :class:`BenchmarkRun` objects in ``profiles`` order. Each
+    Returns :class:`BenchmarkRun` objects in ``profiles`` order.
+    ``functional`` holds, per profile, the functional parts the caller
+    already has (or None); they travel with the task. Each
     worker opens its own handle on the shared cache directory (writes are
     atomic) and, with ``service``, its own connection to the remote
     timeline store; its counter snapshot is merged into ``telemetry``.
@@ -108,21 +136,27 @@ def run_benchmarks_parallel(
     failing raises its classified fault — an exhibit must never silently
     drop a benchmark.
     """
+    from repro.experiments.common import BenchmarkRun
+
     results: Dict[int, Any] = {}
+    functional = functional or [None] * len(profiles)
 
     def on_result(index: int, task: SupervisedTask, value) -> None:
-        run, counters, seconds = value
+        (own, pipeline, report), counters, seconds = value
         if telemetry is not None:
             telemetry.merge_counters(counters)
             telemetry.record_worker("benchmark", index, 1, seconds)
-        results[index] = run
+        program, execution, deadness = own or functional[index]
+        results[index] = BenchmarkRun(
+            profile=profiles[index], program=program, execution=execution,
+            deadness=deadness, pipeline=pipeline, report=report)
 
     tasks = [
         SupervisedTask(fn=_benchmark_task,
-                       args=(profile, settings, trigger, cache_dir, chaos,
-                             service, service_timeout),
+                       args=(profile, settings, trigger, parts, cache_dir,
+                             chaos, service, service_timeout),
                        items=1, key=profile.name, deadline=False)
-        for profile in profiles
+        for profile, parts in zip(profiles, functional)
     ]
     supervisor = Supervisor(policy or RetryPolicy(), label="benchmark",
                             max_workers=min(jobs, len(profiles)),
@@ -135,13 +169,10 @@ def _functional_task(profile, settings, cache_dir: Optional[str],
                      chaos: Optional[ChaosConfig], attempt: int):
     """Worker: synthesize + execute + classify one profile."""
     from repro.experiments.common import functional_parts
-    from repro.runtime.cache import ResultCache
-    from repro.runtime.context import RuntimeContext, set_runtime
 
     if chaos is not None:
         ChaosInjector(chaos).maybe_kill(("functional", profile.name), attempt)
-    cache = ResultCache(cache_dir) if cache_dir else None
-    context = set_runtime(RuntimeContext(jobs=1, cache=cache))
+    context = _fresh_worker(cache_dir)
     parts = functional_parts(profile, settings)
     return parts, _worker_counters(context)
 

@@ -1,15 +1,15 @@
 """Supervision layer: failure taxonomy, retry/backoff, quarantine.
 
-PR 1's process fan-out made campaigns fast but brittle: one crashed or
-hung worker lost the whole run. This module wraps the pool with a
-supervisor that
+Every process fan-out borrows the runtime context's one
+:class:`WorkerPool`, so a run of campaigns starts its workers once.
+This module wraps that pool with a supervisor that
 
 * **classifies** every failure into a structured taxonomy
   (:class:`TrialCrash`, :class:`TrialTimeout`, :class:`WorkerLost`,
   :class:`CacheCorrupt`, :class:`ResultInvalid`),
 * **retries** failed shards with exponential backoff plus deterministic
   jitter, under a per-trial watchdog deadline,
-* **rebuilds** the process pool when a worker dies or hangs (innocent
+* **replaces** the context's pool when a worker dies or hangs (innocent
   in-flight shards are re-queued without being charged an attempt), and
 * **quarantines** deterministically-failing trials after the retry
   budget, completing the campaign in degraded mode with an explicit
@@ -23,8 +23,10 @@ poisoned index — reproduces the fault-free result bit-for-bit.
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import Counter, deque
+from contextlib import contextmanager
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -37,6 +39,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -108,6 +111,17 @@ class ResultInvalid(RuntimeFault):
     """A worker returned structurally invalid tallies."""
 
 
+class SubjectMismatch(RuntimeFault):
+    """A worker re-derived a different baseline than the campaign's.
+
+    Raised by :func:`repro.faults.batch.resolve_subject` when a slim
+    shard's program does not re-run to the baseline its token names (a
+    truncated or hand-built baseline, say). Never retried: the
+    supervisor raises it at once and the campaign runs its unfinished
+    blocks again with the baseline shipped.
+    """
+
+
 class CampaignInterrupted(RuntimeFault):
     """KeyboardInterrupt/SIGTERM landed mid-campaign.
 
@@ -165,9 +179,11 @@ class RetryPolicy:
     #: shard of N trials gets N * trial_timeout before it is declared hung.
     trial_timeout: Optional[float] = None
     #: Flat allowance added to every watchdog deadline. The clock starts
-    #: at submit time, so a fresh pool's fork cost and the pickling of
-    #: large task arguments must not count against a tight per-trial
-    #: budget (otherwise innocent single-trial tasks get falsely charged).
+    #: at submit time, so a fresh pool's start-up cost, the pickling of
+    #: task arguments and a worker's first shard on a program (which
+    #: re-runs the program to derive its strike subject) must not count
+    #: against a tight per-trial budget (otherwise innocent single-trial
+    #: tasks get falsely charged).
     startup_grace: float = 1.0
 
     def __post_init__(self) -> None:
@@ -247,6 +263,74 @@ class CompletenessReport:
 
 
 # ---------------------------------------------------------------------------
+# The worker pool
+# ---------------------------------------------------------------------------
+
+class WorkerPool:
+    """The process pool a runtime context lends to every fan-out.
+
+    Started on first borrow with ``max(jobs, requested)`` workers and
+    kept between fan-outs, so a run of campaigns pays the process
+    start-up once and each worker keeps what it derived for earlier
+    tasks (the strike subjects of :mod:`repro.faults.batch`). One
+    fan-out holds the pool at a time (:meth:`lease`), so a rebuild never
+    kills another fan-out's work and a task's watchdog clock never runs
+    while it waits for a worker. :meth:`replace` kills a broken or hung
+    pool and the next borrow starts a fresh one; :meth:`shutdown` stops
+    the workers and waits for them.
+    """
+
+    def __init__(self, jobs: int = 1) -> None:
+        self.jobs = jobs
+        #: Workers of the live pool (0 when none is running).
+        self.workers = 0
+        self._executor: Optional[ProcessPoolExecutor] = None
+        self._lock = threading.Lock()
+        self._lease = threading.RLock()
+
+    @contextmanager
+    def lease(self) -> Iterator["WorkerPool"]:
+        """Hold the pool for one fan-out; other threads' fan-outs wait."""
+        with self._lease:
+            yield self
+
+    def borrow(self, workers: int) -> ProcessPoolExecutor:
+        """The live pool, started with ``max(jobs, workers)`` workers if
+        none is running."""
+        with self._lock:
+            if self._executor is None:
+                self.workers = max(self.jobs, workers)
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self.workers,
+                    initializer=_reset_worker_signals)
+            return self._executor
+
+    def replace(self, executor: ProcessPoolExecutor) -> None:
+        """Kill ``executor`` hard: hung workers are terminated, then reaped.
+
+        The next :meth:`borrow` starts a fresh pool.
+        """
+        with self._lock:
+            if self._executor is executor:
+                self._executor = None
+        processes = list(getattr(executor, "_processes", {}).values())
+        executor.shutdown(wait=False, cancel_futures=True)
+        for process in processes:
+            try:
+                process.terminate()
+                process.join(timeout=1.0)
+            except Exception:
+                pass
+
+    def shutdown(self) -> None:
+        """Stop the workers and wait for them to exit."""
+        with self._lock:
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
+
+
+# ---------------------------------------------------------------------------
 # The supervisor
 # ---------------------------------------------------------------------------
 
@@ -270,17 +354,19 @@ class SupervisedTask:
 class Supervisor:
     """Runs :class:`SupervisedTask`s with retry, backoff and quarantine.
 
-    ``run_pooled`` executes on a private :class:`ProcessPoolExecutor`,
-    rebuilding it whenever a worker dies (``BrokenExecutor``) or a task
-    overruns its watchdog deadline; tasks that were merely collocated
-    with the failure are re-queued without being charged an attempt
-    (except on pool breakage, where the guilty future cannot be told
-    apart from its batch — those all take the charge, which is harmless
-    because results never depend on the attempt number).
-    ``run_serial`` executes inline with the same retry accounting.
+    ``run_pooled`` borrows the active runtime context's
+    :class:`WorkerPool` and has it replaced whenever a worker dies
+    (``BrokenExecutor``) or a task overruns its watchdog deadline; tasks
+    that were merely collocated with the failure are re-queued without
+    being charged an attempt (except on pool breakage, where the guilty
+    future cannot be told apart from its batch — those all take the
+    charge, which is harmless because results never depend on the
+    attempt number). ``run_serial`` executes inline with the same retry
+    accounting.
 
     With ``quarantine=True`` exhausted tasks are set aside and reported;
-    otherwise the final classified fault is raised.
+    otherwise the final classified fault is raised. A
+    :class:`SubjectMismatch` is raised at once either way.
     """
 
     def __init__(
@@ -320,6 +406,8 @@ class Supervisor:
                 quarantined: List[int]) -> None:
         """Record a failed attempt; schedule a retry, quarantine, or raise."""
         self._count(FAULT_COUNTERS.get(type(fault), "runtime_faults"))
+        if isinstance(fault, SubjectMismatch):
+            raise fault
         attempts[index] += 1
         if attempts[index] <= self.policy.retries:
             self.retries += 1
@@ -352,6 +440,8 @@ class Supervisor:
                     fault = classify_failure(exc)
                     self._count(FAULT_COUNTERS.get(type(fault),
                                                    "runtime_faults"))
+                    if isinstance(fault, SubjectMismatch):
+                        raise fault from exc
                     attempt += 1
                     if attempt <= self.policy.retries:
                         self.retries += 1
@@ -368,41 +458,55 @@ class Supervisor:
 
     # -- pooled path -----------------------------------------------------
 
-    def _new_pool(self, tasks_left: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=min(self.max_workers, max(1, tasks_left)),
-            initializer=_reset_worker_signals)
-
-    @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        """Tear a pool down hard — hung workers are terminated, not joined."""
-        processes = list(getattr(pool, "_processes", {}).values())
-        pool.shutdown(wait=False, cancel_futures=True)
-        for process in processes:
-            try:
-                process.terminate()
-            except Exception:
-                pass
-
     def run_pooled(self, tasks: Sequence[SupervisedTask]) -> List[int]:
-        """Run tasks on a supervised pool; returns quarantined indices."""
+        """Run tasks on the context's pool, holding its lease for the
+        whole fan-out; returns quarantined indices."""
+        # Local import: the context module imports this one.
+        from repro.runtime.context import get_runtime
+
+        with get_runtime().pool.lease() as workers:
+            return self._run_leased(workers, tasks)
+
+    def _run_leased(self, workers: WorkerPool,
+                    tasks: Sequence[SupervisedTask]) -> List[int]:
         quarantined: List[int] = []
         attempts = [0] * len(tasks)
         ready = deque(range(len(tasks)))
         sleeping: Dict[int, float] = {}
         inflight: Dict[Any, int] = {}
         deadlines: Dict[Any, Optional[float]] = {}
-        pool = self._new_pool(len(tasks))
+        pool = workers.borrow(self.max_workers)
+        # Never more in flight than the pool has workers: a queued task's
+        # watchdog clock would run while it waits.
+        slots = min(self.max_workers, workers.workers)
+
+        def rebuild() -> None:
+            # Re-queue the in-flight survivors without charging them an
+            # attempt, kill the pool and borrow a fresh one.
+            nonlocal pool
+            ready.extend(inflight.values())
+            inflight.clear()
+            deadlines.clear()
+            workers.replace(pool)
+            pool = workers.borrow(self.max_workers)
+
         try:
             while ready or sleeping or inflight:
                 now = time.monotonic()
                 for index in [i for i, t in sleeping.items() if t <= now]:
                     del sleeping[index]
                     ready.append(index)
-                while ready and len(inflight) < self.max_workers:
+                while ready and len(inflight) < slots:
                     index = ready.popleft()
                     task = tasks[index]
-                    future = pool.submit(task.fn, *task.args, attempts[index])
+                    try:
+                        future = pool.submit(task.fn, *task.args,
+                                             attempts[index])
+                    except BrokenExecutor:
+                        # A worker died while the pool sat idle.
+                        ready.appendleft(index)
+                        rebuild()
+                        continue
                     inflight[future] = index
                     limit = (self.policy.deadline_for(task.items)
                              if task.deadline else None)
@@ -436,13 +540,7 @@ class Supervisor:
                         self._charge(index, task, classify_failure(exc),
                                      attempts, sleeping, quarantined)
                 if broken:
-                    # The pool is unusable; re-queue the survivors without
-                    # charging them an attempt and start a fresh pool.
-                    ready.extend(inflight.values())
-                    inflight.clear()
-                    deadlines.clear()
-                    self._kill_pool(pool)
-                    pool = self._new_pool(len(ready) + len(sleeping))
+                    rebuild()
                     continue
                 now = time.monotonic()
                 expired = [future for future, limit in deadlines.items()
@@ -460,21 +558,12 @@ class Supervisor:
                                 f"{self.policy.deadline_for(task.items):.3g}s "
                                 f"deadline"),
                             attempts, sleeping, quarantined)
-                    # A hung worker cannot be cancelled individually: kill
-                    # the pool, re-queue innocents uncharged, rebuild.
-                    ready.extend(inflight.values())
-                    inflight.clear()
-                    deadlines.clear()
-                    self._kill_pool(pool)
-                    pool = self._new_pool(len(ready) + len(sleeping))
-        except KeyboardInterrupt:
-            self._kill_pool(pool)
-            raise
+                    # A hung worker cannot be cancelled individually.
+                    rebuild()
         except BaseException:
-            self._kill_pool(pool)
+            # Whatever is still running on the pool is abandoned with it.
+            workers.replace(pool)
             raise
-        else:
-            pool.shutdown(wait=True)
         return quarantined
 
 
@@ -536,23 +625,25 @@ def plan_blocks(spans: Sequence[Tuple[int, int]], jobs: int,
     return blocks
 
 
-def shard_worker(program, baseline, pipeline_result, config,
-                 start: int, stop: int,
+def shard_worker(subject, pipeline_result, config, start: int, stop: int,
                  chaos_config: Optional[ChaosConfig],
                  cache_dir: Optional[str], attempt: int):
     """Classify trials ``[start, stop)`` under optional chaos injection.
 
-    Runs in a worker process (or inline when serial). Builds the
-    shard's :class:`~repro.faults.batch.StrikeClassifier` — preloading
-    its effect oracle from the persistent cache when ``cache_dir`` is
-    given — draws and classifies the shard's strikes, and returns
-    ``(counts dict, tracker_misses, elapsed_seconds, oracle new-entry
-    dict, counter dict)``; the parent merges the last two so no
-    re-execution is ever repeated in a later run. Retry and quarantine
-    operate on trial indices, because a shard's strikes are a pure
-    function of the indices it covers.
+    Runs in a worker process (or inline when serial). ``subject`` is a
+    :class:`~repro.faults.batch.SubjectToken`; the process resolves it to
+    the program's :class:`~repro.faults.batch.StrikeSubject`, derived on
+    its first shard of the program and reused by every later one. Each
+    shard then builds its own :class:`~repro.faults.batch.StrikeClassifier`
+    over the subject — preloading its effect oracle from the persistent
+    cache when ``cache_dir`` is given — draws and classifies its strikes,
+    and returns ``(counts dict, tracker_misses, elapsed_seconds, oracle
+    new-entry dict, counter dict)``; the parent merges the last two so
+    no re-execution is ever repeated in a later run. Retry and
+    quarantine operate on trial indices, because a shard's strikes are a
+    pure function of the indices it covers.
     """
-    from repro.faults.batch import StrikeClassifier
+    from repro.faults.batch import StrikeClassifier, resolve_subject
     from repro.faults.campaign import run_trial_block
     from repro.faults.oracle import load_persisted, oracle_cache_key
 
@@ -567,17 +658,18 @@ def shard_worker(program, baseline, pipeline_result, config,
             injector.maybe_delay(("trial", index))
             injector.maybe_raise(("trial", index), attempt)
 
-    classifier = StrikeClassifier(program, baseline, pipeline_result, config)
+    began = time.perf_counter()
+    strike_subject = resolve_subject(subject)
+    classifier = StrikeClassifier(strike_subject, pipeline_result, config)
     if cache_dir is not None:
         from repro.runtime.cache import ResultCache
 
         classifier.oracle.preload(load_persisted(
-            ResultCache(cache_dir), oracle_cache_key(program)))
+            ResultCache(cache_dir), oracle_cache_key(subject.program)))
 
-    began = time.perf_counter()
     counts, tracker_misses = run_trial_block(
-        program, baseline, pipeline_result, config, start, stop,
-        on_trial=on_trial, classifier=classifier)
+        subject.program, strike_subject.baseline, pipeline_result, config,
+        start, stop, on_trial=on_trial, classifier=classifier)
     stats = classifier.oracle.counters()
     stats.update(classifier.counters())
     if config.scheme is not None or config.mbu_preset is not None:
@@ -640,9 +732,19 @@ def execute_campaign(
     result that cannot be sampled fails inside every shard as a
     :class:`TrialCrash` and ends in the quarantine report.
 
+    Pooled shards carry a slim subject token, not the baseline: each
+    worker re-derives the program's run once and checks it against the
+    token. If the caller's baseline is not that run, a worker that does
+    not hold its subject fails with :class:`SubjectMismatch` before
+    classifying anything; the blocks not yet merged then run again with
+    the baseline shipped.
+
     A corrupt journal is discarded (counted in telemetry) and the
     campaign restarts from zero — never trust, always re-derive.
     """
+    # Local import: the fault layer imports this module.
+    from repro.faults.batch import SubjectToken, local_subject
+
     policy = policy or RetryPolicy()
     counts: Counter = Counter()
     tracker_misses = 0
@@ -680,6 +782,9 @@ def execute_campaign(
         remaining = [(0, config.trials)]
 
     blocks = plan_blocks(remaining, jobs, fine=journal is not None)
+    #: Ranges whose tallies are merged; a pass cut short by a
+    #: SubjectMismatch runs only the others again.
+    accepted: set = set()
 
     def on_result(index: int, task: SupervisedTask, value) -> None:
         nonlocal tracker_misses
@@ -687,6 +792,7 @@ def execute_campaign(
         counts.update(shard_counts)
         tracker_misses += shard_misses
         oracle_new.update(shard_oracle)
+        accepted.add(task.key)
         start, stop = task.key
         if journal is not None:
             journal.record(start, stop, shard_counts, shard_misses)
@@ -696,35 +802,54 @@ def execute_campaign(
             telemetry.merge_counters(oracle_stats)
             telemetry.record_worker("campaign", index, task.items, seconds)
 
-    def run_pass(spans: Sequence[Tuple[int, int]]
-                 ) -> Tuple[List[Tuple[int, int]], int]:
-        tasks = [
-            SupervisedTask(
-                fn=shard_worker,
-                args=(program, baseline, pipeline_result, config,
-                      start, stop, chaos, cache_dir),
-                items=stop - start, key=(start, stop), deadline=True)
-            for start, stop in spans
-        ]
-        supervisor = Supervisor(policy, label="campaign", max_workers=jobs,
-                                telemetry=telemetry, quarantine=True,
-                                validate=validate_shard, on_result=on_result)
-        if jobs > 1 and len(tasks) > 1:
-            bad = supervisor.run_pooled(tasks)
-        else:
-            bad = supervisor.run_serial(tasks)
-        return [tasks[i].key for i in bad], supervisor.retries
+    key = local_subject(program, baseline).key
+    ship_baseline = False
+    retries = 0
+
+    def run_pass(spans: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
+        nonlocal ship_baseline, retries
+        while True:
+            todo = [span for span in spans if span not in accepted]
+            pooled = jobs > 1 and len(todo) > 1
+            subject = SubjectToken(key, program, baseline
+                                   if ship_baseline or not pooled else None)
+            tasks = [
+                SupervisedTask(
+                    fn=shard_worker,
+                    args=(subject, pipeline_result, config, start, stop,
+                          chaos, cache_dir),
+                    items=stop - start, key=(start, stop), deadline=True)
+                for start, stop in todo
+            ]
+            supervisor = Supervisor(policy, label="campaign",
+                                    max_workers=jobs, telemetry=telemetry,
+                                    quarantine=True, validate=validate_shard,
+                                    on_result=on_result)
+            try:
+                bad = (supervisor.run_pooled(tasks) if pooled
+                       else supervisor.run_serial(tasks))
+            except SubjectMismatch:
+                if ship_baseline:
+                    raise
+                # Some worker could not re-derive the baseline: ship it
+                # from now on, to the blocks still unmerged.
+                ship_baseline = True
+                if telemetry is not None:
+                    telemetry.increment("baselines_shipped")
+                continue
+            finally:
+                retries += supervisor.retries
+            return [tasks[i].key for i in bad]
 
     quarantined: List[int] = []
     try:
-        bad_blocks, retries = run_pass(blocks)
+        bad_blocks = run_pass(blocks)
         if bad_blocks:
             # Phase 2: isolate the deterministic failures trial-by-trial.
             singles = [(index, index + 1)
                        for start, stop in bad_blocks
                        for index in range(start, stop)]
-            bad_trials, more_retries = run_pass(singles)
-            retries += more_retries
+            bad_trials = run_pass(singles)
             quarantined = sorted(start for start, _ in bad_trials)
     except KeyboardInterrupt:
         done = sum(counts.values())

@@ -37,6 +37,7 @@ from repro.due.tracking import (
 from repro.faults.batch import (
     StrikeBatch,
     StrikeClassifier,
+    StrikeSubject,
     empty_space_message,
 )
 from repro.faults.campaign import CampaignResult, run_trial_block, trial_seed
@@ -196,7 +197,7 @@ class StrikeEvaluator:
         self.scheme = scheme
         self.static_filter = static_filter
         self.oracle = (oracle if oracle is not None
-                       else EffectOracle(program, baseline))
+                       else EffectOracle(StrikeSubject(program, baseline)))
         self.tracker = (PiBitTracker(baseline.trace, tracking, pet_entries)
                         if parity or scheme is not None else None)
         self.burst_stats: Dict[str, int] = {
@@ -361,7 +362,8 @@ def reference_block(program, baseline, pipeline_result, config,
 def production_block(program, baseline, pipeline_result, config
                      ) -> Tuple[Counter, int, StrikeClassifier]:
     """The production path over all of ``config``'s trials, one block."""
-    classifier = StrikeClassifier(program, baseline, pipeline_result, config)
+    classifier = StrikeClassifier(StrikeSubject(program, baseline),
+                                  pipeline_result, config)
     counts, tracker_misses = run_trial_block(
         program, baseline, pipeline_result, config, 0, config.trials,
         classifier=classifier)

@@ -26,6 +26,7 @@ from repro.analysis.deadcode import analyze_deadness
 from repro.arch.executor import FunctionalSimulator
 from repro.avf.avf_calc import compute_iq_avf
 from repro.avf.occupancy import AccountingPolicy, compute_breakdown
+from repro.faults.batch import _residency_columns
 from repro.isa.opcodes import Opcode
 from repro.pipeline import compose
 from repro.pipeline.compose import (
@@ -36,6 +37,7 @@ from repro.pipeline.compose import (
 from repro.pipeline.config import MachineConfig, SquashConfig, Trigger
 from repro.pipeline.core import PipelineSimulator
 from repro.pipeline.iq import NO_VALUE, IntervalTimeline
+from repro.pipeline.result import PipelineResult
 from repro.runtime.cache import cache_key
 from repro.runtime.context import use_runtime
 from repro.workloads.codegen import synthesize
@@ -412,16 +414,22 @@ class TestBlockRoundTrip:
     def test_relocated_residency_sums(self, case, cycle_delta):
         """Relocating every block by the same delta shifts alloc but
         leaves resident/cumulative residency columns identical — the
-        coordinate system the strike batcher samples in."""
+        columns the strike drawer samples uniform entry-cycle points
+        in."""
         timeline, cuts = case
         blocks = [timeline.block(a, b).shifted(cycle_delta)
                   for a, b in zip(cuts, cuts[1:])]
         rebuilt = IntervalTimeline.from_blocks(blocks)
-        alloc0, resident0, cumulative0 = timeline.residency_prefix_sums()
-        alloc1, resident1, cumulative1 = rebuilt.residency_prefix_sums()
-        assert list(resident0) == list(resident1)
-        assert list(cumulative0) == list(cumulative1)
-        assert [a + cycle_delta for a in alloc0] == list(alloc1)
+
+        def columns(intervals):
+            return _residency_columns(PipelineResult(
+                cycles=0, committed=0, intervals=intervals, iq_entries=1))
+
+        alloc0, resident0, cumulative0 = columns(timeline)
+        alloc1, resident1, cumulative1 = columns(rebuilt)
+        assert resident0.tolist() == resident1.tolist()
+        assert cumulative0.tolist() == cumulative1.tolist()
+        assert (alloc0 + cycle_delta).tolist() == alloc1.tolist()
 
 
 # ---------------------------------------------------------------------------

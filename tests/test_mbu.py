@@ -61,6 +61,7 @@ from repro.experiments.common import ExperimentSettings, clear_caches
 from repro.faults.batch import (
     StrikeBatch,
     StrikeClassifier,
+    StrikeSubject,
     draw_strike_batch,
     empty_space_message,
 )
@@ -399,8 +400,8 @@ class TestLatticeEndpoints:
         must share one batch)."""
         batch = draw_strike_batch(pipeline, legacy, program.name, 0,
                                   legacy.trials)
-        return [StrikeClassifier(program, baseline, pipeline,
-                                 config).classify(batch)
+        return [StrikeClassifier(StrikeSubject(program, baseline),
+                                 pipeline, config).classify(batch)
                 for config in (legacy, lattice)]
 
     @pytest.mark.parametrize("tracking", list(TrackingLevel),
@@ -432,11 +433,13 @@ class TestLatticeEndpoints:
         """No classifier can be built for a scheme plus a legacy flag:
         the config it is built from refuses the combination."""
         with pytest.raises(ValueError, match="lattice"):
-            StrikeClassifier(small_program, small_execution, small_pipeline,
+            StrikeClassifier(StrikeSubject(small_program, small_execution),
+                             small_pipeline,
                              CampaignConfig(parity=True,
                                             scheme=EccScheme.PARITY))
         with pytest.raises(ValueError, match="lattice"):
-            StrikeClassifier(small_program, small_execution, small_pipeline,
+            StrikeClassifier(StrikeSubject(small_program, small_execution),
+                             small_pipeline,
                              CampaignConfig(ecc=True, scheme=EccScheme.SEC))
 
 
@@ -466,7 +469,7 @@ class TestMaskOracleSoundness:
         shape at a stride of committed instructions."""
         from repro.faults.batch import build_kill_masks
 
-        oracle = EffectOracle(small_program, small_execution)
+        oracle = EffectOracle(StrikeSubject(small_program, small_execution))
         masks = build_kill_masks(small_execution, oracle.deadness)
         bursts = [mask_for(BurstPattern.DOUBLE_ADJACENT, bit)
                   for bit in range(ENCODING_BITS)]
@@ -491,7 +494,7 @@ class TestMaskOracleSoundness:
         """Every drawn burst the conjunction filters re-executes to
         "none": whatever the filter kills was benign anyway."""
         config = CampaignConfig(trials=150, seed=5, mbu_preset="space")
-        oracle = EffectOracle(small_program, small_execution)
+        oracle = EffectOracle(StrikeSubject(small_program, small_execution))
         sampler = StrikeModel(small_pipeline)
         killed = 0
         for index in range(config.trials):

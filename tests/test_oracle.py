@@ -24,7 +24,7 @@ import pytest
 from repro.arch.executor import FunctionalSimulator
 from repro.due.pi_bit import PiBitTracker
 from repro.due.tracking import TrackingLevel
-from repro.faults.batch import StrikeClassifier
+from repro.faults.batch import StrikeClassifier, StrikeSubject
 from repro.faults.campaign import (
     CampaignConfig,
     run_campaign,
@@ -80,7 +80,7 @@ class TestStaticFilterSoundness:
         """Every (seq, bit) point: oracle == seed slow path, and every
         static classification is backed by an actual "none" re-execution."""
         prog, baseline = rule_setup
-        oracle = EffectOracle(prog, baseline)
+        oracle = EffectOracle(StrikeSubject(prog, baseline))
         reasons = set()
         for seq in range(len(baseline.trace)):
             for bit in range(ENCODING_BITS):
@@ -101,7 +101,7 @@ class TestStaticFilterSoundness:
                                          small_execution):
         """Statically-killed points of the real workload re-execute to
         "none" — the rules hold beyond hand-built corner cases."""
-        oracle = EffectOracle(small_program, small_execution)
+        oracle = EffectOracle(StrikeSubject(small_program, small_execution))
         trace = small_execution.trace
         killed = []
         for seq in range(0, len(trace), 97):
@@ -119,7 +119,7 @@ class TestStaticFilterSoundness:
 class TestOracleMemo:
     def test_memo_serves_repeats_without_reexecution(self, rule_setup):
         prog, baseline = rule_setup
-        oracle = EffectOracle(prog, baseline)
+        oracle = EffectOracle(StrikeSubject(prog, baseline))
         first = oracle.effect(0, IMM_BIT)
         second = oracle.effect(0, IMM_BIT)
         assert first == second == "sdc"
@@ -128,7 +128,7 @@ class TestOracleMemo:
 
     def test_static_kill_is_memoized_too(self, rule_setup):
         prog, baseline = rule_setup
-        oracle = EffectOracle(prog, baseline)
+        oracle = EffectOracle(StrikeSubject(prog, baseline))
         assert oracle.effect(1, IMM_BIT) == "none"
         assert (oracle.static_kills, oracle.executions) == (1, 0)
         assert oracle.effect(1, IMM_BIT) == "none"
@@ -137,20 +137,20 @@ class TestOracleMemo:
     def test_filter_off_reexecutes_inert_points(self, rule_setup):
         """``reexecute`` bypasses the static filter and the memo."""
         prog, baseline = rule_setup
-        oracle = EffectOracle(prog, baseline)
+        oracle = EffectOracle(StrikeSubject(prog, baseline))
         assert oracle.reexecute(1, 1 << IMM_BIT) == "none"
         assert (oracle.executions, oracle.static_kills) == (1, 0)
         assert oracle.new_entries() == {}
 
     def test_preload_serves_without_execution(self, rule_setup):
         prog, baseline = rule_setup
-        donor = EffectOracle(prog, baseline)
+        donor = EffectOracle(StrikeSubject(prog, baseline))
         donor.effect(0, IMM_BIT)
         donor.effect(1, IMM_BIT)
         table = donor.new_entries()
         assert table == {(0, IMM_BIT): "sdc", (1, IMM_BIT): "none"}
 
-        warm = EffectOracle(prog, baseline)
+        warm = EffectOracle(StrikeSubject(prog, baseline))
         assert warm.preload(table) == 2
         assert warm.effect(0, IMM_BIT) == "sdc"
         assert (warm.executions, warm.memo_hits) == (0, 1)
@@ -159,14 +159,14 @@ class TestOracleMemo:
 
     def test_preload_never_overwrites_local_entries(self, rule_setup):
         prog, baseline = rule_setup
-        oracle = EffectOracle(prog, baseline)
+        oracle = EffectOracle(StrikeSubject(prog, baseline))
         assert oracle.effect(0, IMM_BIT) == "sdc"
         assert oracle.preload({(0, IMM_BIT): "hang"}) == 0
         assert oracle.effect(0, IMM_BIT) == "sdc"
 
     def test_counter_names_match_telemetry(self, rule_setup):
         prog, baseline = rule_setup
-        oracle = EffectOracle(prog, baseline)
+        oracle = EffectOracle(StrikeSubject(prog, baseline))
         assert set(oracle.counters()) == {
             "oracle_memo_hits", "oracle_static_kills", "oracle_executions",
             "oracle_replayed_insts", "oracle_converged"}
@@ -278,15 +278,17 @@ class TestGoldenEquivalence:
                                  small_pipeline, config)
 
         # The production classifier with a cold oracle.
-        donor = StrikeClassifier(small_program, small_execution,
-                                 small_pipeline, config)
+        donor = StrikeClassifier(
+            StrikeSubject(small_program, small_execution), small_pipeline,
+            config)
         assert run_trial_block(small_program, small_execution,
                                small_pipeline, config, 0, config.trials,
                                classifier=donor) == golden
 
         # Warm oracle (as after a persisted-cache load): zero execution.
-        warm = StrikeClassifier(small_program, small_execution,
-                                small_pipeline, config)
+        warm = StrikeClassifier(
+            StrikeSubject(small_program, small_execution), small_pipeline,
+            config)
         warm.oracle.preload(donor.oracle.new_entries())
         assert run_trial_block(small_program, small_execution,
                                small_pipeline, config, 0, config.trials,

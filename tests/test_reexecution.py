@@ -30,6 +30,7 @@ from repro.arch.executor import (
     snapshot_interval,
 )
 from repro.arch.state import ArchState
+from repro.faults.batch import StrikeSubject
 from repro.faults.campaign import CampaignConfig, run_campaign
 from repro.faults.injector import architectural_effect, corrupt_burst
 from repro.faults.oracle import EffectOracle, default_limits, effect_of
@@ -117,7 +118,7 @@ def snapshot_log(prog, baseline, **run_kwargs):
 def exhaustive(loop_setup):
     """Oracle and ground-truth verdicts for every strike point."""
     prog, baseline, _ = loop_setup
-    oracle = EffectOracle(prog, baseline)
+    oracle = EffectOracle(StrikeSubject(prog, baseline))
     verdicts = {}
     for seq in range(len(baseline.trace)):
         for bit in range(ENCODING_BITS):
@@ -256,7 +257,7 @@ class TestCorners:
     @pytest.fixture
     def oracle(self, loop_setup):
         prog, baseline, _ = loop_setup
-        return EffectOracle(prog, baseline)
+        return EffectOracle(StrikeSubject(prog, baseline))
 
     def test_dead_value_flip_converges_early(self, loop_setup, oracle):
         prog, baseline, interval = loop_setup
@@ -324,7 +325,7 @@ class TestCorners:
 def test_generated_programs_match_full_reexecution(profile, seed, data):
     prog = synthesize(profile, target_instructions=1000, seed=seed)
     baseline = FunctionalSimulator(prog).run()
-    oracle = EffectOracle(prog, baseline)
+    oracle = EffectOracle(StrikeSubject(prog, baseline))
     simulator = FunctionalSimulator(prog, default_limits(baseline))
     signature = baseline.output_signature()
     seqs = st.integers(0, len(baseline.trace) - 1)

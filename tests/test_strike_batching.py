@@ -33,7 +33,12 @@ import repro.faults.batch as batch_mod
 from repro.arch.executor import FunctionalSimulator
 from repro.due.outcomes import FaultOutcome
 from repro.due.tracking import TrackingLevel
-from repro.faults.batch import StrikeBatch, build_kill_masks, draw_strike_batch
+from repro.faults.batch import (
+    StrikeBatch,
+    StrikeSubject,
+    build_kill_masks,
+    draw_strike_batch,
+)
 from repro.faults.campaign import (
     CampaignConfig,
     run_campaign,
@@ -273,7 +278,7 @@ class TestMaskSoundness:
 
     def test_masks_match_classify_static_exhaustively(self, rule_setup):
         prog, baseline = rule_setup
-        oracle = EffectOracle(prog, baseline)
+        oracle = EffectOracle(StrikeSubject(prog, baseline))
         masks = build_kill_masks(baseline, oracle.deadness)
         assert len(masks) == len(baseline.trace)
         reasons = set()
@@ -291,7 +296,7 @@ class TestMaskSoundness:
     def test_masks_match_on_session_workload_stride(self, small_program,
                                                     small_execution):
         """Beyond hand-built corners: strided sweep of the real trace."""
-        oracle = EffectOracle(small_program, small_execution)
+        oracle = EffectOracle(StrikeSubject(small_program, small_execution))
         masks = build_kill_masks(small_execution, oracle.deadness)
         checked = killed = 0
         for seq in range(0, len(small_execution.trace), 97):
