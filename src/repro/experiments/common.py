@@ -7,11 +7,14 @@
 
 The functional half (program, trace, deadness) is cached per
 (profile, size, seed) because every exhibit reuses it across squash
-configurations; the timing half is cached per squash trigger.
+configurations; the timing half is cached per squash trigger. A run the
+timeline store answers loads its functional half only when an exhibit
+reads it (:class:`BenchmarkRun`).
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -24,7 +27,7 @@ from repro.pipeline.config import MachineConfig, SquashConfig, Trigger
 from repro.pipeline.core import PipelineSimulator
 from repro.pipeline.result import PipelineResult
 from repro.runtime.cache import MISS, cache_key
-from repro.runtime.context import get_runtime
+from repro.runtime.context import RuntimeContext, get_runtime
 from repro.workloads.codegen import synthesize
 from repro.workloads.profile import BenchmarkProfile
 
@@ -48,18 +51,68 @@ class ExperimentSettings:
         )
 
 
-@dataclass
 class BenchmarkRun:
-    """Everything derived from one benchmark at one squash setting."""
+    """Everything derived from one benchmark at one squash setting.
 
-    profile: BenchmarkProfile
-    program: Program
-    execution: ExecutionResult
-    deadness: DeadnessAnalysis
-    pipeline: PipelineResult
-    report: IqAvfReport
+    ``pipeline`` and ``report`` are always held. A run that simulated
+    holds its functional parts too; a run the timeline store answered
+    resolves ``program``, ``execution`` and ``deadness`` through
+    :func:`functional_parts` on first access, under the runtime context
+    it was created in, and keeps them from then on. Table 1 reads only
+    ``report``, so a warm Table 1 loads no program at all.
+    """
+
+    def __init__(
+        self,
+        profile: BenchmarkProfile,
+        settings: ExperimentSettings,
+        pipeline: PipelineResult,
+        report: IqAvfReport,
+        parts: Optional[Tuple[Program, ExecutionResult,
+                              DeadnessAnalysis]] = None,
+    ) -> None:
+        self.profile = profile
+        self.settings = settings
+        self.pipeline = pipeline
+        self.report = report
+        self._parts = parts
+        self._runtime: Optional[RuntimeContext] = (
+            get_runtime() if parts is None else None)
+
+    @property
+    def loaded_parts(self) -> Optional[
+            Tuple[Program, ExecutionResult, DeadnessAnalysis]]:
+        """The functional parts if this run holds them, else None."""
+        return self._parts
+
+    def _functional(self) -> Tuple[Program, ExecutionResult,
+                                   DeadnessAnalysis]:
+        parts = self._parts
+        if parts is None:
+            with _RESOLVE_LOCK:
+                parts = self._parts
+                if parts is None:
+                    parts = self._parts = functional_parts(
+                        self.profile, self.settings, self._runtime)
+                    self._runtime = None
+        return parts
+
+    @property
+    def program(self) -> Program:
+        return self._functional()[0]
+
+    @property
+    def execution(self) -> ExecutionResult:
+        return self._functional()[1]
+
+    @property
+    def deadness(self) -> DeadnessAnalysis:
+        return self._functional()[2]
 
 
+#: Serialises first-access resolution, so two server threads reading one
+#: run share one set of parts (``run.program is run.program``).
+_RESOLVE_LOCK = threading.Lock()
 _functional_cache: Dict[Tuple, Tuple] = {}
 _run_cache: Dict[Tuple, BenchmarkRun] = {}
 #: Open connections to remote timeline services, one per address.
@@ -125,23 +178,26 @@ def _run_key(profile: BenchmarkProfile, settings: ExperimentSettings,
 
 
 def functional_parts(
-    profile: BenchmarkProfile, settings: ExperimentSettings
+    profile: BenchmarkProfile, settings: ExperimentSettings,
+    runtime: Optional[RuntimeContext] = None,
 ) -> Tuple[Program, ExecutionResult, DeadnessAnalysis]:
     """Synthesize + execute + classify once per (profile, size, seed).
 
-    Consults the active runtime context's persistent cache (if any)
-    before simulating; every simulation ticks the telemetry counters.
+    Consults the persistent cache of ``runtime`` (default: the active
+    context) before simulating; a load ticks ``functional_loads`` and a
+    simulation ``functional_sims`` on that context's telemetry.
     """
     key = _functional_key(profile, settings)
     if key in _functional_cache:
         return _functional_cache[key]
-    runtime = get_runtime()
+    runtime = runtime or get_runtime()
     disk_key = None
     if runtime.cache is not None:
         disk_key = cache_key("functional", profile,
                              settings.target_instructions, settings.seed)
         cached = runtime.cache.get(disk_key)
         if cached is not MISS:
+            runtime.telemetry.increment("functional_loads")
             _functional_cache[key] = cached
             return cached
     program = synthesize(profile, settings.target_instructions,
@@ -186,7 +242,8 @@ def run_benchmark(
     interval timeline, so a populated store
     lets the whole exhibit suite re-run without a single timing
     simulation. The (much larger) functional parts are cached once per
-    (profile, size, seed) and shared by every machine configuration.
+    (profile, size, seed) and shared by every machine configuration; a
+    run the store answers loads them only when they are read.
     """
     settings = settings or ExperimentSettings()
     if machine is None:
@@ -219,19 +276,16 @@ def run_benchmark(
             runtime.telemetry.increment("cache_corrupt_entries")
         else:
             runtime.telemetry.increment("timeline_store_hits")
-            program, execution, deadness = functional_parts(profile, settings)
-            run = BenchmarkRun(profile=profile, program=program,
-                               execution=execution, deadness=deadness,
-                               pipeline=pipeline, report=report)
+            run = BenchmarkRun(profile, settings, pipeline, report)
             _run_cache[key] = run
             return run
-    program, execution, deadness = functional_parts(profile, settings)
+    parts = functional_parts(profile, settings)
+    program, execution, deadness = parts
     pipeline = PipelineSimulator(program, execution.trace, machine,
                                  seed=settings.seed).run()
     runtime.telemetry.increment("pipeline_sims")
     report = compute_iq_avf(profile.name, pipeline, deadness)
-    run = BenchmarkRun(profile=profile, program=program, execution=execution,
-                       deadness=deadness, pipeline=pipeline, report=report)
+    run = BenchmarkRun(profile, settings, pipeline, report, parts)
     _run_cache[key] = run
     if disk_key is not None:
         if runtime.cache is not None:
@@ -252,7 +306,9 @@ def run_benchmarks(
     With ``jobs`` (or the active context's worker count) above one, the
     profiles not already memoised are computed in worker processes; each
     worker writes through to the shared persistent cache, and results are
-    returned in ``profiles`` order, bit-identical to the serial path.
+    returned in ``profiles`` order, bit-identical to the serial path. A
+    worker sends functional parts back only when it computed or loaded
+    them, so runs the store answered stay deferred here too.
     """
     settings = settings or ExperimentSettings()
     profiles = list(profiles)
@@ -279,9 +335,10 @@ def run_benchmarks(
                 _run_cache[_run_key(
                     profile, settings,
                     settings.machine_for(profile, trigger))] = run
-                _functional_cache.setdefault(
-                    _functional_key(profile, settings),
-                    (run.program, run.execution, run.deadness))
+                if run.loaded_parts is not None:
+                    _functional_cache.setdefault(
+                        _functional_key(profile, settings),
+                        run.loaded_parts)
     return [run_benchmark(profile, settings, trigger)
             for profile in profiles]
 

@@ -368,6 +368,18 @@ class StrikeSubject:
         self._kill: Optional[List[int]] = None
         self._snapshots: Optional[SnapshotLog] = None
 
+    def prepare(self) -> "StrikeSubject":
+        """Derive every lazy part now; returns the subject.
+
+        A pooled shard calls this before its watchdog clock starts, so
+        a worker's first shard on a program is not charged for it.
+        """
+        # Property reads for their side effect: each derives and keeps
+        # its part (the kill masks derive the deadness analysis).
+        self.kill_masks
+        self.snapshots
+        return self
+
     @property
     def key(self) -> str:
         """:func:`subject_key` of the program and baseline."""

@@ -219,6 +219,20 @@ def run_trial_block(
             trial_index=start if stop - start == 1 else None) from exc
 
 
+def campaign_key(program: Program, baseline: ExecutionResult,
+                 pipeline_result: PipelineResult,
+                 config: CampaignConfig) -> str:
+    """Cache key of a campaign's tally and name of its checkpoint journal.
+
+    Covers the strike subject (the program *and* the baseline run every
+    strike is judged against, :func:`~repro.faults.batch.subject_key`),
+    the pipeline result and the configuration, so a campaign on a
+    different baseline of the same program never answers for this one.
+    """
+    return cache_key("campaign", local_subject(program, baseline).key,
+                     pipeline_result, config)
+
+
 def run_campaign(
     program: Program,
     baseline: ExecutionResult,
@@ -235,8 +249,8 @@ def run_campaign(
     supervised processes (retry/backoff, watchdog deadlines, quarantine —
     see :mod:`repro.runtime.resilience`), producing tallies bit-identical
     to the serial path. When the context carries a persistent cache, the
-    full tally is stored under a key covering the program bytes, the
-    pipeline result, and the campaign config — a warm re-run injects
+    full tally is stored under :func:`campaign_key` (program, baseline,
+    pipeline result and campaign config) — a warm re-run injects
     nothing.
 
     With a ``checkpoint_dir`` (argument or context), completed trial
@@ -259,7 +273,7 @@ def run_campaign(
 
     campaign_id = None
     if runtime.cache is not None or checkpoint_dir is not None:
-        campaign_id = cache_key("campaign", program, pipeline_result, config)
+        campaign_id = campaign_key(program, baseline, pipeline_result, config)
 
     if runtime.cache is not None:
         cached = runtime.cache.get(campaign_id)
@@ -301,7 +315,9 @@ def run_campaign(
         telemetry.increment("campaigns_degraded")
 
     if runtime.cache is not None and completeness.complete and oracle_new:
-        persist(runtime.cache, oracle_cache_key(program), oracle_new)
+        persist(runtime.cache,
+                oracle_cache_key(local_subject(program, baseline).key),
+                oracle_new)
 
     if runtime.cache is not None and completeness.complete:
         # Degraded tallies are never cached: a later run with a healthier

@@ -39,8 +39,9 @@ Monte-Carlo campaigns and tracking-level ablations hit repeatedly. The
 
 3. **Cross-process persistence**: the memo table rides the runtime's
    content-addressed :class:`~repro.runtime.cache.ResultCache` under a
-   key covering the program bytes and code version, so warm campaigns
-   skip re-execution across worker processes and across runs.
+   key covering the program bytes, its baseline run and the code
+   version, so warm campaigns skip re-execution across worker processes
+   and across runs.
 
 What is left re-executes only the instructions a strike can change: the
 run resumes from the baseline snapshot at or before the struck ``seq``
@@ -60,7 +61,6 @@ from repro.analysis.deadcode import DynClass
 from repro.arch.executor import ExecutionLimits, FunctionalSimulator
 from repro.arch.result import ExecutionResult, ExecutionStatus
 from repro.isa.encoding import ENCODING_BITS, Field, field_at_bit, live_fields
-from repro.isa.program import Program
 
 #: Architectural effects the oracle may return.
 EFFECTS = ("none", "sdc", "trap", "hang")
@@ -297,16 +297,19 @@ class EffectOracle:
 # Persistence through the content-addressed runtime cache
 # ---------------------------------------------------------------------------
 
-def oracle_cache_key(program: Program) -> str:
-    """Cache key of a program's persisted effect table.
+def oracle_cache_key(subject_key: str) -> str:
+    """Cache key of a strike subject's persisted effect table.
 
-    The table depends only on the program (the baseline execution and
-    the default limits are deterministic functions of it) and on the
-    code version, which :func:`repro.runtime.cache.cache_key` includes.
+    ``subject_key`` is the :func:`~repro.faults.batch.subject_key` of
+    the program and its baseline run: an effect is a re-execution judged
+    against that baseline's outputs within a budget derived from it, so
+    a truncated or foreign baseline of the same program has a table of
+    its own. The code version comes in through
+    :func:`repro.runtime.cache.cache_key`.
     """
     from repro.runtime.cache import cache_key
 
-    return cache_key("effect-oracle", program)
+    return cache_key("effect-oracle", subject_key)
 
 
 def validate_table(value: object) -> Optional[Dict[Tuple[int, int], str]]:

@@ -25,9 +25,7 @@ an in-order machine — which is precisely why squashing is nearly free.
 
 from __future__ import annotations
 
-import gc
 from collections import OrderedDict
-from contextlib import contextmanager
 from typing import List, Optional
 
 from repro.arch.trace import CommittedOp
@@ -36,6 +34,7 @@ from repro.memory.hierarchy import CacheHierarchy
 from repro.pipeline.branch import GShareBranchPredictor
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.result import PipelineResult
+from repro.util.gcpause import gc_paused
 from repro.util.rng import DeterministicRng, derive_seed
 
 #: Warmed-hierarchy snapshots, keyed by everything the warm state depends
@@ -59,28 +58,6 @@ warm_snapshot_evictions = 0
 def clear_warm_snapshots() -> None:
     """Drop all cached warm-hierarchy snapshots (tests/benchmarks)."""
     _WARM_SNAPSHOTS.clear()
-
-
-@contextmanager
-def _gc_paused():
-    """Pause generational garbage collection for the simulation.
-
-    The timing loop allocates millions of short-lived objects (IQ
-    entries, interval tuples) but never creates reference cycles, so
-    collections during a run free nothing — and once the functional/run
-    memos hold a whole suite's traces, every gen-2 pass traverses that
-    entire long-lived heap, slowing the hot loop 2x+. Refcounting still
-    reclaims all simulation garbage promptly; cycle collection merely
-    waits until the run returns.
-    """
-    if gc.isenabled():
-        gc.disable()
-        try:
-            yield
-        finally:
-            gc.enable()
-    else:
-        yield
 
 
 class PipelineSimulator:
@@ -165,7 +142,7 @@ class PipelineSimulator:
         # which imports the pipeline package back.
         from repro.pipeline.compose import run_composed
 
-        with _gc_paused():
+        with gc_paused():
             return run_composed(self)
 
 

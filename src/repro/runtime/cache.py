@@ -25,6 +25,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Iterator, Union
 
+from repro.util.gcpause import gc_paused
+
 #: Bump whenever a change alters simulation semantics (and therefore any
 #: previously cached result). Part of every cache key.
 CODE_VERSION = "repro-runtime-1"
@@ -168,7 +170,7 @@ class ResultCache:
         """Stored value for ``key``, or :data:`MISS` (never raises)."""
         path = self.path_for(key)
         try:
-            with open(path, "rb") as handle:
+            with open(path, "rb") as handle, gc_paused():
                 value = pickle.load(handle)
         except FileNotFoundError:
             self.misses += 1

@@ -90,7 +90,9 @@ def _benchmark_task(profile, settings, trigger, parts,
     ``parts`` are the profile's functional parts when the parent already
     holds them (None otherwise), so the worker times the program instead
     of simulating it again. Returns ``((parts or None, pipeline, report),
-    counters, seconds)``: parts the parent shipped are not sent back.
+    counters, seconds)``: parts are sent back only when the worker
+    computed or loaded them, never when the parent shipped them or the
+    timeline store answered the run without them.
     The worker reads and writes the same stores as the parent: the
     shared cache directory and, when ``service`` is set, the fleet-wide
     timeline store of that ``repro serve`` instance.
@@ -106,8 +108,7 @@ def _benchmark_task(profile, settings, trigger, parts,
     began = time.perf_counter()
     run = run_benchmark(profile, settings, trigger)
     elapsed = time.perf_counter() - began
-    own = None if parts is not None else (run.program, run.execution,
-                                          run.deadness)
+    own = None if parts is not None else run.loaded_parts
     return (own, run.pipeline, run.report), _worker_counters(context), elapsed
 
 
@@ -126,7 +127,9 @@ def run_benchmarks_parallel(
 ) -> List[Any]:
     """Map ``run_benchmark`` over profiles across supervised processes.
 
-    Returns :class:`BenchmarkRun` objects in ``profiles`` order.
+    Returns :class:`BenchmarkRun` objects in ``profiles`` order; a run
+    for which neither side holds functional parts resolves them on first
+    access, like a serial timeline-store hit.
     ``functional`` holds, per profile, the functional parts the caller
     already has (or None); they travel with the task. Each
     worker opens its own handle on the shared cache directory (writes are
@@ -146,10 +149,8 @@ def run_benchmarks_parallel(
         if telemetry is not None:
             telemetry.merge_counters(counters)
             telemetry.record_worker("benchmark", index, 1, seconds)
-        program, execution, deadness = own or functional[index]
-        results[index] = BenchmarkRun(
-            profile=profiles[index], program=program, execution=execution,
-            deadness=deadness, pipeline=pipeline, report=report)
+        results[index] = BenchmarkRun(profiles[index], settings, pipeline,
+                                      report, own or functional[index])
 
     tasks = [
         SupervisedTask(fn=_benchmark_task,

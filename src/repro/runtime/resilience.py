@@ -23,6 +23,8 @@ poisoned index — reproduces the fault-free result bit-for-bit.
 
 from __future__ import annotations
 
+import itertools
+import multiprocessing
 import threading
 import time
 from collections import Counter, deque
@@ -59,8 +61,19 @@ _BACKOFF_SEED = 0xBAC0FF
 _TICK_SECONDS = 0.05
 
 
-def _reset_worker_signals() -> None:
-    """Pool initializer: make workers die quietly.
+#: Worker side of the watchdog: the write end of the pool's start pipe
+#: (set by :func:`_init_worker`) and the ticket of the running task.
+_START_PIPE: Any = None
+_TICKET: Optional[int] = None
+
+#: Parent side: ticket numbers, unique across every fan-out of the
+#: process, so a report left in a pipe by a finished fan-out never arms
+#: a later one's clock.
+_TICKETS = itertools.count()
+
+
+def _init_worker(start_pipe) -> None:
+    """Pool initializer: keep the watchdog's start pipe, die quietly.
 
     Workers forked from the CLI inherit its SIGTERM->KeyboardInterrupt
     handler, so a supervisor pool teardown (``terminate()``) would spew a
@@ -69,11 +82,39 @@ def _reset_worker_signals() -> None:
     """
     import signal
 
+    global _START_PIPE
+    _START_PIPE = start_pipe
+
     try:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):
         pass
+
+
+def _run_ticketed(ticket: int, fn: Callable[..., Any],
+                  args: Tuple[Any, ...], attempt: int) -> Any:
+    """Run a pooled task in its worker with its watchdog ticket set."""
+    global _TICKET
+    _TICKET = ticket
+    try:
+        return fn(*args, attempt)
+    finally:
+        _TICKET = None
+
+
+def start_watchdog() -> None:
+    """Start the running pooled task's watchdog clock now.
+
+    A task with a deadline calls this once its set-up is done (a
+    campaign shard: after it has derived its strike subject), so worker
+    start-up, argument unpickling and set-up never count against the
+    per-trial budget. A no-op outside a pooled task.
+    """
+    if _START_PIPE is not None and _TICKET is not None:
+        # One message of a few bytes: a single atomic pipe write, so
+        # workers sharing the pipe never interleave.
+        _START_PIPE.send(_TICKET)
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +217,9 @@ class RetryPolicy:
     #: retry storms: delay is uniform in [base*(1-j), base*(1+j)].
     jitter: float = 0.5
     #: Watchdog deadline per trial, in seconds (None = no watchdog). A
-    #: shard of N trials gets N * trial_timeout before it is declared hung.
+    #: shard of N trials gets N * trial_timeout, counted from the moment
+    #: its worker calls :func:`start_watchdog`, before it is declared hung.
     trial_timeout: Optional[float] = None
-    #: Flat allowance added to every watchdog deadline. The clock starts
-    #: at submit time, so a fresh pool's start-up cost, the pickling of
-    #: task arguments and a worker's first shard on a program (which
-    #: re-runs the program to derive its strike subject) must not count
-    #: against a tight per-trial budget (otherwise innocent single-trial
-    #: tasks get falsely charged).
-    startup_grace: float = 1.0
 
     def __post_init__(self) -> None:
         if self.retries < 0:
@@ -195,8 +230,6 @@ class RetryPolicy:
             raise ValueError("jitter must be in [0, 1]")
         if self.trial_timeout is not None and self.trial_timeout <= 0.0:
             raise ValueError("trial_timeout must be positive")
-        if self.startup_grace < 0.0:
-            raise ValueError("startup_grace must be non-negative")
 
     def backoff_delay(self, label: str, index: int, attempt: int) -> float:
         """Deterministic exponential backoff with jitter for retry
@@ -213,7 +246,7 @@ class RetryPolicy:
         """Seconds a task covering ``items`` trials may run, or None."""
         if self.trial_timeout is None:
             return None
-        return self.trial_timeout * max(1, items) + self.startup_grace
+        return self.trial_timeout * max(1, items)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +310,9 @@ class WorkerPool:
     kills another fan-out's work and a task's watchdog clock never runs
     while it waits for a worker. :meth:`replace` kills a broken or hung
     pool and the next borrow starts a fresh one; :meth:`shutdown` stops
-    the workers and waits for them.
+    the workers and waits for them. Each pool has a start pipe on which
+    its workers report, by ticket, the tasks whose watchdog clocks start
+    (:func:`start_watchdog`, read back by :meth:`started`).
     """
 
     def __init__(self, jobs: int = 1) -> None:
@@ -285,6 +320,7 @@ class WorkerPool:
         #: Workers of the live pool (0 when none is running).
         self.workers = 0
         self._executor: Optional[ProcessPoolExecutor] = None
+        self._pipe: Optional[Tuple[Any, Any]] = None
         self._lock = threading.Lock()
         self._lease = threading.RLock()
 
@@ -300,19 +336,32 @@ class WorkerPool:
         with self._lock:
             if self._executor is None:
                 self.workers = max(self.jobs, workers)
+                self._pipe = multiprocessing.Pipe(duplex=False)
                 self._executor = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=_reset_worker_signals)
+                    max_workers=self.workers, initializer=_init_worker,
+                    initargs=(self._pipe[1],))
             return self._executor
+
+    def started(self) -> List[int]:
+        """Tickets whose tasks started their watchdog clocks since the
+        last call."""
+        with self._lock:
+            tickets = []
+            while self._pipe is not None and self._pipe[0].poll():
+                tickets.append(self._pipe[0].recv())
+            return tickets
 
     def replace(self, executor: ProcessPoolExecutor) -> None:
         """Kill ``executor`` hard: hung workers are terminated, then reaped.
 
         The next :meth:`borrow` starts a fresh pool.
         """
+        pipe = None
         with self._lock:
             if self._executor is executor:
                 self._executor = None
+                pipe, self._pipe = self._pipe, None
+        _close_pipe(pipe)
         processes = list(getattr(executor, "_processes", {}).values())
         executor.shutdown(wait=False, cancel_futures=True)
         for process in processes:
@@ -326,8 +375,17 @@ class WorkerPool:
         """Stop the workers and wait for them to exit."""
         with self._lock:
             executor, self._executor = self._executor, None
+            pipe, self._pipe = self._pipe, None
         if executor is not None:
             executor.shutdown(wait=True, cancel_futures=True)
+        _close_pipe(pipe)
+
+
+def _close_pipe(pipe: Optional[Tuple[Any, Any]]) -> None:
+    """Close both ends of a pool's start pipe, if it has one."""
+    if pipe is not None:
+        for end in pipe:
+            end.close()
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +399,8 @@ class SupervisedTask:
     ``fn`` must be picklable and accept ``(*args, attempt)`` — the
     supervisor appends the 0-based attempt number so chaos decisions and
     diagnostics can key on it. ``items`` scales the watchdog deadline and
-    worker-timing records; ``deadline`` opts the task into the watchdog.
+    worker-timing records; ``deadline`` opts the task into the watchdog,
+    whose clock starts when the pooled task calls :func:`start_watchdog`.
     """
 
     fn: Callable[..., Any]
@@ -474,7 +533,10 @@ class Supervisor:
         ready = deque(range(len(tasks)))
         sleeping: Dict[int, float] = {}
         inflight: Dict[Any, int] = {}
-        deadlines: Dict[Any, Optional[float]] = {}
+        #: Armed deadlines, by future; a future's clock starts when its
+        #: worker reports the future's ticket.
+        deadlines: Dict[Any, float] = {}
+        tickets: Dict[int, Any] = {}
         pool = workers.borrow(self.max_workers)
         # Never more in flight than the pool has workers: a queued task's
         # watchdog clock would run while it waits.
@@ -487,6 +549,7 @@ class Supervisor:
             ready.extend(inflight.values())
             inflight.clear()
             deadlines.clear()
+            tickets.clear()
             workers.replace(pool)
             pool = workers.borrow(self.max_workers)
 
@@ -499,19 +562,17 @@ class Supervisor:
                 while ready and len(inflight) < slots:
                     index = ready.popleft()
                     task = tasks[index]
+                    ticket = next(_TICKETS)
                     try:
-                        future = pool.submit(task.fn, *task.args,
-                                             attempts[index])
+                        future = pool.submit(_run_ticketed, ticket, task.fn,
+                                             task.args, attempts[index])
                     except BrokenExecutor:
                         # A worker died while the pool sat idle.
                         ready.appendleft(index)
                         rebuild()
                         continue
                     inflight[future] = index
-                    limit = (self.policy.deadline_for(task.items)
-                             if task.deadline else None)
-                    deadlines[future] = (None if limit is None
-                                         else time.monotonic() + limit)
+                    tickets[ticket] = future
                 if not inflight:
                     if sleeping:
                         pause = min(sleeping.values()) - time.monotonic()
@@ -543,9 +604,17 @@ class Supervisor:
                     rebuild()
                     continue
                 now = time.monotonic()
+                for ticket in workers.started():
+                    future = tickets.pop(ticket, None)
+                    if future not in inflight:
+                        continue  # finished before its report was read
+                    task = tasks[inflight[future]]
+                    limit = (self.policy.deadline_for(task.items)
+                             if task.deadline else None)
+                    if limit is not None:
+                        deadlines[future] = now + limit
                 expired = [future for future, limit in deadlines.items()
-                           if limit is not None and limit <= now
-                           and future in inflight]
+                           if limit <= now and future in inflight]
                 if expired:
                     for future in expired:
                         index = inflight.pop(future)
@@ -636,7 +705,9 @@ def shard_worker(subject, pipeline_result, config, start: int, stop: int,
     its first shard of the program and reused by every later one. Each
     shard then builds its own :class:`~repro.faults.batch.StrikeClassifier`
     over the subject — preloading its effect oracle from the persistent
-    cache when ``cache_dir`` is given — draws and classifies its strikes,
+    cache when ``cache_dir`` is given — starts its watchdog clock (so
+    none of that set-up counts against the per-trial budget), draws and
+    classifies its strikes,
     and returns ``(counts dict, tracker_misses, elapsed_seconds, oracle
     new-entry dict, counter dict)``; the parent merges the last two so
     no re-execution is ever repeated in a later run. Retry and
@@ -659,13 +730,14 @@ def shard_worker(subject, pipeline_result, config, start: int, stop: int,
             injector.maybe_raise(("trial", index), attempt)
 
     began = time.perf_counter()
-    strike_subject = resolve_subject(subject)
+    strike_subject = resolve_subject(subject).prepare()
     classifier = StrikeClassifier(strike_subject, pipeline_result, config)
     if cache_dir is not None:
         from repro.runtime.cache import ResultCache
 
         classifier.oracle.preload(load_persisted(
-            ResultCache(cache_dir), oracle_cache_key(subject.program)))
+            ResultCache(cache_dir), oracle_cache_key(subject.key)))
+    start_watchdog()
 
     counts, tracker_misses = run_trial_block(
         subject.program, strike_subject.baseline, pipeline_result, config,

@@ -24,7 +24,7 @@ import pytest
 from repro.arch.executor import FunctionalSimulator
 from repro.due.pi_bit import PiBitTracker
 from repro.due.tracking import TrackingLevel
-from repro.faults.batch import StrikeClassifier, StrikeSubject
+from repro.faults.batch import StrikeClassifier, StrikeSubject, subject_key
 from repro.faults.campaign import (
     CampaignConfig,
     run_campaign,
@@ -174,9 +174,8 @@ class TestOracleMemo:
 
 class TestOraclePersistence:
     def test_roundtrip_and_union_merge(self, tmp_path, rule_setup):
-        prog, _ = rule_setup
         cache = ResultCache(tmp_path)
-        key = oracle_cache_key(prog)
+        key = oracle_cache_key(subject_key(*rule_setup))
         persist(cache, key, {(0, 3): "sdc"})
         assert load_persisted(cache, key) == {(0, 3): "sdc"}
         # A second campaign's entries merge, never replace.
@@ -184,23 +183,20 @@ class TestOraclePersistence:
         assert load_persisted(cache, key) == {(0, 3): "sdc", (1, 4): "none"}
 
     def test_empty_entries_are_not_written(self, tmp_path, rule_setup):
-        prog, _ = rule_setup
         cache = ResultCache(tmp_path)
-        persist(cache, oracle_cache_key(prog), {})
+        persist(cache, oracle_cache_key(subject_key(*rule_setup)), {})
         assert cache.puts == 0
 
     def test_malformed_table_counts_as_error_miss(self, tmp_path,
                                                   rule_setup):
-        prog, _ = rule_setup
         cache = ResultCache(tmp_path)
-        key = oracle_cache_key(prog)
+        key = oracle_cache_key(subject_key(*rule_setup))
         cache.put(key, {"not-a-point": "sdc"})
         assert load_persisted(cache, key) == {}
         assert cache.errors == 1
 
     def test_no_cache_is_a_clean_noop(self, rule_setup):
-        prog, _ = rule_setup
-        key = oracle_cache_key(prog)
+        key = oracle_cache_key(subject_key(*rule_setup))
         assert load_persisted(None, key) == {}
         persist(None, key, {(0, 3): "sdc"})  # must not raise
 

@@ -9,18 +9,20 @@ import pickle
 
 import pytest
 
+from repro.arch.executor import ExecutionLimits, FunctionalSimulator
 from repro.due.tracking import DEFAULT_PET_ENTRIES, EccScheme, TrackingLevel
 from repro.experiments.common import (
     ExperimentSettings,
     clear_caches,
     run_benchmark,
 )
-from repro.faults.campaign import CampaignConfig, run_campaign
+from repro.faults.campaign import CampaignConfig, campaign_key, run_campaign
 from repro.pipeline.config import Trigger
 from repro.runtime.cache import MISS, ResultCache, cache_key
 from repro.runtime.context import configure, reset_runtime, use_runtime
 from repro.runtime.resilience import RetryPolicy
 from repro.workloads.profile import BenchmarkProfile
+from repro.workloads.spec2000 import get_profile
 
 CONFIG = CampaignConfig(trials=25, seed=6, parity=True)
 
@@ -193,8 +195,8 @@ class TestCampaignCaching:
                                 small_pipeline, CONFIG)
             entries = list(context.cache.root.glob("*/*.pkl"))
             assert len(entries) == 2  # campaign tally + oracle table
-            tally = context.cache.path_for(
-                cache_key("campaign", small_program, small_pipeline, CONFIG))
+            tally = context.cache.path_for(campaign_key(
+                small_program, small_execution, small_pipeline, CONFIG))
             tally.write_bytes(pickle.dumps("not a tally")[:-3])
             warm = run_campaign(small_program, small_execution,
                                 small_pipeline, CONFIG)
@@ -250,6 +252,58 @@ class TestCampaignCaching:
                 configure(**{removed: False})
 
 
+class TestCampaignKeysNameTheBaseline:
+    """A campaign on a baseline cut 5 commits short, cached first, must
+    not answer for the program's own baseline: not through the tally,
+    the checkpoint journal, or the persisted effect-oracle table."""
+
+    #: The tally the own baseline gets without any cache.
+    CONFIG = CampaignConfig(trials=300)
+
+    @pytest.fixture(scope="class")
+    def crafty(self):
+        clear_caches()
+        with use_runtime():
+            run = run_benchmark(get_profile("crafty"),
+                                ExperimentSettings(target_instructions=4000))
+            cut = FunctionalSimulator(run.program, ExecutionLimits(
+                max_instructions=len(run.execution.trace) - 5)).run()
+            reference = run_campaign(run.program, run.execution,
+                                     run.pipeline, self.CONFIG)
+        clear_caches()
+        return run.program, run.execution, cut, run.pipeline, reference
+
+    def test_cached_tally(self, tmp_path, crafty):
+        program, own, cut, pipeline, reference = crafty
+        with use_runtime(cache_dir=tmp_path):
+            stale = run_campaign(program, cut, pipeline, self.CONFIG)
+            result = run_campaign(program, own, pipeline, self.CONFIG)
+        assert stale.counts != reference.counts  # the repro bites
+        assert result.counts == reference.counts
+        assert campaign_key(program, own, pipeline, self.CONFIG) != \
+            campaign_key(program, cut, pipeline, self.CONFIG)
+
+    def test_checkpoint_journal(self, tmp_path, crafty):
+        program, own, cut, pipeline, reference = crafty
+        with use_runtime(checkpoint_dir=tmp_path):
+            run_campaign(program, cut, pipeline, self.CONFIG)
+        with use_runtime(checkpoint_dir=tmp_path, resume=True):
+            result = run_campaign(program, own, pipeline, self.CONFIG)
+        assert result.counts == reference.counts
+        assert result.completeness.resumed_trials == 0
+
+    def test_persisted_oracle_entries(self, tmp_path, crafty):
+        program, own, cut, pipeline, reference = crafty
+        # The PET size changes the tally key but neither the strikes nor
+        # the outcomes of an unprotected campaign, so only the oracle
+        # table is shared between the two runs.
+        other = dataclasses.replace(self.CONFIG, pet_entries=256)
+        with use_runtime(cache_dir=tmp_path):
+            run_campaign(program, cut, pipeline, self.CONFIG)
+            result = run_campaign(program, own, pipeline, other)
+        assert result.counts == reference.counts
+
+
 class TestExperimentCaching:
     def test_warm_run_performs_zero_simulations(self, tmp_path, tiny_profile):
         settings = ExperimentSettings(target_instructions=2500)
@@ -264,12 +318,18 @@ class TestExperimentCaching:
                 warm = run_benchmark(tiny_profile, settings, Trigger.NONE)
                 assert context.telemetry.counters["pipeline_sims"] == 0
                 assert context.telemetry.counters["functional_sims"] == 0
-                assert context.cache.hits == 2  # run entry + functional entry
+                # Only the run entry: the functional parts wait until
+                # they are read.
+                assert context.cache.hits == 1
             assert warm.report.ipc == cold.report.ipc
             assert warm.report.sdc_avf == cold.report.sdc_avf
             assert warm.pipeline.cycles == cold.pipeline.cycles
             assert warm.execution.output_signature() == \
                 cold.execution.output_signature()
+            # Read after the context exited, through the context's cache.
+            assert context.cache.hits == 2
+            assert context.telemetry.counters["functional_loads"] == 1
+            assert context.telemetry.counters["functional_sims"] == 0
         finally:
             clear_caches()
 

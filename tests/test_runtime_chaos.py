@@ -190,16 +190,14 @@ class TestRetryPolicy:
         assert policy.backoff_delay("x", 0, 3) == pytest.approx(0.8)
 
     def test_deadline_scales_with_items(self):
-        policy = RetryPolicy(trial_timeout=0.5, startup_grace=0.0)
+        policy = RetryPolicy(trial_timeout=0.5)
         assert policy.deadline_for(10) == pytest.approx(5.0)
         assert policy.deadline_for(0) == pytest.approx(0.5)
         assert RetryPolicy().deadline_for(10) is None
 
-    def test_deadline_includes_startup_grace(self):
-        # Fork + argument-pickling costs count against the deadline (the
-        # clock starts at submit), so the default policy pads it.
-        policy = RetryPolicy(trial_timeout=0.5)
-        assert policy.deadline_for(2) == pytest.approx(
-            1.0 + policy.startup_grace)
-        with pytest.raises(ValueError):
-            RetryPolicy(startup_grace=-0.1)
+    def test_deadline_has_no_startup_allowance(self):
+        # The clock starts when the shard reports that its set-up is
+        # done, not at submit, so the budget is the trials' alone.
+        assert RetryPolicy(trial_timeout=0.5).deadline_for(2) == 1.0
+        with pytest.raises(TypeError):
+            RetryPolicy(startup_grace=1.0)

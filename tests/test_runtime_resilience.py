@@ -11,11 +11,13 @@ reported, never silently dropped).
 from collections import Counter
 
 import json
+import time
 
 import pytest
 
 from repro.faults.campaign import CampaignConfig, run_campaign, run_trial_block
 from repro.runtime.chaos import ChaosConfig, ChaosInjector
+from repro.runtime import resilience
 from repro.runtime.context import use_runtime
 from repro.runtime.resilience import (
     CampaignInterrupted,
@@ -49,6 +51,16 @@ def _block_counts(program, baseline, pipeline, config, indices):
         counts.update(c)
         misses += m
     return counts, misses
+
+
+_INIT_WORKER = resilience._init_worker
+
+
+def _slow_start(start_pipe) -> None:
+    """Pool initializer slower than a single trial's budget plus the
+    flat allowance deadlines used to carry (0.25 s + 1 s)."""
+    time.sleep(1.5)
+    _INIT_WORKER(start_pipe)
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +190,37 @@ class TestQuarantine:
             survivors)
         assert +result.counts == +expected
         assert result.tracker_misses == expected_misses
+
+
+    def test_slow_worker_start_up_quarantines_no_innocent_trial(
+            self, small_program, small_execution, small_pipeline,
+            monkeypatch):
+        """Every pool, the ones rebuilt after the hang included, takes
+        1.5 s to start: the watchdog clock starts when a shard has
+        derived its subject, so only the hung trial is charged."""
+        monkeypatch.setattr(resilience, "_init_worker", _slow_start)
+        config = CampaignConfig(trials=12, seed=13)
+        seed = _find_seed(lambda s: len([
+            i for i in range(config.trials)
+            if ChaosInjector(ChaosConfig(
+                modes=("delay-trial",), seed=s, delay_prob=0.1)
+            ).decide(0.1, "delay", "trial", i)]) == 1)
+        chaos = ChaosConfig(modes=("delay-trial",), seed=seed,
+                            delay_prob=0.1, delay_seconds=5.0)
+        injector = ChaosInjector(chaos)
+        (hung,) = [i for i in range(config.trials)
+                   if injector.decide(0.1, "delay", "trial", i)]
+        policy = RetryPolicy(retries=0, backoff_base=0.001,
+                             backoff_cap=0.002, trial_timeout=0.25)
+        telemetry = Telemetry()
+        with use_runtime(jobs=2, telemetry=telemetry, policy=policy,
+                         chaos=chaos):
+            result = run_campaign(small_program, small_execution,
+                                  small_pipeline, config)
+
+        assert result.completeness.quarantined == (hung,)
+        # The shard holding the hung trial, then the trial alone.
+        assert telemetry.counters["trial_timeouts"] == 2
 
 
 class TestCheckpointResume:

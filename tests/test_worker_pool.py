@@ -307,6 +307,31 @@ class TestPoolLifetime:
         assert "trial_timeouts" not in innocent[3]
         assert multiprocessing.active_children() == []
 
+    def test_every_shard_reports_its_watchdog_start(
+            self, small_program, small_execution, small_pipeline, serial,
+            monkeypatch, tmp_path):
+        """Four workers on two cores share one start pipe: each of the
+        twelve checkpoint blocks reports its ticket once, intact."""
+        reported = []
+        started = resilience.WorkerPool.started
+
+        def record(pool):
+            tickets = started(pool)
+            reported.extend(tickets)
+            return tickets
+
+        monkeypatch.setattr(resilience.WorkerPool, "started", record)
+        telemetry = Telemetry()
+        with use_runtime(jobs=4, policy=replace(FAST, trial_timeout=5.0),
+                         telemetry=telemetry, checkpoint_dir=tmp_path):
+            result = run_campaign(small_program, small_execution,
+                                  small_pipeline, EIGHT[0])
+        assert _bytes(result) == serial[0]
+        assert telemetry.counters["checkpoint_writes"] == 12
+        assert len(reported) == len(set(reported)) == 12
+        assert "trial_timeouts" not in telemetry.counters
+        assert multiprocessing.active_children() == []
+
 
 def _tiny_profile(name: str) -> BenchmarkProfile:
     return BenchmarkProfile(name=name, suite="int", body_items=60,

@@ -103,9 +103,12 @@ def run_suite(settings, profiles, isolate_units: bool):
 
 
 def sim_counters(telemetry):
+    """Simulations run, and the results the stores answered instead
+    (``functional_loads``: functional parts an exhibit read from the
+    persistent cache)."""
     return {name: telemetry.counters[name]
             for name in ("pipeline_sims", "functional_sims",
-                         "timeline_store_hits")}
+                         "timeline_store_hits", "functional_loads")}
 
 
 def _chunk_identical(a, b):
