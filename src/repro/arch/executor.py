@@ -4,20 +4,26 @@ The executor is deliberately strict about abnormal conditions because fault
 injection routinely produces them: illegal opcodes trap, returns with an
 empty call stack trap, jumps outside the code segment trap, and runaway
 executions are cut off by an instruction budget (and classified as hangs).
+
+Every static instruction is decoded once per program into a flat tuple
+(see :func:`decode`); the interpreter loop dispatches on its small-int
+kind and keeps the architectural state in locals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
+from weakref import WeakKeyDictionary
 
 from repro.arch.result import ExecutionResult, ExecutionStatus, InvocationRecord
-from repro.arch.state import WORD_MASK, ArchState
+from repro.arch.state import ADDRESS_MASK, WORD_MASK, ArchState
 from repro.arch.trace import CommittedOp
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
+from repro.isa.registers import NUM_PREDICATES
 
 _SIGN_BIT = 1 << 63
 
@@ -26,10 +32,86 @@ _MIN_SNAPSHOT_INTERVAL = 64
 #: ... and keep at most about this many snapshots of a run.
 _MAX_SNAPSHOTS = 256
 
+# Decoded kinds, numbered in the order the loop tests them (most frequent
+# first); HALT and ILLEGAL, which ignore their predicate, come last.
+(_NOP, _ALU, _LD, _ADDI, _ST, _CMP, _ANDI, _BR, _OUT, _MOVI, _CALL, _RET,
+ _HALT, _ILLEGAL) = range(14)
+# ALU and compare sub-operations, likewise by frequency.
+_ADD, _XOR, _AND, _MUL, _SUB, _OR, _SHR, _SHL = range(8)
+_EQ, _NE, _LT = range(3)
 
-def _signed(value: int) -> int:
-    """Interpret a 64-bit pattern as two's-complement."""
-    return value - (1 << 64) if value & _SIGN_BIT else value
+_KIND_OF = {
+    Opcode.NOP: (_NOP, 0), Opcode.PREFETCH: (_NOP, 0),
+    Opcode.HINT: (_NOP, 0),
+    Opcode.ADD: (_ALU, _ADD), Opcode.XOR: (_ALU, _XOR),
+    Opcode.AND: (_ALU, _AND), Opcode.MUL: (_ALU, _MUL),
+    Opcode.SUB: (_ALU, _SUB), Opcode.OR: (_ALU, _OR),
+    Opcode.SHR: (_ALU, _SHR), Opcode.SHL: (_ALU, _SHL),
+    Opcode.LD: (_LD, 0), Opcode.ADDI: (_ADDI, 0), Opcode.ST: (_ST, 0),
+    Opcode.CMP_EQ: (_CMP, _EQ), Opcode.CMP_NE: (_CMP, _NE),
+    Opcode.CMP_LT: (_CMP, _LT),
+    Opcode.ANDI: (_ANDI, 0), Opcode.BR: (_BR, 0), Opcode.OUT: (_OUT, 0),
+    Opcode.MOVI: (_MOVI, 0), Opcode.CALL: (_CALL, 0), Opcode.RET: (_RET, 0),
+    Opcode.HALT: (_HALT, 0), Opcode.ILLEGAL: (_ILLEGAL, 0),
+}
+
+#: Decoded code of every live program, keyed by the program object and
+#: never stored on it, so a pickled program (and its cache key) is the
+#: same whether or not it has run.
+_DECODED: "WeakKeyDictionary[Program, List[tuple]]" = WeakKeyDictionary()
+
+#: One copy of each distinct ``srcs`` and ``traits`` tuple, shared by the
+#: decoded tables of every program: both come from a small fixed domain
+#: (kind x registers), while a table lives as long as its program.
+_SHARED: Dict[tuple, tuple] = {}
+
+
+def decode(instruction: Instruction) -> tuple:
+    """The loop's form of one static instruction.
+
+    ``(kind, qp, r1, r2, r3, x, srcs, instruction, traits)``: ``r1`` is
+    the predicate index for compares; ``x`` is the sub-operation of ALU
+    and compare forms, the immediate pre-masked to 64 bits for the
+    register-immediate, load/store and MOVI forms and the signed
+    displacement for BR/CALL; ``srcs`` and ``traits`` (dest GPR, dest
+    predicate, is_store, is_load, branch_taken, is_output) are what an
+    executed instance records in the trace. PREFETCH records no sources.
+    """
+    opcode = instruction.opcode
+    kind, sub = _KIND_OF[opcode]
+    r1 = instruction.r1
+    imm = instruction.imm
+    srcs = instruction.source_gprs()
+    dest_gpr, dest_pred = 0, -1
+    if kind == _ALU:
+        x = sub
+        dest_gpr = r1
+    elif kind == _CMP:
+        x = sub
+        r1 %= NUM_PREDICATES
+        dest_pred = r1
+    elif kind in (_BR, _CALL):
+        x = imm
+    else:
+        x = imm & WORD_MASK
+        if kind in (_LD, _ADDI, _ANDI, _MOVI):
+            dest_gpr = r1
+    if kind == _NOP:
+        srcs = ()
+    traits = (dest_gpr, dest_pred, kind == _ST, kind == _LD,
+              kind in (_BR, _CALL, _RET), kind == _OUT)
+    return (kind, instruction.qp, r1, instruction.r2, instruction.r3, x,
+            _SHARED.setdefault(srcs, srcs), instruction,
+            _SHARED.setdefault(traits, traits))
+
+
+def decoded(program: Program) -> List[tuple]:
+    """:func:`decode` of every instruction of ``program``, made once."""
+    table = _DECODED.get(program)
+    if table is None:
+        table = [decode(instruction) for instruction in program.instructions]
+        _DECODED[program] = table
+    return table
 
 
 def snapshot_interval(instructions: int) -> int:
@@ -161,12 +243,20 @@ class FunctionalSimulator:
                                  "different limits")
 
         program = self.program
+        table = decoded(program)
+        code_size = len(table)
+        override = None
+        if override_instruction is not None:
+            override = decode(override_instruction)
+        else:
+            override_seq = -1  # never matches
         trace = [] if record_trace else None
+        append = trace.append if record_trace else None
         outputs = []
         # Invocation records need the whole call history, so only runs
         # that record a trace (and so start at seq 0) keep them.
         invocations = {}
-        if trace is not None:
+        if record_trace:
             invocations[0] = InvocationRecord(invocation=0,
                                               entry_pc=program.entry,
                                               call_seq=-1)
@@ -199,11 +289,19 @@ class FunctionalSimulator:
         first_seq = seq
         first_output = len(outputs)
         converged = False
+        # The loop mutates the state's containers in place, so snapshots
+        # capture and compare ``state`` itself. r0 and p0 are never
+        # written, so they read 0 and True straight from the lists.
+        gprs = state.gprs
+        predicates = state.predicates
+        memory = state.memory
+        call_stack = state.call_stack
 
         while seq < max_instructions:
             if seq == next_event:
                 if resume is None:
-                    snapshots.append(Snapshot.capture(pc, state, len(outputs)))
+                    snapshots.append(
+                        Snapshot.capture(pc, state, len(outputs)))
                     next_event += snapshot_every
                 else:
                     snapshot = resume.snapshots[index]
@@ -218,125 +316,119 @@ class FunctionalSimulator:
                     next_event = (index * interval
                                   if index < len(resume.snapshots) else -1)
 
-            if not program.in_range(pc):
+            if 0 <= pc < code_size:
+                entry = table[pc]
+            else:
                 status = ExecutionStatus.TRAP_ILLEGAL
                 break
-            instruction = program.fetch(pc)
             if seq == override_seq:
-                instruction = override_instruction
+                entry = override
+            kind, qp, r1, r2, r3, x, srcs, instruction, traits = entry
 
-            opcode = instruction.opcode
-            if opcode is Opcode.ILLEGAL:
-                status = ExecutionStatus.TRAP_ILLEGAL
-                break
-            if opcode is Opcode.HALT:
+            if not predicates[qp] and kind < _HALT:
+                # Nullified: commits without effect. HALT and ILLEGAL
+                # ignore their predicate and fall through.
+                if record_trace:
+                    append(CommittedOp(
+                        seq, pc, instruction, False, 0, -1, (), None, False,
+                        False, False, pc + 1, invocation_stack[-1], False))
+                pc += 1
+                seq += 1
+                continue
+
+            next_pc = pc + 1
+            mem_addr = None
+            if kind == _NOP:
+                pass  # NOP / PREFETCH / HINT: architecturally invisible.
+            elif kind == _ALU:
+                a = gprs[r2]
+                b = gprs[r3]
+                if x == _ADD:
+                    value = (a + b) & WORD_MASK
+                elif x == _XOR:
+                    value = a ^ b
+                elif x == _AND:
+                    value = a & b
+                elif x == _MUL:
+                    value = (a * b) & WORD_MASK
+                elif x == _SUB:
+                    value = (a - b) & WORD_MASK
+                elif x == _OR:
+                    value = a | b
+                elif x == _SHR:
+                    value = a >> (b & 63)
+                else:
+                    value = (a << (b & 63)) & WORD_MASK
+                if r1:
+                    gprs[r1] = value
+            elif kind == _LD:
+                mem_addr = (gprs[r2] + x) & WORD_MASK
+                if r1:
+                    gprs[r1] = memory.get(mem_addr & ADDRESS_MASK, 0)
+            elif kind == _ADDI:
+                if r1:
+                    gprs[r1] = (gprs[r2] + x) & WORD_MASK
+            elif kind == _ST:
+                mem_addr = (gprs[r2] + x) & WORD_MASK
+                memory[mem_addr & ADDRESS_MASK] = gprs[r1]
+            elif kind == _CMP:
+                a = gprs[r2]
+                b = gprs[r3]
+                if x == _EQ:
+                    result = a == b
+                elif x == _NE:
+                    result = a != b
+                else:  # signed: flipping the sign bit orders as unsigned
+                    result = (a ^ _SIGN_BIT) < (b ^ _SIGN_BIT)
+                if r1:
+                    predicates[r1] = result
+            elif kind == _ANDI:
+                if r1:
+                    gprs[r1] = gprs[r2] & x
+            elif kind == _BR:
+                next_pc = pc + x
+            elif kind == _OUT:
+                outputs.append(gprs[r2])
+            elif kind == _MOVI:
+                if r1:
+                    gprs[r1] = x
+            elif kind == _CALL:
+                call_stack.append(next_pc)
+                next_pc = pc + x
+            elif kind == _RET:
+                if not call_stack:
+                    status = ExecutionStatus.RET_UNDERFLOW
+                    break
+                next_pc = call_stack.pop()
+            elif kind == _HALT:
                 status = ExecutionStatus.HALTED
-                if trace is not None:
-                    trace.append(CommittedOp(
-                        seq, pc, instruction, executed=True, next_pc=pc,
-                        invocation=invocation_stack[-1]))
+                if record_trace:
+                    append(CommittedOp(seq, pc, instruction, True,
+                                       next_pc=pc,
+                                       invocation=invocation_stack[-1]))
                 seq += 1  # the HALT commits
                 break
+            else:
+                status = ExecutionStatus.TRAP_ILLEGAL
+                break
 
-            executed = state.read_predicate(instruction.qp)
-            current_invocation = invocation_stack[-1]
-            next_pc = pc + 1
-            dest_gpr = 0
-            dest_pred = -1
-            src_gprs: tuple = ()
-            mem_addr = None
-            branch_taken = False
-            is_output = False
-
-            if executed:
-                if opcode is Opcode.ADD or opcode is Opcode.SUB \
-                        or opcode is Opcode.AND or opcode is Opcode.OR \
-                        or opcode is Opcode.XOR or opcode is Opcode.SHL \
-                        or opcode is Opcode.SHR or opcode is Opcode.MUL:
-                    a = state.read_gpr(instruction.r2)
-                    b = state.read_gpr(instruction.r3)
-                    value = _ALU_OPS[opcode](a, b)
-                    state.write_gpr(instruction.r1, value)
-                    dest_gpr = instruction.r1
-                    src_gprs = instruction.source_gprs()
-                elif opcode is Opcode.ADDI:
-                    a = state.read_gpr(instruction.r2)
-                    state.write_gpr(instruction.r1, a + instruction.imm)
-                    dest_gpr = instruction.r1
-                    src_gprs = instruction.source_gprs()
-                elif opcode is Opcode.ANDI:
-                    a = state.read_gpr(instruction.r2)
-                    state.write_gpr(instruction.r1, a & (instruction.imm & WORD_MASK))
-                    dest_gpr = instruction.r1
-                    src_gprs = instruction.source_gprs()
-                elif opcode is Opcode.MOVI:
-                    state.write_gpr(instruction.r1, instruction.imm & WORD_MASK)
-                    dest_gpr = instruction.r1
-                elif opcode is Opcode.LD:
-                    base = state.read_gpr(instruction.r2)
-                    mem_addr = (base + instruction.imm) & WORD_MASK
-                    state.write_gpr(instruction.r1, state.load(mem_addr))
-                    dest_gpr = instruction.r1
-                    src_gprs = instruction.source_gprs()
-                elif opcode is Opcode.ST:
-                    base = state.read_gpr(instruction.r2)
-                    mem_addr = (base + instruction.imm) & WORD_MASK
-                    state.store(mem_addr, state.read_gpr(instruction.r1))
-                    src_gprs = instruction.source_gprs()
-                elif opcode is Opcode.CMP_EQ or opcode is Opcode.CMP_LT \
-                        or opcode is Opcode.CMP_NE:
-                    a = state.read_gpr(instruction.r2)
-                    b = state.read_gpr(instruction.r3)
-                    result = _CMP_OPS[opcode](a, b)
-                    pred_index = instruction.dest_predicate
-                    state.write_predicate(pred_index, result)
-                    dest_pred = pred_index
-                    src_gprs = instruction.source_gprs()
-                elif opcode is Opcode.BR:
-                    branch_taken = True
-                    next_pc = pc + instruction.imm
-                elif opcode is Opcode.CALL:
-                    branch_taken = True
-                    state.call_stack.append(pc + 1)
-                    next_pc = pc + instruction.imm
-                    if trace is not None:
-                        invocations[next_invocation] = InvocationRecord(
-                            invocation=next_invocation, entry_pc=next_pc,
-                            call_seq=seq)
-                        invocation_stack.append(next_invocation)
-                        next_invocation += 1
-                elif opcode is Opcode.RET:
-                    if not state.call_stack:
-                        status = ExecutionStatus.RET_UNDERFLOW
-                        break
-                    branch_taken = True
-                    next_pc = state.call_stack.pop()
-                    if trace is not None:
-                        invocations[invocation_stack.pop()].return_seq = seq
-                elif opcode is Opcode.OUT:
-                    outputs.append(state.read_gpr(instruction.r2))
-                    src_gprs = instruction.source_gprs()
-                    is_output = True
-                # NOP / PREFETCH / HINT: architecturally invisible.
-
-            if trace is not None:
-                trace.append(CommittedOp(
-                    seq=seq,
-                    pc=pc,
-                    instruction=instruction,
-                    executed=executed,
-                    dest_gpr=dest_gpr,
-                    dest_pred=dest_pred,
-                    src_gprs=src_gprs,
-                    mem_addr=mem_addr,
-                    is_store=executed and opcode is Opcode.ST,
-                    is_load=executed and opcode is Opcode.LD,
-                    branch_taken=branch_taken,
-                    next_pc=next_pc,
-                    invocation=current_invocation,
-                    is_output=is_output,
-                ))
-
+            if record_trace:
+                dest_gpr, dest_pred, is_store, is_load, taken, is_output = \
+                    traits
+                # A fresh sources tuple per op, as ``source_gprs()`` made:
+                # a shared one would pickle as a back-reference and change
+                # the bytes of every cached trace.
+                append(CommittedOp(
+                    seq, pc, instruction, True, dest_gpr, dest_pred,
+                    (*srcs,), mem_addr, is_store, is_load, taken, next_pc,
+                    invocation_stack[-1], is_output))
+                if kind == _CALL:
+                    invocations[next_invocation] = InvocationRecord(
+                        next_invocation, next_pc, seq)
+                    invocation_stack.append(next_invocation)
+                    next_invocation += 1
+                elif kind == _RET:
+                    invocations[invocation_stack.pop()].return_seq = seq
             pc = next_pc
             seq += 1
 
@@ -347,36 +439,10 @@ class FunctionalSimulator:
                               tuple(snapshots), status, outputs)
         return ExecutionResult(
             status=status,
-            trace=trace if trace is not None else [],
+            trace=trace if record_trace else [],
             outputs=outputs,
             invocations=invocations,
             steps=seq - first_seq,
             converged=converged,
             snapshots=log,
         )
-
-
-def _shift_left(a: int, b: int) -> int:
-    return (a << (b % 64)) & WORD_MASK
-
-
-def _shift_right(a: int, b: int) -> int:
-    return a >> (b % 64)
-
-
-_ALU_OPS = {
-    Opcode.ADD: lambda a, b: (a + b) & WORD_MASK,
-    Opcode.SUB: lambda a, b: (a - b) & WORD_MASK,
-    Opcode.AND: lambda a, b: a & b,
-    Opcode.OR: lambda a, b: a | b,
-    Opcode.XOR: lambda a, b: a ^ b,
-    Opcode.SHL: _shift_left,
-    Opcode.SHR: _shift_right,
-    Opcode.MUL: lambda a, b: (a * b) & WORD_MASK,
-}
-
-_CMP_OPS = {
-    Opcode.CMP_EQ: lambda a, b: a == b,
-    Opcode.CMP_NE: lambda a, b: a != b,
-    Opcode.CMP_LT: lambda a, b: _signed(a) < _signed(b),
-}

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.isa.registers import GPR_ZERO, NUM_GPRS, NUM_PREDICATES, PRED_TRUE
+from repro.isa.registers import NUM_GPRS, NUM_PREDICATES, PRED_TRUE
 
 #: All architectural integer values are 64-bit.
 WORD_MASK = (1 << 64) - 1
@@ -16,7 +16,15 @@ ADDRESS_MASK = (1 << 48) - 1
 
 
 class ArchState:
-    """Mutable architectural state for one program execution."""
+    """Mutable architectural state for one program execution.
+
+    The interpreter (:mod:`repro.arch.executor`) reads and writes these
+    containers directly and keeps them canonical: ``gprs[0]`` is never
+    written (r0 reads zero), ``predicates[0]`` is never written (p0
+    reads true), every register and memory word is masked to 64 bits,
+    and memory is keyed by addresses masked to :data:`ADDRESS_MASK`
+    (unmapped words read as zero).
+    """
 
     def __init__(self) -> None:
         self.gprs: List[int] = [0] * NUM_GPRS
@@ -24,30 +32,3 @@ class ArchState:
         self.predicates[PRED_TRUE] = True
         self.memory: Dict[int, int] = {}
         self.call_stack: List[int] = []
-
-    def read_gpr(self, index: int) -> int:
-        if index == GPR_ZERO:
-            return 0
-        return self.gprs[index]
-
-    def write_gpr(self, index: int, value: int) -> None:
-        if index == GPR_ZERO:
-            return  # r0 is hardwired to zero
-        self.gprs[index] = value & WORD_MASK
-
-    def read_predicate(self, index: int) -> bool:
-        if index == PRED_TRUE:
-            return True
-        return self.predicates[index]
-
-    def write_predicate(self, index: int, value: bool) -> None:
-        if index == PRED_TRUE:
-            return  # p0 is hardwired to true
-        self.predicates[index] = value
-
-    def load(self, address: int) -> int:
-        """Word load; unmapped addresses read as zero."""
-        return self.memory.get(address & ADDRESS_MASK, 0)
-
-    def store(self, address: int, value: int) -> None:
-        self.memory[address & ADDRESS_MASK] = value & WORD_MASK

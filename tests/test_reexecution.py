@@ -16,20 +16,20 @@ instruction 0 to the end):
   call stack; traps and hangs after a snapshot);
 * on sampled strikes and bursts of generated programs (hypothesis);
 * at the executor level: the snapshot log holds the states a plain run
-  passes through, and resuming from any snapshot reproduces the run.
+  passes through (as the per-step reference loop of
+  ``tests/arch_reference.py`` observes them), and resuming from any
+  snapshot reproduces the run.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.arch import executor
 from repro.arch.executor import (
     FunctionalSimulator,
     Snapshot,
     snapshot_interval,
 )
-from repro.arch.state import ArchState
 from repro.faults.batch import StrikeSubject
 from repro.faults.campaign import CampaignConfig, run_campaign
 from repro.faults.injector import architectural_effect, corrupt_burst
@@ -40,6 +40,7 @@ from repro.isa.program import FunctionInfo
 from repro.runtime.context import use_runtime
 from repro.runtime.telemetry import Telemetry
 from repro.workloads.codegen import synthesize
+from tests.arch_reference import ReferenceState, reference_run
 from tests.helpers import I, program
 from tests.test_property import profiles
 
@@ -136,22 +137,19 @@ class TestSnapshotLog:
         for n in (1, 1000, 16_385, 100_000, 2_000_000):
             assert -(-n // snapshot_interval(n)) <= 257
 
-    def test_log_holds_the_states_of_a_plain_run(self, loop_setup,
-                                                 monkeypatch):
+    def test_log_holds_the_states_of_a_plain_run(self, loop_setup):
         prog, baseline, interval = loop_setup
         states = []
 
-        class Recording(ArchState):
-            # The executor reads the qualifying predicate once per step
-            # but the HALT, before the step changes any state.
+        class Recording(ReferenceState):
+            # The reference loop reads the qualifying predicate once per
+            # step but the HALT, before the step changes any state.
             def read_predicate(self, index):
                 states.append((tuple(self.gprs), tuple(self.predicates),
                                dict(self.memory), tuple(self.call_stack)))
                 return super().read_predicate(index)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(executor, "ArchState", Recording)
-            plain = FunctionalSimulator(prog).run()
+        plain = reference_run(prog, state_factory=Recording)
         assert plain.output_signature() == baseline.output_signature()
         log = snapshot_log(prog, baseline)
         trace = baseline.trace

@@ -9,7 +9,9 @@ workload and strike sequence:
   re-executes);
 * ``cold`` — the production campaign with an empty effect oracle (memo
   + static filter fill in as the campaign runs, and the table is
-  persisted through the result cache);
+  persisted through the result cache); its record names the layer that
+  moves it, oracle re-execution: the instructions the re-executions
+  replayed and that count per second of the cold pass;
 * ``warm`` — the same campaign re-run against the persisted oracle
   table. The campaign *tally* cache entry is deleted first so all trials
   genuinely run; only per-strike re-execution is skipped.
@@ -35,9 +37,8 @@ from tempfile import TemporaryDirectory
 
 from repro.due.tracking import TrackingLevel
 from repro.experiments.common import ExperimentSettings, run_benchmark
-from repro.faults.campaign import CampaignConfig, run_campaign
+from repro.faults.campaign import CampaignConfig, campaign_key, run_campaign
 from repro.pipeline.config import Trigger
-from repro.runtime.cache import cache_key
 from repro.runtime.context import use_runtime
 from repro.workloads.spec2000 import get_profile
 
@@ -73,7 +74,8 @@ def timed(fn):
 def oracle_counters(telemetry):
     return {name: telemetry.counters[name]
             for name in ("oracle_memo_hits", "oracle_static_kills",
-                         "oracle_executions")}
+                         "oracle_executions", "oracle_replayed_insts",
+                         "oracle_converged")}
 
 
 def batch_counters(telemetry):
@@ -118,8 +120,8 @@ def main() -> int:
         with use_runtime(cache_dir=cache_dir) as context:
             # Drop the tally entry (keep the oracle table) so the warm
             # run re-evaluates every trial against the persisted memo.
-            tally_key = cache_key("campaign", run.program, run.pipeline,
-                                  config)
+            tally_key = campaign_key(run.program, run.execution,
+                                     run.pipeline, config)
             context.cache.path_for(tally_key).unlink()
             warm, warm_s = timed(lambda: run_campaign(
                 run.program, run.execution, run.pipeline, config))
@@ -137,6 +139,7 @@ def main() -> int:
                         "the strike classifier")
     speedup_warm = seed_s / warm_s if warm_s > 0 else float("inf")
     speedup_cold = seed_s / cold_s if cold_s > 0 else float("inf")
+    replayed = cold_oracle["oracle_replayed_insts"]
     if speedup_warm < args.min_speedup:
         failures.append(f"warm speedup {speedup_warm:.2f}x below the "
                         f"required {args.min_speedup:.2f}x")
@@ -154,6 +157,9 @@ def main() -> int:
         "speedup": {"cold_vs_seed": round(speedup_cold, 2),
                     "warm_vs_seed": round(speedup_warm, 2)},
         "oracle": {"cold": cold_oracle, "warm": warm_oracle},
+        "replay": {"cold_replayed_insts": replayed,
+                   "cold_replayed_insts_per_s": round(replayed / cold_s)
+                   if cold_s > 0 else None},
         "batch": warm_batch,
         "tallies_identical": (cold.counts == golden
                               and warm.counts == golden),
