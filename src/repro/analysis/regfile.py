@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.analysis.deadcode import DEAD_CLASSES, DeadnessAnalysis, DynClass
-from repro.arch.trace import CommittedOp
+from repro.arch.trace import Trace
 from repro.isa.registers import NUM_GPRS
 from repro.pipeline.iq import OccupantKind
 from repro.pipeline.result import PipelineResult
@@ -75,7 +75,7 @@ class RegisterFileAvf:
 
 def compute_regfile_avf(
     result: PipelineResult,
-    trace: List[CommittedOp],
+    trace: Trace,
     deadness: DeadnessAnalysis,
 ) -> RegisterFileAvf:
     """Integrate register-value lifetimes over one timing run.
@@ -107,18 +107,20 @@ def compute_regfile_avf(
             avf.ace_reg_cycles += last_read - written
             avf.stale_reg_cycles += end_cycle - last_read
 
-    for op in trace:
-        when = issue_cycle.get(op.seq)
+    first, second = trace.sources()
+    rows = zip(first.tolist(), second.tolist(), trace.dest_gpr.tolist())
+    for seq, (source_a, source_b, dest_gpr) in enumerate(rows):
+        when = issue_cycle.get(seq)
         if when is None:
             continue
-        for reg in op.src_gprs:
+        for reg in (source_a, source_b):
             if reg in open_values:
                 entry = open_values[reg]
                 entry[1] = max(entry[1], when)
-        if op.executed and op.dest_gpr:
-            close(op.dest_gpr, when)
-            dead = deadness.class_of(op.seq) in DEAD_CLASSES
-            open_values[op.dest_gpr] = [when, when, dead]
+        if dest_gpr:
+            close(dest_gpr, when)
+            dead = deadness.class_of(seq) in DEAD_CLASSES
+            open_values[dest_gpr] = [when, when, dead]
 
     for reg in list(open_values):
         close(reg, result.cycles)

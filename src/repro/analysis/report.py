@@ -21,8 +21,8 @@ from repro.util.tables import format_table
 
 
 def _mix_section(run: BenchmarkRun) -> str:
-    counts = Counter(op.instruction.instr_class for op in
-                     run.execution.trace)
+    counts = Counter(instruction.instr_class for instruction in
+                     run.execution.trace.row_instructions())
     total = max(1, len(run.execution.trace))
     rows = [[klass.value, f"{counts[klass] / total:.1%}"]
             for klass in InstrClass if counts[klass]]

@@ -9,7 +9,7 @@ the fault injector both consume it.
 from repro.arch.executor import ExecutionLimits, ExecutionStatus, FunctionalSimulator
 from repro.arch.result import ExecutionResult, InvocationRecord
 from repro.arch.state import ArchState, WORD_MASK
-from repro.arch.trace import CommittedOp
+from repro.arch.trace import CommittedOp, Trace
 
 __all__ = [
     "ExecutionLimits",
@@ -20,4 +20,5 @@ __all__ = [
     "ArchState",
     "WORD_MASK",
     "CommittedOp",
+    "Trace",
 ]

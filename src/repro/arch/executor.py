@@ -7,7 +7,11 @@ executions are cut off by an instruction budget (and classified as hangs).
 
 Every static instruction is decoded once per program into a flat tuple
 (see :func:`decode`); the interpreter loop dispatches on its small-int
-kind and keeps the architectural state in locals.
+kind and keeps the architectural state in locals. A traced run appends
+plain ints — the pc of each commit, the address of each memory access,
+the seq of each nullified commit and of each call/return — and builds
+the columnar :class:`~repro.arch.trace.Trace` from them once at the end
+(see :func:`_build_trace`).
 """
 
 from __future__ import annotations
@@ -17,9 +21,20 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 from weakref import WeakKeyDictionary
 
+import numpy as np
+
 from repro.arch.result import ExecutionResult, ExecutionStatus, InvocationRecord
 from repro.arch.state import ADDRESS_MASK, WORD_MASK, ArchState
-from repro.arch.trace import CommittedOp
+from repro.arch.trace import (
+    BRANCH_TAKEN,
+    EMPTY_TRACE,
+    EXECUTED,
+    IS_LOAD,
+    IS_OUTPUT,
+    IS_STORE,
+    NO_VALUE,
+    Trace,
+)
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
@@ -60,28 +75,21 @@ _KIND_OF = {
 #: same whether or not it has run.
 _DECODED: "WeakKeyDictionary[Program, List[tuple]]" = WeakKeyDictionary()
 
-#: One copy of each distinct ``srcs`` and ``traits`` tuple, shared by the
-#: decoded tables of every program: both come from a small fixed domain
-#: (kind x registers), while a table lives as long as its program.
-_SHARED: Dict[tuple, tuple] = {}
-
-
 def decode(instruction: Instruction) -> tuple:
     """The loop's form of one static instruction.
 
-    ``(kind, qp, r1, r2, r3, x, srcs, instruction, traits)``: ``r1`` is
-    the predicate index for compares; ``x`` is the sub-operation of ALU
-    and compare forms, the immediate pre-masked to 64 bits for the
+    ``(kind, qp, r1, r2, r3, x, instruction, traits)``: ``r1`` is the
+    predicate index for compares; ``x`` is the sub-operation of ALU and
+    compare forms, the immediate pre-masked to 64 bits for the
     register-immediate, load/store and MOVI forms and the signed
-    displacement for BR/CALL; ``srcs`` and ``traits`` (dest GPR, dest
-    predicate, is_store, is_load, branch_taken, is_output) are what an
-    executed instance records in the trace. PREFETCH records no sources.
+    displacement for BR/CALL; ``traits`` (dest GPR, dest predicate,
+    flags) is what an executed instance records in the trace's
+    ``dest_gpr``, ``dest_pred`` and ``flags`` columns.
     """
     opcode = instruction.opcode
     kind, sub = _KIND_OF[opcode]
     r1 = instruction.r1
     imm = instruction.imm
-    srcs = instruction.source_gprs()
     dest_gpr, dest_pred = 0, -1
     if kind == _ALU:
         x = sub
@@ -96,13 +104,17 @@ def decode(instruction: Instruction) -> tuple:
         x = imm & WORD_MASK
         if kind in (_LD, _ADDI, _ANDI, _MOVI):
             dest_gpr = r1
-    if kind == _NOP:
-        srcs = ()
-    traits = (dest_gpr, dest_pred, kind == _ST, kind == _LD,
-              kind in (_BR, _CALL, _RET), kind == _OUT)
+    flags = EXECUTED
+    if kind == _ST:
+        flags |= IS_STORE
+    elif kind == _LD:
+        flags |= IS_LOAD
+    elif kind in (_BR, _CALL, _RET):
+        flags |= BRANCH_TAKEN
+    elif kind == _OUT:
+        flags |= IS_OUTPUT
     return (kind, instruction.qp, r1, instruction.r2, instruction.r3, x,
-            _SHARED.setdefault(srcs, srcs), instruction,
-            _SHARED.setdefault(traits, traits))
+            instruction, (dest_gpr, dest_pred, flags))
 
 
 def decoded(program: Program) -> List[tuple]:
@@ -250,8 +262,12 @@ class FunctionalSimulator:
             override = decode(override_instruction)
         else:
             override_seq = -1  # never matches
-        trace = [] if record_trace else None
-        append = trace.append if record_trace else None
+        # Per-commit records of a traced run (see _build_trace).
+        pcs: List[int] = []
+        append = pcs.append
+        addresses: List[int] = []
+        nullified: List[int] = []
+        switches: List[Tuple[int, int]] = []
         outputs = []
         # Invocation records need the whole call history, so only runs
         # that record a trace (and so start at seq 0) keep them.
@@ -323,21 +339,19 @@ class FunctionalSimulator:
                 break
             if seq == override_seq:
                 entry = override
-            kind, qp, r1, r2, r3, x, srcs, instruction, traits = entry
+            kind, qp, r1, r2, r3, x, _, _ = entry
 
             if not predicates[qp] and kind < _HALT:
                 # Nullified: commits without effect. HALT and ILLEGAL
                 # ignore their predicate and fall through.
                 if record_trace:
-                    append(CommittedOp(
-                        seq, pc, instruction, False, 0, -1, (), None, False,
-                        False, False, pc + 1, invocation_stack[-1], False))
+                    append(pc)
+                    nullified.append(seq)
                 pc += 1
                 seq += 1
                 continue
 
             next_pc = pc + 1
-            mem_addr = None
             if kind == _NOP:
                 pass  # NOP / PREFETCH / HINT: architecturally invisible.
             elif kind == _ALU:
@@ -365,12 +379,16 @@ class FunctionalSimulator:
                 mem_addr = (gprs[r2] + x) & WORD_MASK
                 if r1:
                     gprs[r1] = memory.get(mem_addr & ADDRESS_MASK, 0)
+                if record_trace:
+                    addresses.append(mem_addr)
             elif kind == _ADDI:
                 if r1:
                     gprs[r1] = (gprs[r2] + x) & WORD_MASK
             elif kind == _ST:
                 mem_addr = (gprs[r2] + x) & WORD_MASK
                 memory[mem_addr & ADDRESS_MASK] = gprs[r1]
+                if record_trace:
+                    addresses.append(mem_addr)
             elif kind == _CMP:
                 a = gprs[r2]
                 b = gprs[r3]
@@ -403,9 +421,7 @@ class FunctionalSimulator:
             elif kind == _HALT:
                 status = ExecutionStatus.HALTED
                 if record_trace:
-                    append(CommittedOp(seq, pc, instruction, True,
-                                       next_pc=pc,
-                                       invocation=invocation_stack[-1]))
+                    append(pc)
                 seq += 1  # the HALT commits
                 break
             else:
@@ -413,22 +429,16 @@ class FunctionalSimulator:
                 break
 
             if record_trace:
-                dest_gpr, dest_pred, is_store, is_load, taken, is_output = \
-                    traits
-                # A fresh sources tuple per op, as ``source_gprs()`` made:
-                # a shared one would pickle as a back-reference and change
-                # the bytes of every cached trace.
-                append(CommittedOp(
-                    seq, pc, instruction, True, dest_gpr, dest_pred,
-                    (*srcs,), mem_addr, is_store, is_load, taken, next_pc,
-                    invocation_stack[-1], is_output))
+                append(pc)
                 if kind == _CALL:
                     invocations[next_invocation] = InvocationRecord(
                         next_invocation, next_pc, seq)
                     invocation_stack.append(next_invocation)
+                    switches.append((seq + 1, next_invocation))
                     next_invocation += 1
                 elif kind == _RET:
                     invocations[invocation_stack.pop()].return_seq = seq
+                    switches.append((seq + 1, invocation_stack[-1]))
             pc = next_pc
             seq += 1
 
@@ -437,12 +447,56 @@ class FunctionalSimulator:
         if snapshot_every > 0:
             log = SnapshotLog(snapshot_every, max_instructions,
                               tuple(snapshots), status, outputs)
+        trace = EMPTY_TRACE
+        if record_trace:
+            # ``pc`` is where the run stopped: the last commit's next pc.
+            trace = _build_trace(table, pcs, pc, addresses, nullified,
+                                 switches, override_seq, override)
         return ExecutionResult(
             status=status,
-            trace=trace if record_trace else [],
+            trace=trace,
             outputs=outputs,
             invocations=invocations,
             steps=seq - first_seq,
             converged=converged,
             snapshots=log,
         )
+
+
+def _build_trace(table: List[tuple], pcs: List[int], stop_pc: int,
+                 addresses: List[int], nullified: List[int],
+                 switches: List[Tuple[int, int]], override_seq: int,
+                 override: Optional[tuple]) -> Trace:
+    """The columnar trace of a run from its per-commit records.
+
+    ``pcs`` holds the pc of every commit, ``addresses`` the address of
+    every executed load and store, ``nullified`` the seq of every
+    predicated-false commit and ``switches`` ``(seq, invocation)`` for
+    every commit after which the current invocation changed; the run
+    stopped at ``stop_pc``. Everything else a row records is a function
+    of its instruction and whether it executed.
+    """
+    n = len(pcs)
+    pc = np.array(pcs, dtype=np.int32)
+    instr = pc.copy()
+    if 0 <= override_seq < n:
+        instr[override_seq] = len(table)
+        table = table + [override]
+    dest_gpr, dest_pred, flags = (
+        np.array(column, dtype=dtype)[instr] for column, dtype in zip(
+            zip(*(entry[7] for entry in table)),
+            (np.int8, np.int8, np.uint8)))
+    if nullified:
+        rows = np.array(nullified, dtype=np.int64)
+        dest_gpr[rows] = 0
+        dest_pred[rows] = -1
+        flags[rows] = 0
+    mem_addr = np.full(n, NO_VALUE, dtype=np.int64)
+    mem_addr[(flags & (IS_LOAD | IS_STORE)) != 0] = np.array(
+        addresses, dtype=np.uint64).view(np.int64)
+    starts, values = zip((0, 0), *switches)
+    invocation = np.repeat(np.array(values, dtype=np.int32),
+                           np.diff(np.array(starts + (n,))))
+    next_pc = np.append(pc[1:], np.int32(stop_pc)) if n else pc
+    return Trace([entry[6] for entry in table], instr, pc, next_pc,
+                 dest_gpr, dest_pred, mem_addr, flags, invocation)

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, unique
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.arch.trace import CommittedOp
+from repro.arch.trace import Trace
 
 if TYPE_CHECKING:
     from repro.arch.executor import SnapshotLog
@@ -42,7 +42,8 @@ class ExecutionResult:
     """Everything a downstream consumer needs from a functional run."""
 
     status: ExecutionStatus
-    trace: List[CommittedOp]
+    #: The committed trace; empty for a run that did not record one.
+    trace: Trace
     outputs: Tuple[int, ...]
     #: Function activations; recorded only by runs that record a trace.
     invocations: Dict[int, InvocationRecord] = field(default_factory=dict)

@@ -27,11 +27,20 @@ must signal at ``REG_PI`` but stay silent at ``STORE_PI``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from operator import attrgetter
+from typing import Dict, Optional, Set, Tuple
 
-from repro.arch.trace import CommittedOp
+import numpy as np
+
+from repro.arch.trace import (
+    EXECUTED,
+    IS_LOAD,
+    IS_OUTPUT,
+    IS_STORE,
+    Trace,
+    recorded_sources,
+)
 from repro.due.anti_pi import anti_pi_suppresses
-from repro.due.pet import PetBuffer
 from repro.due.tracking import DEFAULT_PET_ENTRIES, TrackingLevel
 from repro.isa.encoding import Field, field_at_bit, field_bits
 from repro.isa.opcodes import InstrClass
@@ -52,12 +61,23 @@ class SignalDecision:
     reason: str
 
 
+#: First window of a forward scan; each next window is this many times
+#: longer, so near hits cost one short slice and far ones few slices.
+_SCAN_FIRST = 32
+_SCAN_GROWTH = 8
+
+
 class PiBitTracker:
-    """Decides the fate of one detected error under one tracking level."""
+    """Decides the fate of one detected error under one tracking level.
+
+    The walks read the trace by row index: the register and PET scans as
+    windowed column searches, the propagating walk over plain-int copies
+    of the columns it needs, made on its first use.
+    """
 
     def __init__(
         self,
-        trace: List[CommittedOp],
+        trace: Trace,
         level: TrackingLevel,
         pet_entries: int = DEFAULT_PET_ENTRIES,
     ) -> None:
@@ -68,6 +88,8 @@ class PiBitTracker:
         # struck bit enters only through the anti-π opcode-field test, so
         # a campaign-shared tracker answers each strike point once.
         self._memo: Dict[Tuple[int, bool], SignalDecision] = {}
+        self._scan_columns: Optional[tuple] = None
+        self._walk_columns: Optional[tuple] = None
 
     def process_fault(
         self, seq: int, struck_bit: Optional[int] = None
@@ -86,18 +108,19 @@ class PiBitTracker:
         return decision
 
     def _process_fault(self, seq: int, struck_bit: int) -> SignalDecision:
-        op = self.trace[seq]
         level = self.level
 
         if level is TrackingLevel.PARITY_ONLY:
             return SignalDecision(True, seq, "parity error signalled at read")
 
         # π set instead of signalling; decisions defer to the commit point.
-        if op.predicated_false:
+        trace = self.trace
+        if not trace.flags[seq] & EXECUTED:
             return SignalDecision(
                 False, None, "retire unit ignores π: predicated false")
+        instruction = trace.instructions[trace.instr[seq]]
         if (level >= TrackingLevel.ANTI_PI
-                and anti_pi_suppresses(op.instruction, struck_bit)):
+                and anti_pi_suppresses(instruction, struck_bit)):
             return SignalDecision(
                 False, None, "anti-π: neutral instruction, non-opcode bit")
         if level <= TrackingLevel.ANTI_PI:
@@ -109,64 +132,113 @@ class PiBitTracker:
         return self._propagating_pi(seq, through_memory=(
             level is TrackingLevel.MEM_PI))
 
+    # -- the forward scan of one register --------------------------------------
+
+    def _first_touch(self, start: int, stop: int, gpr: int,
+                     pred: int) -> Optional[Tuple[int, str]]:
+        """The first row of ``[start, stop)`` that reads or writes GPR
+        ``gpr`` (0: none) or predicate ``pred`` (-1: none), and what it
+        does first: ``"read gpr"``, ``"read pred"``, ``"write gpr"`` or
+        ``"write pred"``, in that order of precedence. A row reads a
+        predicate through its qualifying predicate, executed or not, and
+        writes only when executed."""
+        if self._scan_columns is None:
+            trace = self.trace
+            qp = np.array(trace.table(attrgetter("qp")), dtype=np.int8)
+            self._scan_columns = trace.sources() + (
+                qp[trace.instr], trace.dest_gpr, trace.dest_pred)
+        first, second, qp, dest_gpr, dest_pred = self._scan_columns
+        lo, width = start, _SCAN_FIRST
+        while lo < stop:
+            hi = min(stop, lo + width)
+            hit = np.zeros(hi - lo, dtype=bool)
+            if gpr:
+                hit |= ((first[lo:hi] == gpr) | (second[lo:hi] == gpr)
+                        | (dest_gpr[lo:hi] == gpr))
+            if pred >= 0:
+                hit |= (qp[lo:hi] == pred) | (dest_pred[lo:hi] == pred)
+            rows = np.flatnonzero(hit)
+            if len(rows):
+                row = lo + int(rows[0])
+                if gpr and gpr in (first[row], second[row]):
+                    return row, "read gpr"
+                if pred >= 0 and qp[row] == pred:
+                    return row, "read pred"
+                if gpr and dest_gpr[row] == gpr:
+                    return row, "write gpr"
+                return row, "write pred"
+            lo = hi
+            width *= _SCAN_GROWTH
+        return None
+
     # -- PET ---------------------------------------------------------------
 
     def _pet(self, seq: int) -> SignalDecision:
-        buffer = PetBuffer(self.pet_entries)
-        horizon = min(len(self.trace), seq + self.pet_entries + 1)
-        for op in self.trace[seq:horizon]:
-            decision = buffer.retire(op, pi_set=(op.seq == seq))
-            if decision is not None and decision.seq == seq:
-                return SignalDecision(decision.signal, decision.seq,
-                                      f"PET: {decision.reason}")
-        for decision in buffer.drain():
-            if decision.seq == seq:
-                return SignalDecision(decision.signal, decision.seq,
-                                      f"PET drain: {decision.reason}")
-        raise AssertionError("PET never resolved the faulted instruction")
+        """:class:`~repro.due.pet.PetBuffer`'s eviction scan for ``seq``.
+
+        The buffer evicts ``seq`` once ``pet_entries`` younger commits
+        retired, then scans them; a trace that ends first drains the
+        buffer and scans what remains.
+        """
+        trace = self.trace
+        stop = seq + self.pet_entries + 1
+        prefix = "PET"
+        if stop > len(trace):
+            stop = len(trace)
+            prefix = "PET drain"
+        gpr = int(trace.dest_gpr[seq])
+        pred = -1 if gpr else int(trace.dest_pred[seq])
+        if not gpr and pred < 0:
+            return SignalDecision(True, seq,
+                                  f"{prefix}: no trackable result")
+        touch = self._first_touch(seq + 1, stop, gpr, pred)
+        if touch is None:
+            return SignalDecision(True, seq,
+                                  f"{prefix}: no overwrite in buffer")
+        if touch[1].startswith("read"):
+            return SignalDecision(True, seq, f"{prefix}: result was read")
+        return SignalDecision(False, seq, f"{prefix}: overwritten before "
+                              "any read (FDD)")
 
     # -- register-file π ------------------------------------------------------
 
     def _register_pi(self, seq: int) -> SignalDecision:
-        op = self.trace[seq]
-        if not (op.dest_gpr or op.dest_pred >= 0):
+        trace = self.trace
+        dest_gpr = int(trace.dest_gpr[seq])
+        dest_pred = int(trace.dest_pred[seq])
+        if not (dest_gpr or dest_pred >= 0):
             return SignalDecision(
                 True, seq, "π out of scope: no destination register")
-        dest_gpr = op.dest_gpr
-        dest_pred = op.dest_pred
-        for later in self.trace[seq + 1:]:
-            if dest_gpr and dest_gpr in later.src_gprs:
-                return SignalDecision(True, later.seq,
-                                      "poisoned register read")
-            if dest_pred >= 0 and later.instruction.qp == dest_pred:
-                return SignalDecision(True, later.seq,
-                                      "poisoned predicate read")
-            if later.executed and dest_gpr and later.dest_gpr == dest_gpr:
-                return SignalDecision(False, None,
-                                      "register overwritten before read (FDD)")
-            if later.executed and dest_pred >= 0 \
-                    and later.dest_pred == dest_pred:
-                return SignalDecision(False, None,
-                                      "predicate overwritten before read (FDD)")
-        return SignalDecision(False, None, "never read again before exit")
+        touch = self._first_touch(seq + 1, len(trace), dest_gpr, dest_pred)
+        if touch is None:
+            return SignalDecision(False, None, "never read again before exit")
+        row, what = touch
+        if what == "read gpr":
+            return SignalDecision(True, row, "poisoned register read")
+        if what == "read pred":
+            return SignalDecision(True, row, "poisoned predicate read")
+        if what == "write gpr":
+            return SignalDecision(False, None,
+                                  "register overwritten before read (FDD)")
+        return SignalDecision(False, None,
+                              "predicate overwritten before read (FDD)")
 
     # -- pipeline-wide / memory-wide π -----------------------------------------
 
     def _propagating_pi(self, seq: int, through_memory: bool) -> SignalDecision:
-        op = self.trace[seq]
         poisoned_gprs: Set[int] = set()
         poisoned_preds: Set[int] = set()
         poisoned_mem: Set[int] = set()
 
-        first = self._absorb(op, poisoned_gprs, poisoned_preds, poisoned_mem,
-                             through_memory, initial=True)
+        first = self._absorb(seq, poisoned_gprs, poisoned_preds,
+                             poisoned_mem, through_memory, initial=True)
         if first is not None:
             return first
         if not (poisoned_gprs or poisoned_preds or poisoned_mem):
             return SignalDecision(False, None, "π vanished at the source")
 
-        for later in self.trace[seq + 1:]:
-            decision = self._absorb(later, poisoned_gprs, poisoned_preds,
+        for row in range(seq + 1, len(self.trace)):
+            decision = self._absorb(row, poisoned_gprs, poisoned_preds,
                                     poisoned_mem, through_memory,
                                     initial=False)
             if decision is not None:
@@ -179,62 +251,76 @@ class PiBitTracker:
 
     def _absorb(
         self,
-        op: CommittedOp,
+        seq: int,
         gprs: Set[int],
         preds: Set[int],
         mem: Set[int],
         through_memory: bool,
         initial: bool,
     ) -> Optional[SignalDecision]:
-        """Process one committed op against the poison sets.
+        """Process committed op ``seq`` against the poison sets.
 
         Returns a decision when the op forces a signal; mutates the poison
         sets otherwise. ``initial=True`` seeds the poison from the faulted
-        instruction itself.
+        instruction itself. Addresses are compared as the trace stores
+        them.
         """
-        instruction = op.instruction
+        if self._walk_columns is None:
+            trace = self.trace
+            self._walk_columns = (
+                trace.instr.tolist(),
+                trace.table(lambda i: (i.qp, i.is_neutral,
+                                       i.instr_class in _CONTROL,
+                                       recorded_sources(i))),
+                trace.flags.tolist(), trace.dest_gpr.tolist(),
+                trace.dest_pred.tolist(), trace.mem_addr.tolist())
+        instr, static, flags, dest_gprs, dest_preds, addresses = \
+            self._walk_columns
+        qp, neutral, control, sources = static[instr[seq]]
+        flag = flags[seq]
+        executed = flag & EXECUTED
         if initial:
             reads_poison = True  # the faulted instruction *is* the poison
         else:
-            if instruction.qp in preds and not instruction.is_neutral:
+            if qp in preds and not neutral:
                 # A qp read is a nullification decision: a poisoned
                 # predicate may have silently changed control behaviour,
                 # and nothing downstream carries that — signal now.
-                return SignalDecision(True, op.seq,
+                return SignalDecision(True, seq,
                                       "poisoned predication decision")
             reads_poison = (
-                any(r in gprs for r in op.src_gprs)
-                or (op.is_load and op.mem_addr in mem)
+                (executed and any(r in gprs for r in sources))
+                or (flag & IS_LOAD and addresses[seq] in mem)
             )
 
+        dest_gpr = dest_gprs[seq]
+        dest_pred = dest_preds[seq]
         if reads_poison:
-            if instruction.instr_class in _CONTROL:
-                return SignalDecision(True, op.seq,
+            if control:
+                return SignalDecision(True, seq,
                                       "poisoned control decision")
-            if op.is_output:
-                return SignalDecision(True, op.seq, "poisoned I/O output")
-            if op.is_store:
+            if flag & IS_OUTPUT:
+                return SignalDecision(True, seq, "poisoned I/O output")
+            if flag & IS_STORE:
                 if through_memory:
-                    mem.add(op.mem_addr)
+                    mem.add(addresses[seq])
                     return None
-                return SignalDecision(True, op.seq,
+                return SignalDecision(True, seq,
                                       "poisoned store commits to memory")
-            if op.executed and op.dest_gpr:
-                gprs.add(op.dest_gpr)
-            elif op.executed and op.dest_pred >= 0:
-                preds.add(op.dest_pred)
-            elif initial and not op.executed:
-                # Predicated-false faulted op: handled by the retire unit
-                # before this engine; nothing to poison.
-                pass
+            # A predicated-false faulted op (handled by the retire unit
+            # before this engine) has no destination: nothing to poison.
+            if executed and dest_gpr:
+                gprs.add(dest_gpr)
+            elif executed and dest_pred >= 0:
+                preds.add(dest_pred)
             return None
 
         # Clean op: overwrites scrub poison.
-        if op.executed:
-            if op.dest_gpr:
-                gprs.discard(op.dest_gpr)
-            if op.dest_pred >= 0:
-                preds.discard(op.dest_pred)
-            if op.is_store and op.mem_addr in mem:
-                mem.discard(op.mem_addr)
+        if executed:
+            if dest_gpr:
+                gprs.discard(dest_gpr)
+            if dest_pred >= 0:
+                preds.discard(dest_pred)
+            if flag & IS_STORE and addresses[seq] in mem:
+                mem.discard(addresses[seq])
         return None

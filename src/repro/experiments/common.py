@@ -21,6 +21,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.analysis.deadcode import DeadnessAnalysis, analyze_deadness
 from repro.arch.executor import FunctionalSimulator
 from repro.arch.result import ExecutionResult
+from repro.arch.trace import TRACE_FORMAT, Trace
 from repro.avf.avf_calc import IqAvfReport, compute_iq_avf
 from repro.isa.program import Program
 from repro.pipeline.config import MachineConfig, SquashConfig, Trigger
@@ -177,6 +178,29 @@ def _run_key(profile: BenchmarkProfile, settings: ExperimentSettings,
             machine)
 
 
+def functional_cache_key(profile: BenchmarkProfile,
+                         settings: ExperimentSettings) -> str:
+    """Persistent-cache key of the functional parts.
+
+    Names the trace layout (:data:`~repro.arch.trace.TRACE_FORMAT`), so
+    entries stored in another layout are never looked up.
+    """
+    return cache_key("functional", TRACE_FORMAT, profile,
+                     settings.target_instructions, settings.seed)
+
+
+def _is_functional_parts(value) -> bool:
+    """Whether a loaded cache value has the shape of functional parts."""
+    try:
+        program, execution, deadness = value
+    except (TypeError, ValueError):
+        return False
+    return (isinstance(program, Program)
+            and isinstance(execution, ExecutionResult)
+            and isinstance(execution.trace, Trace)
+            and isinstance(deadness, DeadnessAnalysis))
+
+
 def functional_parts(
     profile: BenchmarkProfile, settings: ExperimentSettings,
     runtime: Optional[RuntimeContext] = None,
@@ -185,7 +209,9 @@ def functional_parts(
 
     Consults the persistent cache of ``runtime`` (default: the active
     context) before simulating; a load ticks ``functional_loads`` and a
-    simulation ``functional_sims`` on that context's telemetry.
+    simulation ``functional_sims`` on that context's telemetry. A loaded
+    value of the wrong shape counts ``cache_corrupt_entries`` and is
+    recomputed (the put below overwrites it).
     """
     key = _functional_key(profile, settings)
     if key in _functional_cache:
@@ -193,13 +219,14 @@ def functional_parts(
     runtime = runtime or get_runtime()
     disk_key = None
     if runtime.cache is not None:
-        disk_key = cache_key("functional", profile,
-                             settings.target_instructions, settings.seed)
+        disk_key = functional_cache_key(profile, settings)
         cached = runtime.cache.get(disk_key)
         if cached is not MISS:
-            runtime.telemetry.increment("functional_loads")
-            _functional_cache[key] = cached
-            return cached
+            if _is_functional_parts(cached):
+                runtime.telemetry.increment("functional_loads")
+                _functional_cache[key] = cached
+                return cached
+            runtime.telemetry.increment("cache_corrupt_entries")
     program = synthesize(profile, settings.target_instructions,
                          seed=settings.seed)
     execution = FunctionalSimulator(program).run()

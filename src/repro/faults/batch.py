@@ -38,8 +38,7 @@ import threading
 from bisect import bisect_right
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from itertools import accumulate, chain
-from operator import attrgetter
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -321,19 +320,18 @@ def build_kill_masks(baseline, deadness) -> List[int]:
     ``classify_static(seq, b)`` proves the flip inert. The three rules
     (non-live field, predicated-false outside QP/OPCODE, dead
     destination value — see :mod:`repro.faults.oracle`) become three
-    mask unions per entry, so a campaign's static verdicts are subset
-    tests instead of per-strike field decoding.
+    mask unions per entry, computed column-wise, so a campaign's static
+    verdicts are subset tests instead of per-strike field decoding.
     """
-    masks: List[int] = []
-    for seq, op in enumerate(baseline.trace):
-        kill = _ALL_BITS & ~_live_mask(op.instruction.opcode)
-        if not op.executed:
-            kill |= _ALL_BITS & ~_QP_OPCODE_MASK
-        elif (not op.is_store
-                and deadness.class_of(seq) in _DEAD_DEST_CLASSES):
-            kill |= _VALUE_MASK
-        masks.append(kill)
-    return masks
+    trace = baseline.trace
+    kill = np.array(trace.table(lambda i: _ALL_BITS & ~_live_mask(i.opcode)),
+                    dtype=np.int64)[trace.instr]
+    executed = trace.executed
+    dead_dest = np.array([cls in _DEAD_DEST_CLASSES
+                          for cls in deadness.classes], dtype=bool)
+    kill[~executed] |= _ALL_BITS & ~_QP_OPCODE_MASK
+    kill[executed & ~trace.is_store & dead_dest] |= _VALUE_MASK
+    return kill.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -414,19 +412,11 @@ class StrikeSubject:
         return self._snapshots
 
 
-#: Trace-entry fields a subject key covers besides ``mem_addr`` and
-#: ``src_gprs``; the instruction is left out because the program fixes
-#: it at each pc.
-_ENTRY_FIELDS = attrgetter("pc", "next_pc", "executed", "dest_gpr",
-                           "dest_pred", "invocation", "is_store", "is_load",
-                           "branch_taken", "is_output")
-
-
 def subject_key(program: Program, baseline: ExecutionResult) -> str:
     """Digest naming the subject of ``(program, baseline)``.
 
     Covers the program's canonical bytes and the whole run: status,
-    outputs, function activations and every trace entry. Re-deriving
+    outputs, function activations and every trace column. Re-deriving
     the run in another process gives the same key; a truncated or
     otherwise different run of the same program does not.
     """
@@ -437,12 +427,10 @@ def subject_key(program: Program, baseline: ExecutionResult) -> str:
     digest = hashlib.sha256(cache_key("strike-subject", program).encode())
     digest.update(repr((baseline.status.value, baseline.outputs,
                         len(trace), activations)).encode())
-    digest.update(np.fromiter(chain.from_iterable(map(_ENTRY_FIELDS, trace)),
-                              dtype=np.int64).tobytes())
-    digest.update(np.fromiter((NO_VALUE if op.mem_addr is None
-                               else op.mem_addr for op in trace),
-                              dtype=np.int64, count=len(trace)).tobytes())
-    digest.update(repr([op.src_gprs for op in trace]).encode())
+    for column in (trace.instr, trace.pc, trace.next_pc, trace.dest_gpr,
+                   trace.dest_pred, trace.mem_addr, trace.flags,
+                   trace.invocation):
+        digest.update(column.tobytes())
     return digest.hexdigest()
 
 

@@ -17,9 +17,11 @@ fault must signal than an instruction-level fault on the same stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, Optional, Tuple
 
-from repro.arch.trace import CommittedOp
+import numpy as np
+
+from repro.arch.trace import Trace
 from repro.due.pi_bit import PiBitTracker
 from repro.due.tracking import DEFAULT_PET_ENTRIES, TrackingLevel
 
@@ -35,26 +37,27 @@ class ChunkDecision:
     blamed: Tuple[int, ...]
 
 
-def iter_chunks(trace: Sequence[CommittedOp],
-                chunk_size: int) -> Iterator[Tuple[int, int]]:
+def iter_chunks(trace: Trace, chunk_size: int,
+                stop: Optional[int] = None) -> Iterator[Tuple[int, int]]:
     """(first_seq, size) for consecutive fetch chunks over a trace.
 
     Chunks are formed over the committed stream in fetch order; a taken
     branch ends a chunk early, as a real front end cannot fetch across a
-    redirection within one chunk.
+    redirection within one chunk. ``stop`` ends the stream early.
     """
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
-    start = 0
-    count = 0
-    for index, op in enumerate(trace):
-        count += 1
-        if count == chunk_size or op.branch_taken:
-            yield (start, count)
-            start = index + 1
-            count = 0
-    if count:
-        yield (start, count)
+    taken = trace.branch_taken[:stop]
+    n = len(taken)
+    seqs = np.arange(n)
+    # Each row's run starts after the last taken branch before it; a
+    # chunk starts every ``chunk_size`` rows into a run.
+    after_taken = np.zeros(n, dtype=np.int64)
+    after_taken[1:] = np.where(taken[:-1], seqs[1:], 0)
+    run_start = np.maximum.accumulate(after_taken)
+    starts = np.flatnonzero((seqs - run_start) % chunk_size == 0)
+    sizes = np.diff(np.append(starts, n))
+    return zip(starts.tolist(), sizes.tolist())
 
 
 class ChunkPiModel:
@@ -62,7 +65,7 @@ class ChunkPiModel:
 
     def __init__(
         self,
-        trace: List[CommittedOp],
+        trace: Trace,
         level: TrackingLevel,
         chunk_size: int = 6,
         pet_entries: int = DEFAULT_PET_ENTRIES,
@@ -108,8 +111,8 @@ class ChunkPiModel:
                 instruction_signals += 1
         chunk_signals = 0
         chunk_count = 0
-        for first, size in iter_chunks(self.trace[:horizon],
-                                       self.chunk_size):
+        for first, size in iter_chunks(self.trace, self.chunk_size,
+                                       horizon):
             chunk_count += 1
             if self.process_chunk_fault(first, size).signaled:
                 chunk_signals += 1

@@ -80,6 +80,10 @@ from array import array
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.arch.trace import BRANCH_TAKEN, EXECUTED, IS_LOAD, IS_STORE
+from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.memory.hierarchy import AccessResult
 from repro.pipeline.chunks import iter_chunks
@@ -155,6 +159,9 @@ chunk_memo_evictions = 0
 #: ambiguous in relative coordinates; this sits far outside any reachable
 #: relative offset.
 _SENT = -(1 << 40)
+
+#: Flags of a row that accesses memory.
+_MEMORY = IS_LOAD | IS_STORE
 
 #: Trace-row / chunk content interning: equal content, equal small int.
 _ROW_INTERN: Dict[tuple, int] = {}
@@ -262,30 +269,24 @@ def _charge_bytes(nbytes: int, current: _Memo) -> None:
 # Per-trace preprocessing: row content ids and chunk-leader alignment.
 # ---------------------------------------------------------------------------
 
-def _row_cids(trace) -> Optional[list]:
-    """Interned content id per trace row (None if seq != index)."""
+def _row_cids(trace) -> list:
+    """Interned content id per trace row.
+
+    A row's content is what the timing loop reads of it: the
+    instruction's encoding, the pc, the address column and the
+    executed/taken flags.
+    """
     cached = _PREP.get(id(trace))
     if cached is not None and cached[0] is trace:
         _PREP.move_to_end(id(trace))
         return cached[1]
     intern = _ROW_INTERN
-    cids: List[int] = []
-    append = cids.append
-    enc_cache: dict = {}  # id(instruction) -> encoding (traces share objs)
-    for index, op in enumerate(trace):
-        if op.seq != index:
-            return None  # relative-seq arithmetic needs seq == index
-        instruction = op.instruction
-        enc = enc_cache.get(id(instruction))
-        if enc is None:
-            enc = instruction.encode()
-            enc_cache[id(instruction)] = enc
-        fp = (enc, op.pc, op.mem_addr, op.executed, op.branch_taken)
-        cid = intern.get(fp)
-        if cid is None:
-            cid = len(intern)
-            intern[fp] = cid
-        append(cid)
+    encodings = np.array(trace.table(Instruction.encode),
+                         dtype=np.int64)[trace.instr]
+    rows = zip(encodings.tolist(), trace.pc.tolist(),
+               trace.mem_addr.tolist(),
+               (trace.flags & (EXECUTED | BRANCH_TAKEN)).tolist())
+    cids = [intern.setdefault(fp, len(intern)) for fp in rows]
     while len(_PREP) >= _PREP_LIMIT:
         _PREP.popitem(last=False)
     _PREP[id(trace)] = (trace, cids)
@@ -300,26 +301,45 @@ def _memo_pays(config, trace) -> bool:
     memo keys on almost never recur. Measured on the exhibit suite
     (every profile bubbled), 2 % of lookups hit while recording doubled
     the timing cost and filled the byte budget; on the bubble-free
-    tiled traces most lookups hit. The trace must also be dense
-    (``seq == index``) for the relative-seq arithmetic.
+    tiled traces most lookups hit.
     """
-    return not config.fetch_bubble_prob and _row_cids(trace) is not None
+    return not config.fetch_bubble_prob
 
 
-def _entry_for(op, decode_cache) -> list:
-    """Fresh 14-slot queue entry for a committed-trace row.
+class _Rows:
+    """The timing loop's reader of one trace's columns.
+
+    Memoryviews hand out plain ints (the address column as unsigned
+    64-bit); each table instruction is decoded on its first use.
+    """
+
+    __slots__ = ("trace", "instr", "pc", "mem", "flags", "table", "decoded")
+
+    def __init__(self, trace) -> None:
+        self.trace = trace
+        self.instr = memoryview(trace.instr)
+        self.pc = memoryview(trace.pc)
+        self.mem = memoryview(trace.mem_addr.view(np.uint64))
+        self.flags = memoryview(trace.flags)
+        self.table = trace.instructions
+        self.decoded: list = [None] * len(self.table)
+
+
+def _entry_for(rows: _Rows, seq: int) -> list:
+    """Fresh 14-slot queue entry for trace row ``seq``.
 
     Entries are built on demand instead of from an O(n) prebuilt
     template table: a fully memoized run touches only a few percent of
     the trace directly, so the prebuild would dominate its runtime.
     """
-    instruction = op.instruction
-    d = decode_cache.get(id(instruction))
+    k = rows.instr[seq]
+    d = rows.decoded[k]
     if d is None:
-        d = _decode(instruction)
-        decode_cache[id(instruction)] = d
-    return [op.seq, d[0], d[1], d[2], d[3], False, 0, None, False,
-            op.mem_addr, op.executed, instruction, d[4], op.pc]
+        d = rows.decoded[k] = _decode(rows.table[k])
+    flags = rows.flags[seq]
+    return [seq, d[0], d[1], d[2], d[3], False, 0, None, False,
+            rows.mem[seq] if flags & _MEMORY else None,
+            flags & EXECUTED == EXECUTED, rows.table[k], d[4], rows.pc[seq]]
 
 
 def _chunk_prep(trace, width: int, cids: list) -> tuple:
@@ -640,7 +660,7 @@ def _match(segs, cycle, max_cycles, trace_ptr, trace_n, row_cids,
     return None
 
 
-def _apply(seg, cycle, trace_ptr, trace, decode_cache, static_templates,
+def _apply(seg, cycle, trace_ptr, rows, static_templates,
            pc_of_instr, program, log, gpr_ready, pred_ready, hierarchy,
            predictor, stats) -> tuple:
     """Install a validated delta; returns the new loop state."""
@@ -665,7 +685,7 @@ def _apply(seg, cycle, trace_ptr, trace, decode_cache, static_templates,
             entry = template.copy()
         else:
             sr, ar, ir, mp = t
-            entry = _entry_for(trace[new_ptr + sr], decode_cache)
+            entry = _entry_for(rows, new_ptr + sr)
             if mp:
                 entry[E_MISPRED] = True
         entry[E_ALLOC] = new_cycle + ar
@@ -722,7 +742,7 @@ def _apply(seg, cycle, trace_ptr, trace, decode_cache, static_templates,
             new_cycle + seg.x_th)
 
 
-def _assemble(log, trace, static_templates, program,
+def _assemble(log, rows, static_templates, program,
               pc_of_instr) -> IntervalTimeline:
     """Expand the mixed row/marker log into one IntervalTimeline.
 
@@ -736,6 +756,8 @@ def _assemble(log, trace, static_templates, program,
     issue = array("q")
     dealloc = array("q")
     instr: list = []
+    instr_append = instr.append
+    by_row = None  # every row's instruction, listed at the first splice
     run: list = []
     run_append = run.append
 
@@ -756,6 +778,8 @@ def _assemble(log, trace, static_templates, program,
         if run:
             flush()
         block, dc, dp = row
+        if by_row is None:
+            by_row = rows.trace.row_instructions()
         bseq = block.seq
         seq.extend(-1 if s == _SENT else s + dp for s in bseq)
         kind.extend(block.kind)
@@ -764,14 +788,14 @@ def _assemble(log, trace, static_templates, program,
         dealloc.extend(d + dc for d in block.dealloc)
         for s, tok in zip(bseq, block.instr):
             if tok is None:
-                instr.append(trace[s + dp].instruction)
+                instr_append(by_row[s + dp])
             else:
                 template = static_templates.get(tok)
                 if template is None:
                     template = _static_template(tok, program,
                                                 static_templates,
                                                 pc_of_instr)
-                instr.append(template[E_INSTR])
+                instr_append(template[E_INSTR])
     if run:
         flush()
     timeline = IntervalTimeline(())
@@ -811,7 +835,8 @@ def run_composed(sim) -> PipelineResult:
 
     # ---- on-demand entry construction (14-slot: + pc) -------------------
     trace_n = len(trace)
-    decode_cache: dict = {}
+    rows = _Rows(trace)
+    row_flags = rows.flags
     static_templates: dict = {}
     pc_of_instr: dict = {}
 
@@ -977,8 +1002,7 @@ def run_composed(sim) -> PipelineResult:
                              wrong_pc, pending_redirect, pending_squashes,
                              mispredicted_entry, fetch_resume,
                              throttle_until) = _apply(
-                                seg, cycle, trace_ptr, trace,
-                                decode_cache,
+                                seg, cycle, trace_ptr, rows,
                                 static_templates, pc_of_instr, program,
                                 log, gpr_ready, pred_ready, hierarchy,
                                 predictor, stats)
@@ -1282,12 +1306,12 @@ def run_composed(sim) -> PipelineResult:
                         continue
                     if trace_ptr >= trace_n:
                         break
-                    op = trace[trace_ptr]
-                    entry = _entry_for(op, decode_cache)
+                    entry = _entry_for(rows, trace_ptr)
                     entry[E_ALLOC] = cycle
                     if entry[E_INSTR].opcode is Opcode.BR:
-                        taken = op.branch_taken
-                        pc = op.pc
+                        taken = (row_flags[trace_ptr] & BRANCH_TAKEN
+                                 == BRANCH_TAKEN)
+                        pc = entry[E_PC]
                         prediction = pred_update(pc, taken)
                         if prediction != taken:
                             entry[E_MISPRED] = True
@@ -1458,7 +1482,7 @@ def run_composed(sim) -> PipelineResult:
     return PipelineResult(
         cycles=cycle,
         committed=trace_n,
-        intervals=_assemble(log, trace, static_templates, program,
+        intervals=_assemble(log, rows, static_templates, program,
                             pc_of_instr),
         iq_entries=iq_entries,
         stats=stats,

@@ -26,9 +26,9 @@ an in-order machine — which is precisely why squashing is nearly free.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional
+from typing import Optional
 
-from repro.arch.trace import CommittedOp
+from repro.arch.trace import Trace
 from repro.isa.program import Program
 from repro.memory.hierarchy import CacheHierarchy
 from repro.pipeline.branch import GShareBranchPredictor
@@ -42,8 +42,9 @@ from repro.util.rng import DeterministicRng, derive_seed
 #: same warm-up tail) restores the snapshot instead of replaying every
 #: memory reference through the LRU stacks again — the dominant cost of
 #: exhibit sweeps, which run 3-4 triggers over one trace. Entries carry
-#: the exact address stream so a (vanishingly unlikely) hash collision
-#: degrades to a recompute, never to wrong state. Process-local: worker
+#: the exact address stream (the bytes of the trace's address column),
+#: so a (vanishingly unlikely) hash collision degrades to a recompute,
+#: never to wrong state. Process-local: worker
 #: processes each grow their own. Bounded LRU: a hit refreshes the entry,
 #: inserting past the cap evicts the least-recently-used one (long
 #: multi-workload campaigns previously grew this without limit).
@@ -66,7 +67,7 @@ class PipelineSimulator:
     def __init__(
         self,
         program: Program,
-        trace: List[CommittedOp],
+        trace: Trace,
         config: Optional[MachineConfig] = None,
         seed: int = 2004,
     ) -> None:
@@ -105,15 +106,15 @@ class PipelineSimulator:
         from repro.runtime.context import get_runtime
 
         telemetry = get_runtime().telemetry
-        addresses = tuple(op.mem_addr for op in self.trace
-                          if op.mem_addr is not None)
+        addresses = self.trace.addresses()
+        stream = addresses.tobytes()
         # The tail must remain a small suffix of the trace: replaying all
         # of a short trace would park its entire footprint in the L0/L1.
         tail = min(self.config.warmup_tail_accesses, len(addresses) // 4)
         key = (self.program.name, self.config.hierarchy, tail,
-               len(addresses), hash(addresses))
+               len(addresses), hash(stream))
         cached = _WARM_SNAPSHOTS.get(key)
-        if cached is not None and cached[0] == addresses:
+        if cached is not None and cached[0] == stream:
             warm_snapshot_hits += 1
             telemetry.increment("warm_hierarchy_hits")
             _WARM_SNAPSHOTS.move_to_end(key)
@@ -122,6 +123,7 @@ class PipelineSimulator:
             return
         warm_snapshot_misses += 1
         telemetry.increment("warm_hierarchy_misses")
+        addresses = addresses.tolist()
         l2_access = self.hierarchy.l2.access
         for address in addresses:
             l2_access(address)
@@ -134,7 +136,7 @@ class PipelineSimulator:
             _WARM_SNAPSHOTS.popitem(last=False)
             warm_snapshot_evictions += 1
             telemetry.increment("warm_snapshot_evictions")
-        _WARM_SNAPSHOTS[key] = (addresses, self.hierarchy.snapshot())
+        _WARM_SNAPSHOTS[key] = (stream, self.hierarchy.snapshot())
 
     def run(self) -> PipelineResult:
         """Run the timing simulation through the one timing loop."""
@@ -148,7 +150,7 @@ class PipelineSimulator:
 
 def simulate(
     program: Program,
-    trace: List[CommittedOp],
+    trace: Trace,
     config: Optional[MachineConfig] = None,
     seed: int = 2004,
 ) -> PipelineResult:

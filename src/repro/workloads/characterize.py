@@ -45,7 +45,8 @@ class WorkloadCharacter:
         bench = run_benchmark(profile, settings, Trigger.NONE)
         trace = bench.execution.trace
         total = max(1, len(trace))
-        classes = Counter(op.instruction.instr_class for op in trace)
+        classes = Counter(instruction.instr_class
+                          for instruction in trace.row_instructions())
         stats = bench.pipeline.stats
         predictions = max(1, stats.get("branch_predictions", 0))
         kilo = total / 1000.0
@@ -59,8 +60,7 @@ class WorkloadCharacter:
             store_frac=classes[InstrClass.STORE] / total,
             branch_frac=(classes[InstrClass.BRANCH] + classes[InstrClass.CALL]
                          + classes[InstrClass.RET]) / total,
-            pred_false_frac=sum(
-                1 for op in trace if op.predicated_false) / total,
+            pred_false_frac=int((~trace.executed).sum()) / total,
             dead_frac=bench.deadness.dead_fraction(),
             l0_miss_per_kilo=stats.get("l0_misses", 0) / kilo,
             l1_miss_per_kilo=stats.get("l1_misses", 0) / kilo,

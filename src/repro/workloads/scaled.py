@@ -4,9 +4,9 @@ The 26 profile programs synthesize to a few thousand committed
 instructions — enough for the paper's AVF exhibits, far too short to
 exercise SimPoint-scale timing (the paper simulates 100M-instruction
 slices). This module scales a profile's committed trace by tiling its
-chunk stream: the dynamic basic-block sequence repeats verbatim,
-sequence numbers are renumbered to stay dense (``trace[i].seq == i``),
-and every instruction object is shared with the base program — exactly
+chunk stream: the dynamic basic-block sequence repeats verbatim (every
+column of the base trace is tiled; a row's seq is its position), and
+every instruction object is shared with the base program — exactly
 the repetition structure the chunk-compositional timing memo
 (:mod:`repro.pipeline.compose`) exploits.
 
@@ -20,10 +20,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
+
+import numpy as np
 
 from repro.arch.executor import FunctionalSimulator
-from repro.arch.trace import CommittedOp
+from repro.arch.trace import Trace
+from repro.isa.instruction import Instruction
 from repro.workloads.codegen import synthesize
 from repro.workloads.spec2000 import ALL_PROFILES, get_profile
 
@@ -35,44 +38,19 @@ SCALED_SEED = 20_040_619
 BASE_INSTRUCTIONS = 3_000
 
 
-def scale_trace(trace: Sequence[CommittedOp], factor: int) \
-        -> List[CommittedOp]:
-    """Tile ``trace`` ``factor`` times with dense renumbered ``seq``.
+def scale_trace(trace: Trace, factor: int) -> Trace:
+    """Tile ``trace`` ``factor`` times; rows are renumbered by position.
 
-    Rows are fresh :class:`CommittedOp` records (sequence numbers must
-    be unique) but share the base trace's instruction objects, so the
-    chunk memo's per-object decode/encode caches and the per-program
-    memo scope both carry over.
+    Every column is tiled and the instruction table is shared, so the
+    chunk memo's per-instruction caches and the per-program memo scope
+    both carry over.
     """
     if factor < 1:
         raise ValueError("factor must be >= 1")
-    out: List[CommittedOp] = []
-    append = out.append
-    base = 0
-    n = len(trace)
-    for _ in range(factor):
-        for op in trace:
-            append(CommittedOp(
-                seq=base + op.seq,
-                pc=op.pc,
-                instruction=op.instruction,
-                executed=op.executed,
-                dest_gpr=op.dest_gpr,
-                dest_pred=op.dest_pred,
-                src_gprs=op.src_gprs,
-                mem_addr=op.mem_addr,
-                is_store=op.is_store,
-                is_load=op.is_load,
-                branch_taken=op.branch_taken,
-                next_pc=op.next_pc,
-                invocation=op.invocation,
-                is_output=op.is_output,
-            ))
-        base += n
-    return out
+    return trace.tile(factor)
 
 
-def trace_digest(trace: Sequence[CommittedOp]) -> str:
+def trace_digest(trace: Trace) -> str:
     """sha256 over the timing-relevant row content of ``trace``.
 
     Covers exactly the fields the timing loop (and the chunk memo's
@@ -80,16 +58,16 @@ def trace_digest(trace: Sequence[CommittedOp]) -> str:
     indistinguishable to the timing path.
     """
     h = hashlib.sha256()
-    update = h.update
-    enc_cache: Dict[int, int] = {}  # id(instruction) -> encoding
-    for op in trace:
-        instruction = op.instruction
-        enc = enc_cache.get(id(instruction))
-        if enc is None:
-            enc = instruction.encode()
-            enc_cache[id(instruction)] = enc
-        update(repr((op.seq, op.pc, enc, op.mem_addr,
-                     op.executed, op.branch_taken)).encode())
+    encodings = np.array(trace.table(Instruction.encode),
+                         dtype=np.int64)[trace.instr]
+    memory = trace.accesses_memory.tolist()
+    addresses = trace.mem_addr.view(np.uint64).tolist()
+    rows = zip(range(len(trace)), trace.pc.tolist(), encodings.tolist(),
+               (address if access else None
+                for address, access in zip(addresses, memory)),
+               trace.executed.tolist(), trace.branch_taken.tolist())
+    for row in rows:
+        h.update(repr(row).encode())
     return h.hexdigest()
 
 

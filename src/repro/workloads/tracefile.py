@@ -9,11 +9,21 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, List, TextIO, Union
+from typing import Iterable, List, Union
 
 from repro.arch.result import ExecutionResult, ExecutionStatus, InvocationRecord
-from repro.arch.trace import CommittedOp
+from repro.arch.trace import (
+    BRANCH_TAKEN,
+    EXECUTED,
+    IS_LOAD,
+    IS_OUTPUT,
+    IS_STORE,
+    NO_VALUE,
+    CommittedOp,
+    Trace,
+)
 from repro.isa import encoding
+from repro.isa.instruction import Instruction
 
 FORMAT_VERSION = 1
 
@@ -43,24 +53,41 @@ def _op_to_record(op: CommittedOp) -> dict:
     return record
 
 
-def _record_to_op(record: dict) -> CommittedOp:
-    mem_addr = record.get("a")
-    return CommittedOp(
-        seq=record["seq"],
-        pc=record["pc"],
-        instruction=encoding.decode(record["enc"]),
-        executed=bool(record["x"]),
-        dest_gpr=record.get("d", 0),
-        dest_pred=record.get("dp", -1),
-        src_gprs=tuple(record.get("s", ())),
-        mem_addr=mem_addr,
-        is_store=bool(record.get("st", 0)) if mem_addr is not None else False,
-        is_load=(mem_addr is not None and not record.get("st", 0)),
-        branch_taken=bool(record.get("bt", 0)),
-        next_pc=record["np"],
-        invocation=record["inv"],
-        is_output=bool(record.get("o", 0)),
-    )
+def _trace_from_records(records: Iterable[dict]) -> Trace:
+    """The columnar trace of records in commit order.
+
+    Rows share one :class:`~repro.isa.instruction.Instruction` per
+    distinct encoding. Sources (``"s"``) are not read back: a row's
+    sources follow from its instruction.
+    """
+    instructions: List[Instruction] = []
+    index_of = {}
+    columns: List[list] = [[] for _ in range(8)]
+    instr, pc, next_pc, dest_gpr, dest_pred, mem_addr, flags, inv = columns
+    for seq, record in enumerate(records):
+        if record["seq"] != seq:
+            raise ValueError(f"trace record {seq} has seq {record['seq']}")
+        enc = record["enc"]
+        k = index_of.get(enc)
+        if k is None:
+            k = index_of[enc] = len(instructions)
+            instructions.append(encoding.decode(enc))
+        address = record.get("a")
+        bits = (EXECUTED if record["x"] else 0) | (
+            BRANCH_TAKEN if record.get("bt", 0) else 0) | (
+            IS_OUTPUT if record.get("o", 0) else 0)
+        if address is not None:
+            bits |= IS_STORE if record.get("st", 0) else IS_LOAD
+        instr.append(k)
+        pc.append(record["pc"])
+        next_pc.append(record["np"])
+        dest_gpr.append(record.get("d", 0))
+        dest_pred.append(record.get("dp", -1))
+        mem_addr.append(NO_VALUE if address is None
+                        else address - (address >> 63 << 64))
+        flags.append(bits)
+        inv.append(record["inv"])
+    return Trace(instructions, *columns)
 
 
 def dump_execution(result: ExecutionResult,
@@ -91,7 +118,7 @@ def load_execution(path: Union[str, Path]) -> ExecutionResult:
         if header.get("version") != FORMAT_VERSION:
             raise ValueError(
                 f"unsupported trace format version {header.get('version')}")
-        trace = [_record_to_op(json.loads(line)) for line in handle]
+        trace = _trace_from_records(json.loads(line) for line in handle)
     invocations = {
         item["id"]: InvocationRecord(
             invocation=item["id"], entry_pc=item["entry"],

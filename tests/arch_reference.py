@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import namedtuple
 from pathlib import Path
 from typing import Optional
 
@@ -39,7 +40,7 @@ from repro.arch.executor import (
 )
 from repro.arch.result import ExecutionResult, ExecutionStatus, InvocationRecord
 from repro.arch.state import ADDRESS_MASK, WORD_MASK, ArchState
-from repro.arch.trace import CommittedOp
+from repro.arch.trace import FIELDS, CommittedOp
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
@@ -55,8 +56,15 @@ GOLDEN_INSTRUCTIONS = 3000
 
 _SIGN_BIT = 1 << 63
 
-#: Every slot of a committed op, in declaration order.
-OP_FIELDS = CommittedOp.__slots__
+#: Every field of a committed op, in declaration order.
+OP_FIELDS = FIELDS
+
+#: The reference loop's record of one commit; the defaults are those of
+#: a commit that writes, reads and accesses nothing. The production
+#: trace is compared with it through its row view (:func:`op_fields`).
+ReferenceOp = namedtuple("ReferenceOp", OP_FIELDS,
+                         defaults=(0, -1, (), None, False, False, False, 0,
+                                   0, False))
 
 
 def _signed(value: int) -> int:
@@ -227,7 +235,7 @@ def reference_run(
         if opcode is Opcode.HALT:
             status = ExecutionStatus.HALTED
             if trace is not None:
-                trace.append(CommittedOp(
+                trace.append(ReferenceOp(
                     seq, pc, instruction, executed=True, next_pc=pc,
                     invocation=invocation_stack[-1]))
             seq += 1  # the HALT commits
@@ -315,7 +323,7 @@ def reference_run(
             # NOP / PREFETCH / HINT: architecturally invisible.
 
         if trace is not None:
-            trace.append(CommittedOp(
+            trace.append(ReferenceOp(
                 seq=seq,
                 pc=pc,
                 instruction=instruction,
@@ -351,8 +359,8 @@ def reference_run(
     )
 
 
-def op_fields(op: CommittedOp) -> tuple:
-    """Every slot of ``op``, the instruction as itself."""
+def op_fields(op: "CommittedOp | ReferenceOp") -> tuple:
+    """Every field of ``op``, the instruction as itself."""
     return tuple(getattr(op, name) for name in OP_FIELDS)
 
 

@@ -14,6 +14,10 @@ independent formulation:
 * :class:`StrikeEvaluator` classifies one strike at a time against an
   :class:`~repro.faults.oracle.EffectOracle` whose static verdicts come
   from ``classify_static`` rather than the production kill masks;
+  :func:`reference_effect` re-executes a strike from the start of the
+  program through the per-step reference interpreter
+  (:func:`tests.arch_reference.reference_run`), the seed-era cost model
+  with none of the production interpreter in it;
 * :func:`reference_block` is the per-trial campaign loop.
 """
 
@@ -49,11 +53,14 @@ from repro.faults.mbu import (
     mask_for,
     representative_bit,
 )
-from repro.faults.oracle import EffectOracle
+from repro.faults.injector import corrupt_burst
+from repro.faults.oracle import EffectOracle, default_limits, effect_of
 from repro.isa.encoding import ENCODING_BITS
 from repro.pipeline.iq import OccupancyInterval, OccupantKind
 from repro.pipeline.result import PipelineResult
 from repro.util.rng import DeterministicRng
+
+from .arch_reference import reference_run
 
 _EFFECT_TO_OUTCOME = {
     "sdc": FaultOutcome.SDC,
@@ -187,6 +194,7 @@ class StrikeEvaluator:
         oracle: Optional[EffectOracle] = None,
         scheme: Optional[EccScheme] = None,
         static_filter: bool = True,
+        reference_interpreter: bool = False,
     ) -> None:
         if scheme is not None and (parity or ecc):
             raise ValueError(
@@ -196,6 +204,9 @@ class StrikeEvaluator:
         self.ecc = ecc
         self.scheme = scheme
         self.static_filter = static_filter
+        self.reference_interpreter = reference_interpreter
+        self.program = program
+        self.baseline = baseline
         self.oracle = (oracle if oracle is not None
                        else EffectOracle(StrikeSubject(program, baseline)))
         self.tracker = (PiBitTracker(baseline.trace, tracking, pet_entries)
@@ -218,9 +229,12 @@ class StrikeEvaluator:
 
     def _effect(self, seq: int, mask: int) -> str:
         """The oracle's verdict; without the static filter, every strike
-        re-executes (the seed-era cost model)."""
+        re-executes (the seed-era cost model), through the reference
+        interpreter when ``reference_interpreter`` is set."""
         if self.static_filter:
             return self.oracle.effect_mask(seq, mask)
+        if self.reference_interpreter:
+            return reference_effect(self.program, self.baseline, seq, mask)
         return self.oracle.reexecute(seq, mask)
 
     def evaluate(self, strike: Strike) -> StrikeVerdict:
@@ -308,6 +322,19 @@ class StrikeEvaluator:
         return StrikeVerdict(_EFFECT_TO_OUTCOME[effect], effect)
 
 
+def reference_effect(program, baseline, seq: int, mask: int) -> str:
+    """Architectural effect of flipping ``mask`` in commit ``seq``.
+
+    Re-executes the whole program, from its entry and under the oracle's
+    budget, through :func:`tests.arch_reference.reference_run`.
+    """
+    corrupted = corrupt_burst(baseline.trace[seq].instruction, mask)
+    rerun = reference_run(program, default_limits(baseline),
+                          record_trace=False, override_seq=seq,
+                          override_instruction=corrupted)
+    return effect_of(rerun, baseline.output_signature())
+
+
 def evaluate_strike(
     strike: Strike,
     program,
@@ -316,12 +343,15 @@ def evaluate_strike(
     tracking: TrackingLevel = TrackingLevel.PARITY_ONLY,
     pet_entries: int = DEFAULT_PET_ENTRIES,
     ecc: bool = False,
+    reference_interpreter: bool = False,
 ) -> StrikeVerdict:
     """One-shot strike classification, as in the seed era: a throwaway
-    evaluator with the static filter off, so each call re-executes."""
+    evaluator with the static filter off, so each call re-executes
+    (through the reference interpreter with ``reference_interpreter``)."""
     return StrikeEvaluator(
         program, baseline, parity=parity, tracking=tracking,
         pet_entries=pet_entries, ecc=ecc, static_filter=False,
+        reference_interpreter=reference_interpreter,
     ).evaluate(strike)
 
 

@@ -2,7 +2,7 @@
 
 ``FunctionalSimulator.run`` must produce the run that
 :func:`tests.arch_reference.reference_run` produces, field for field:
-all 14 ``CommittedOp`` slots, outputs, status, invocation records,
+all 14 ``CommittedOp`` fields, outputs, status, invocation records,
 ``steps``, ``converged`` and the snapshot log. Checked on
 
 * the 26 profiles, whose digests are also pinned in

@@ -214,18 +214,6 @@ class TestEdgeCases:
         ref, fast = _run_both(small_program, small_execution.trace, machine)
         _assert_identical(ref, fast)
 
-    def test_non_dense_seq_disables_memo_exactly(self, small_program,
-                                                 small_execution,
-                                                 draw_free_machine):
-        """A trace whose seq numbers are not dense indexes cannot use the
-        relative-seq memo; run_composed must detect that and still be
-        bit-identical via plain execution."""
-        sliced = small_execution.trace[1:]
-        misses0 = compose.chunk_memo_misses
-        ref, fast = _run_both(small_program, sliced, draw_free_machine)
-        _assert_identical(ref, fast)
-        assert compose.chunk_memo_misses == misses0  # memo never engaged
-
 
 class TestDispatchAndTelemetry:
     def test_bubbled_run_bypasses_memo(self, small_program,

@@ -4,6 +4,8 @@ import pytest
 
 from repro.analysis.deadcode import DEAD_CLASSES, DynClass, analyze_deadness
 from repro.isa.opcodes import Opcode
+from repro.workloads.spec2000 import ALL_PROFILES
+from tests import deadness_golden
 from tests.helpers import I, program, run
 
 
@@ -243,3 +245,17 @@ class TestGeneratedWorkload:
     def test_live_majority(self, small_deadness):
         assert small_deadness.count(DynClass.LIVE) > \
             len(small_deadness.classes) * 0.3
+
+
+class TestGoldenFile:
+    """``analyze_deadness`` reproduces ``tests/data/deadness_golden.json``
+    on every benchmark profile (see ``tests/deadness_golden.py``)."""
+
+    GOLDEN = deadness_golden.load()
+
+    def test_covers_exactly_the_profiles(self):
+        assert set(self.GOLDEN) == {p.name for p in ALL_PROFILES}
+
+    @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: p.name)
+    def test_profile(self, profile):
+        assert deadness_golden.case(profile) == self.GOLDEN[profile.name]

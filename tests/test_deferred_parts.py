@@ -6,14 +6,18 @@ read the parts resolve them on first access to the same bytes the
 simulating run holds.
 """
 
+import dataclasses
 import multiprocessing
 
 import pytest
 
+from repro.arch.trace import Trace
 from repro.experiments import ablations, figure1, table1
 from repro.experiments.common import (
     ExperimentSettings,
     clear_caches,
+    functional_cache_key,
+    functional_parts,
     prefetch_functional,
     run_benchmark,
     run_benchmarks,
@@ -121,15 +125,41 @@ class TestResolution:
         profile = PROFILES[2]
         with use_runtime(cache_dir=tmp_path) as context:
             expected = _fingerprint(run_benchmark(profile, SETTINGS))
-            context.cache.path_for(cache_key(
-                "functional", profile, SETTINGS.target_instructions,
-                SETTINGS.seed)).unlink()
+            context.cache.path_for(
+                functional_cache_key(profile, SETTINGS)).unlink()
         clear_caches()
         with use_runtime(cache_dir=tmp_path) as context:
             lazy = run_benchmark(profile, SETTINGS)
             assert context.telemetry.counters["timeline_store_hits"] == 1
             assert _fingerprint(lazy) == expected
             assert context.telemetry.counters["functional_sims"] == 1
+
+
+    def test_a_row_form_entry_is_recomputed(self, tmp_path):
+        """An entry holding a trace of row objects (the layout before the
+        columnar trace) under the functional key is a wrong-shape entry:
+        counted, recomputed and overwritten, never returned."""
+        profile = PROFILES[0]
+        with use_runtime(cache_dir=tmp_path):
+            program, execution, deadness = functional_parts(profile,
+                                                            SETTINGS)
+        stale = dataclasses.replace(execution, trace=list(execution.trace))
+        key = functional_cache_key(profile, SETTINGS)
+        clear_caches()
+        with use_runtime(cache_dir=tmp_path) as context:
+            assert context.cache.put(key, (program, stale, deadness))
+            parts = functional_parts(profile, SETTINGS)
+            counters = context.telemetry.counters
+            assert counters["cache_corrupt_entries"] == 1
+            assert counters["functional_sims"] == 1
+            assert counters["functional_loads"] == 0
+            assert isinstance(parts[1].trace, Trace)
+            assert parts[1].trace == execution.trace
+        clear_caches()
+        with use_runtime(cache_dir=tmp_path) as context:
+            assert isinstance(functional_parts(profile, SETTINGS)[1].trace,
+                              Trace)
+            assert context.telemetry.counters["functional_loads"] == 1
 
 
 class TestExhibitsThatReadParts:

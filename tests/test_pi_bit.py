@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.deadcode import DynClass, analyze_deadness
+from repro.due.pet import PetBuffer
 from repro.due.pi_bit import PiBitTracker
 from repro.due.tracking import TrackingLevel
 from repro.isa.encoding import Field, field_bits
@@ -279,3 +280,31 @@ class TestCrossValidation:
             tracker.process_fault(-1)
         with pytest.raises(ValueError):
             tracker.process_fault(len(small_execution.trace))
+
+
+class TestPetScanMatchesBuffer:
+    """The tracker's column scan is :class:`PetBuffer`'s eviction scan:
+    feeding the rows from the faulted one on through a buffer reaches
+    the same decision for every committed instruction."""
+
+    @staticmethod
+    def buffer_decision(trace, seq, entries):
+        buffer = PetBuffer(entries)
+        for row in range(seq, min(len(trace), seq + entries + 1)):
+            decision = buffer.retire(trace[row], pi_set=(row == seq))
+            if decision is not None:
+                return decision.signal, f"PET: {decision.reason}"
+        decision = next(d for d in buffer.drain() if d.seq == seq)
+        return decision.signal, f"PET drain: {decision.reason}"
+
+    @pytest.mark.parametrize("entries", [4, 64])
+    def test_every_executed_seq(self, small_execution, entries):
+        trace = small_execution.trace
+        tracker = PiBitTracker(trace, TrackingLevel.PET, entries)
+        rows = [op.seq for op in trace
+                if op.executed and not op.instruction.is_neutral]
+        for seq in rows[::7] + rows[-entries:]:
+            decision = tracker.process_fault(seq)
+            assert (decision.signaled, decision.reason) == \
+                self.buffer_decision(trace, seq, entries), seq
+            assert decision.at_seq == seq

@@ -70,7 +70,8 @@ class TestWarmSnapshotCache:
                                       base_machine, seed=TEST_SEED).run()
         assert len(core._WARM_SNAPSHOTS) == 1
         key, (addresses, snap) = next(iter(core._WARM_SNAPSHOTS.items()))
-        poisoned = addresses[:-1] + (addresses[-1] ^ 1,)
+        # The stream is the address column's bytes: flip the last bit.
+        poisoned = addresses[:-1] + bytes([addresses[-1] ^ 1])
         core._WARM_SNAPSHOTS[key] = (poisoned, snap)
 
         again = PipelineSimulator(small_program, small_execution.trace,

@@ -42,6 +42,7 @@ from repro.runtime.telemetry import Telemetry
 from repro.workloads.codegen import synthesize
 from tests.arch_reference import ReferenceState, reference_run
 from tests.helpers import I, program
+from tests.strike_reference import reference_effect
 from tests.test_property import profiles
 
 IMM_BIT = next(iter(field_bits(Field.IMM7)))
@@ -242,6 +243,16 @@ class TestExhaustiveDifferential:
         assert not mismatches
         assert oracle.executions == len(baseline.trace) * ENCODING_BITS
         assert 0 < oracle.converged < oracle.executions
+
+    def test_reference_interpreter_agrees(self, loop_setup, exhaustive):
+        """The seed-era re-execution of the strike reference, through the
+        per-step reference loop, reaches the same verdicts."""
+        prog, baseline, _ = loop_setup
+        _, verdicts = exhaustive
+        for seq in range(0, len(baseline.trace), 5):
+            for bit in range(0, ENCODING_BITS, 5):
+                assert reference_effect(prog, baseline, seq, 1 << bit) \
+                    == verdicts[seq, bit][1], (seq, bit)
 
     def test_traps_and_hangs_after_a_snapshot(self, loop_setup, exhaustive):
         _, _, interval = loop_setup

@@ -5,8 +5,10 @@ workload and strike sequence:
 
 * ``seed`` — the seed-era loop, taken from the per-trial reference in
   ``tests/strike_reference.py``: one throwaway evaluator per trial, no
-  memoization, no static filter (every committed read strike
-  re-executes);
+  memoization, no static filter, and every committed read strike
+  re-executed from the program's entry by the per-step reference
+  interpreter (``tests/arch_reference.py``). No production code times
+  this pass, so the ratios move only with the fast path;
 * ``cold`` — the production campaign with an empty effect oracle (memo
   + static filter fill in as the campaign runs, and the table is
   persisted through the result cache); its record names the layer that
@@ -60,7 +62,8 @@ def seed_slow_path(run, config):
             sample_strike(sampler, config, run.program.name, index),
             run.program, run.execution,
             parity=config.parity, tracking=config.tracking,
-            pet_entries=config.pet_entries, ecc=config.ecc)
+            pet_entries=config.pet_entries, ecc=config.ecc,
+            reference_interpreter=True)
         counts[verdict.outcome] += 1
     return counts
 

@@ -15,7 +15,10 @@ Figures 2-4, and all five ablations) three ways:
   pipeline (or functional) simulation happens.
 
 Every exhibit's *formatted output* must be byte-identical across the three
-passes — the run aborts if not. Results land in ``BENCH_exhibits.json``
+passes — the run aborts if not. The record also holds the size of each
+program's functional cache entry (program, columnar trace, deadness) and
+the warm Figure 3's seconds per functional load: it is the first unit
+that reads the parts, so it loads every program's entry. Results land in ``BENCH_exhibits.json``
 and the process exits non-zero when the warm speedup over the isolated
 pass drops below ``--min-warm-speedup``.
 
@@ -48,7 +51,11 @@ from repro.experiments import (
     occupancy,
     table1,
 )
-from repro.experiments.common import ExperimentSettings, clear_caches
+from repro.experiments.common import (
+    ExperimentSettings,
+    clear_caches,
+    functional_cache_key,
+)
 from repro.pipeline import compose
 from repro.pipeline.compose import clear_chunk_memos
 from repro.pipeline.config import MachineConfig, SquashConfig, Trigger
@@ -243,8 +250,14 @@ def main() -> int:
                                              isolate_units=False)
             cold_s = time.perf_counter() - started
             cold_sims = sim_counters(context.telemetry)
+            entry_bytes = {
+                profile.name: context.cache.path_for(functional_cache_key(
+                    profile, settings)).stat().st_size
+                for profile in profiles}
         print(f"cold (empty store, shared memo): {cold_s:.2f}s  "
               f"{cold_sims}")
+        print(f"functional entries: {sum(entry_bytes.values())} bytes "
+              f"over {len(entry_bytes)} programs")
 
         # ---- warm pass: populated store ---------------------------------
         fresh()
@@ -255,6 +268,8 @@ def main() -> int:
             warm_s = time.perf_counter() - started
             warm_sims = sim_counters(context.telemetry)
         print(f"warm (populated store): {warm_s:.2f}s  {warm_sims}")
+    per_load_s = (warm_units["figure3"] / warm_sims["functional_loads"]
+                  if warm_sims["functional_loads"] else None)
     fresh()
 
     # ---- chunk-memo head-to-head on a SimPoint-scale workload -----------
@@ -317,6 +332,12 @@ def main() -> int:
         },
         "simulations": {"isolated": isolated_sims, "cold": cold_sims,
                         "warm": warm_sims},
+        "functional_entries": {
+            "bytes": entry_bytes,
+            "total_bytes": sum(entry_bytes.values()),
+            "warm_figure3_per_load_s": (None if per_load_s is None
+                                        else round(per_load_s, 4)),
+        },
         "speedup": {"cold_vs_isolated": round(speedup_cold, 2),
                     "warm_vs_isolated": round(speedup_warm, 2)},
         "outputs_identical": not any("differs" in f for f in failures),
