@@ -213,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
              "$REPRO_SERVE_PORT or 8787)")
     parser.add_argument(
         "--lru-entries", type=int, default=None,
-        help="serve: answered-key LRU capacity (default $REPRO_SERVE_LRU "
-             "or 256)")
+        help="serve: answered-key LRU capacity, and the parse memo's "
+             "(default $REPRO_SERVE_LRU or 256)")
     parser.add_argument(
         "--compute-workers", type=int, default=None,
         help="serve: engine threads draining cold keys (default "

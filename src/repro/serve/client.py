@@ -461,35 +461,40 @@ class ResilientAsyncClient:
         if client is not None:
             await client.close()
 
-    async def _ensure(self, budget: DeadlineBudget) -> AsyncServeClient:
-        # Fast path: already connected (the overwhelmingly common case);
-        # the lock only matters when peers race to dial.
-        client = self._client
-        if client is not None:
-            return client
+    def _timeout(self, budget: Optional[DeadlineBudget]) -> Optional[float]:
+        """This attempt's timeout: the per-attempt one, clipped by budget."""
+        return self.timeout if budget is None else budget.clip(self.timeout)
+
+    async def _ensure(self, budget: Optional[DeadlineBudget]
+                      ) -> AsyncServeClient:
+        # Callers skip this when already connected (the overwhelmingly
+        # common case); the lock only matters when peers race to dial.
         async with self._connect_lock:
             if self._client is None:
                 client = AsyncServeClient()
                 await asyncio.wait_for(
                     client.connect(self.host, self.port),
-                    budget.clip(self.timeout))
+                    self._timeout(budget))
                 self._client = client
             return self._client
 
     async def request(self, payload: Dict[str, Any],
                       collect_events: Optional[List[Dict[str, Any]]] = None
                       ) -> Dict[str, Any]:
-        budget = DeadlineBudget(self.policy.deadline)
+        # Without a policy deadline there is no budget to keep: the
+        # happy path is one breaker check and one request.
+        budget = (None if self.policy.deadline is None
+                  else DeadlineBudget(self.policy.deadline))
         label = self._label
-        request_index = payload.get("seed", 0) if isinstance(
-            payload.get("seed", 0), int) else 0
         last_error: Optional[Exception] = None
         retry_hint = 0.0
         for attempt in range(self.policy.retries + 1):
             if attempt:
+                seed = payload.get("seed", 0)
                 delay = max(self.policy.backoff_delay(
-                    label, request_index, attempt), retry_hint)
-                remaining = budget.remaining()
+                    label, seed if isinstance(seed, int) else 0, attempt),
+                    retry_hint)
+                remaining = None if budget is None else budget.remaining()
                 if remaining is not None and delay >= remaining:
                     break
                 self.counters["client_retries"] += 1
@@ -504,10 +509,9 @@ class ResilientAsyncClient:
                     retry_in=self.breaker.retry_in())
             client = None
             try:
-                client = await self._ensure(budget)
+                client = self._client or await self._ensure(budget)
                 response = await client.request(
-                    payload, collect_events,
-                    timeout=budget.clip(self.timeout))
+                    payload, collect_events, timeout=self._timeout(budget))
             except ServeError as exc:
                 self.breaker.record_success()
                 if exc.retryable and attempt < self.policy.retries:

@@ -129,9 +129,13 @@ class Query:
     normalized: Dict[str, Any]
 
 
+#: Built once: ``json.dumps`` with options builds an encoder per call.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_dumps(obj: Any) -> str:
     """The one JSON rendering used for keys and byte-identity checks."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(obj)
 
 
 def parse_line(line: bytes) -> Dict[str, Any]:
@@ -251,12 +255,32 @@ def _parse_tracking(raw: Any) -> TrackingLevel:
                         "field 'tracking' must be a name or level number")
 
 
+#: Request fields :func:`parse_query` never reads: the echo id and the
+#: per-request answer deadline (which the server reads from the live
+#: request). Only these may differ between requests that share a parse.
+UNPARSED_FIELDS = ("id", "deadline")
+
+
+def query_text(request: Dict[str, Any]) -> str:
+    """The canonical text of everything :func:`parse_query` may read.
+
+    Two requests with the same text parse to the same :class:`Query`.
+    The text keeps every field but :data:`UNPARSED_FIELDS`, with its JSON
+    type, so ``true`` and ``1`` (or ``2000`` and ``2000.0``) stay apart.
+    """
+    kept = dict(request)
+    for name in UNPARSED_FIELDS:
+        kept.pop(name, None)
+    return canonical_dumps(kept)
+
+
 def parse_query(request: Dict[str, Any]) -> Query:
     """Validate an ``avf``/``campaign`` request into a keyed :class:`Query`.
 
     Raises :class:`ProtocolError` (never anything else) on any malformed,
     unknown, or out-of-range field, so the server can answer with a
-    structured error instead of dying.
+    structured error instead of dying. Reads no field in
+    :data:`UNPARSED_FIELDS`.
     """
     from repro.workloads.spec2000 import get_profile
 
@@ -313,6 +337,28 @@ def parse_query(request: Dict[str, Any]) -> Query:
                  profile_name=profile_name, target_instructions=target,
                  seed=seed, machine=machine, campaign=campaign,
                  normalized=normalized)
+
+
+def encode_answer(key: str, value: Any) -> Tuple[str, str]:
+    """An answer's wire-ready parts: the canonical JSON of key and value."""
+    return canonical_dumps(key), canonical_dumps(value)
+
+
+def answer_line(request_id: Any, status: str,
+                answer: Tuple[str, str]) -> bytes:
+    """The ``result`` line of an answered query, from its encoded parts.
+
+    Byte-identical to ``(canonical_dumps(payload) + "\\n").encode()`` for
+    ``payload = {"id": request_id, "event": "result", "ok": True,
+    "status": status, "key": key, "value": value}``: the fields are
+    spliced in sorted-key order around the pre-encoded key and value, so
+    an answer is encoded once however often it is sent. ``status`` is
+    ``"warm"`` or ``"cold"``, which need no escaping.
+    """
+    key_text, value_text = answer
+    return ('{"event":"result","id":' + canonical_dumps(request_id)
+            + ',"key":' + key_text + ',"ok":true,"status":"' + status
+            + '","value":' + value_text + '}\n').encode()
 
 
 # -- answer encoders ---------------------------------------------------------

@@ -6,7 +6,10 @@ One asyncio process answers AVF/MITF/false-DUE queries for arbitrary
 * **warm** keys come straight from a bounded in-memory LRU (mirroring the
   pipeline's ``_WARM_SNAPSHOTS`` discipline: a hit refreshes the entry,
   inserting past the cap evicts the least-recently-used answer) — no
-  engine work, microsecond turnaround;
+  engine work, microsecond turnaround. A repeated request costs one
+  parse-memo lookup (its :func:`~repro.serve.protocol.query_text`, which
+  leaves out only ``id`` and ``deadline``, to the parsed query), one LRU
+  lookup, and one write of the answer's pre-encoded text;
 * **cold** keys are *coalesced*: the first request for a key creates one
   in-flight computation on the supervised engine (``run_benchmark`` /
   ``run_campaign`` under the process's runtime context, in a worker
@@ -52,7 +55,7 @@ import signal
 from collections import Counter, OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.runtime.cache import MISS
 from repro.runtime.context import get_runtime
@@ -60,11 +63,14 @@ from repro.serve.protocol import (
     MAX_LINE_BYTES,
     ProtocolError,
     Query,
+    answer_line,
     canonical_dumps,
+    encode_answer,
     encode_benchmark,
     encode_campaign,
     parse_line,
     parse_query,
+    query_text,
     validate_store_key,
 )
 
@@ -81,6 +87,9 @@ DEFAULT_COMPUTE_DEADLINE = 0.0
 DEFAULT_RETRY_AFTER = 0.25
 #: SIGTERM drain exit code (128 + SIGTERM), surfaced by ``repro serve``.
 DRAIN_EXIT_CODE = 143
+#: Longest request text the parse memo keeps: real queries run to a few
+#: hundred characters, and an entry should not pin a huge request line.
+MAX_PARSE_MEMO_TEXT = 8192
 
 
 def _env_int(name: str, default: int) -> int:
@@ -109,7 +118,8 @@ class ServeConfig:
 
     host: str = DEFAULT_HOST
     port: int = DEFAULT_PORT
-    #: Answered-key LRU capacity; 0 disables warm serving entirely.
+    #: Answered-key LRU capacity, and the parse memo's; 0 disables warm
+    #: serving entirely.
     lru_entries: int = DEFAULT_LRU_ENTRIES
     #: Engine threads draining cold keys. The default of 1 serialises
     #: simulations (the engine's in-process memos are not contended);
@@ -193,7 +203,10 @@ class AvfServer:
         self.config = config or ServeConfig()
         self.resolver = resolver or resolve_query
         self.stats: Counter = Counter()
-        self._lru: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        #: Query key -> the answer's encoded ``(key, value)`` texts.
+        self._lru: "OrderedDict[str, Tuple[str, str]]" = OrderedDict()
+        #: Request text (:func:`query_text`) -> its parsed query.
+        self._parsed: "OrderedDict[str, Query]" = OrderedDict()
         self._inflight: Dict[str, asyncio.Future] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -291,7 +304,9 @@ class AvfServer:
         (and land in the LRU for the next asker).
         """
         lock = asyncio.Lock()
-        tasks = []
+        # This connection's unfinished requests only: a long-lived
+        # connection must not keep every answered request's task alive.
+        tasks: "set[asyncio.Task]" = set()
         me = asyncio.current_task()
         if me is not None:
             self._connections.add(me)
@@ -318,7 +333,8 @@ class AvfServer:
                     continue
                 task = asyncio.ensure_future(
                     self._handle_line(line, writer, lock))
-                tasks.append(task)
+                tasks.add(task)
+                task.add_done_callback(tasks.discard)
                 self._requests.add(task)
                 task.add_done_callback(self._requests.discard)
         except asyncio.CancelledError:
@@ -326,9 +342,10 @@ class AvfServer:
         finally:
             self._connections.discard(me)
             if tasks:
-                for task in tasks:
+                pending = list(tasks)
+                for task in pending:
                     task.cancel()
-                await asyncio.gather(*tasks, return_exceptions=True)
+                await asyncio.gather(*pending, return_exceptions=True)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -337,8 +354,13 @@ class AvfServer:
 
     async def _send(self, writer: asyncio.StreamWriter, lock: asyncio.Lock,
                     payload: Dict[str, Any]) -> bool:
-        """Write one response line; a dead client is not an error."""
-        data = (canonical_dumps(payload) + "\n").encode()
+        """Encode and write one response line."""
+        return await self._write(writer, lock,
+                                 (canonical_dumps(payload) + "\n").encode())
+
+    async def _write(self, writer: asyncio.StreamWriter, lock: asyncio.Lock,
+                     data: bytes) -> bool:
+        """Write one encoded response line; a dead client is not an error."""
         try:
             async with lock:
                 writer.write(data)
@@ -407,20 +429,43 @@ class AvfServer:
             return client
         return min(client, server)
 
+    def _parse(self, request: Dict[str, Any]) -> Query:
+        """:func:`parse_query`, memoized on the request's text.
+
+        The text leaves out only ``id`` and ``deadline``, which the parse
+        never reads, so requests that differ in nothing else share one
+        parse. Only successful parses are kept: a malformed request
+        raises its :class:`ProtocolError` every time. The memo is an LRU
+        bounded, like the answers, by ``lru_entries``.
+        """
+        text = query_text(request)
+        query = self._parsed.get(text)
+        if query is not None:
+            self._parsed.move_to_end(text)
+            self.stats["serve_parse_hits"] += 1
+            get_runtime().telemetry.increment("serve_parse_hits")
+            return query
+        query = parse_query(request)
+        capacity = self.config.lru_entries
+        if capacity and len(text) <= MAX_PARSE_MEMO_TEXT:
+            while len(self._parsed) >= capacity:
+                self._parsed.popitem(last=False)
+            self._parsed[text] = query
+        return query
+
     async def _handle_query(self, request: Dict[str, Any], request_id,
                             writer: asyncio.StreamWriter,
                             lock: asyncio.Lock) -> None:
         telemetry = get_runtime().telemetry
-        query = parse_query(request)
+        query = self._parse(request)
         key = query.key
         cached = self._lru.get(key)
         if cached is not None:
             self._lru.move_to_end(key)
             self.stats["serve_warm_hits"] += 1
             telemetry.increment("serve_warm_hits")
-            await self._send(writer, lock, {
-                "id": request_id, "event": "result", "ok": True,
-                "status": "warm", "key": key, "value": cached})
+            await self._write(writer, lock,
+                              answer_line(request_id, "warm", cached))
             return
         if self._draining:
             # Warm answers above stay free during drain; new work does
@@ -459,7 +504,7 @@ class AvfServer:
                 "status": "cold", "key": key})
         deadline = self._answer_deadline(request)
         try:
-            value = await asyncio.wait_for(asyncio.shield(future), deadline)
+            answer = await asyncio.wait_for(asyncio.shield(future), deadline)
         except asyncio.TimeoutError as exc:
             if deadline is None:
                 # No deadline was armed: the *compute* raised a timeout.
@@ -478,32 +523,40 @@ class AvfServer:
         except Exception as exc:  # surfaced per-request, server survives
             raise ProtocolError(
                 "compute-failed", f"{type(exc).__name__}: {exc}")
-        await self._send(writer, lock, {
-            "id": request_id, "event": "result", "ok": True,
-            "status": "cold", "key": key, "value": value})
+        await self._write(writer, lock, answer_line(request_id, "cold",
+                                                     answer))
+
+    def _resolve_encoded(self, query: Query) -> Tuple[str, str]:
+        """The resolver's answer, encoded for the wire (compute thread)."""
+        return encode_answer(query.key, self.resolver(query))
 
     async def _compute(self, query: Query, future: asyncio.Future) -> None:
-        """Run the resolver in a compute thread; exactly once per key."""
+        """Run the resolver in a compute thread; exactly once per key.
+
+        The future resolves to the answer's encoded texts, so the asker,
+        every coalesced waiter and every later warm hit send the same
+        bytes without encoding them again.
+        """
         telemetry = get_runtime().telemetry
         self.stats["serve_cold_computes"] += 1
         telemetry.increment("serve_cold_computes")
         loop = asyncio.get_running_loop()
         try:
-            value = await loop.run_in_executor(
-                self._executor, self.resolver, query)
+            answer = await loop.run_in_executor(
+                self._executor, self._resolve_encoded, query)
         except Exception as exc:
             self.stats["serve_compute_failures"] += 1
             telemetry.increment("serve_compute_failures")
             if not future.done():
                 future.set_exception(exc)
         else:
-            self._remember(query.key, value)
+            self._remember(query.key, answer)
             if not future.done():
-                future.set_result(value)
+                future.set_result(answer)
         finally:
             self._inflight.pop(query.key, None)
 
-    def _remember(self, key: str, value: Dict[str, Any]) -> None:
+    def _remember(self, key: str, answer: Tuple[str, str]) -> None:
         """Insert into the LRU, evicting the least-recently-used answer."""
         if self.config.lru_entries == 0:
             return
@@ -512,7 +565,7 @@ class AvfServer:
             self._lru.popitem(last=False)
             self.stats["serve_lru_evictions"] += 1
             telemetry.increment("serve_lru_evictions")
-        self._lru[key] = value
+        self._lru[key] = answer
 
     # -- auxiliary ops ------------------------------------------------------
 

@@ -25,7 +25,9 @@ from repro.faults.campaign import run_campaign
 from repro.runtime.context import use_runtime
 from repro.serve.client import AsyncServeClient, ServeError
 from repro.serve.protocol import (
+    answer_line,
     canonical_dumps,
+    encode_answer,
     encode_benchmark,
     encode_campaign,
     parse_query,
@@ -276,3 +278,282 @@ class TestProtocol:
         assert "engine said no" in error.message
         assert pong["value"] == "pong"
         assert stats["serve_compute_failures"] == 1
+
+    def test_answered_requests_free_their_tasks(self):
+        """A long-lived connection holds only its unfinished requests:
+        each answered request's task is released while it stays open."""
+        import gc
+
+        def answered_tasks():
+            return sum(
+                1 for obj in gc.get_objects()
+                if isinstance(obj, asyncio.Task) and obj.done()
+                and obj.get_coro().__qualname__ == "AvfServer._handle_line")
+
+        async def scenario(server):
+            client = await AsyncServeClient().connect(
+                "127.0.0.1", server.port)
+            try:
+                for _ in range(50):
+                    await client.request(dict(AVF_REQUEST))
+                    await client.request({"op": "ping"})
+                await asyncio.sleep(0.01)  # let done callbacks run
+                gc.collect()
+                return answered_tasks()
+            finally:
+                await client.close()
+
+        with use_runtime():
+            # At most the newest one, still bound to the reader loop's
+            # local; before, every one of the 100 stayed.
+            assert serve_scenario(scenario, resolver=echo_resolver) <= 1
+
+
+def echo_resolver(query):
+    """A value whose text needs escaping: quotes, backslashes, non-ASCII."""
+    return {"echo": query.seed, "note": 'café "quoted" \\ π'}
+
+
+async def raw_lines(server, requests, count):
+    """Send ``requests`` as raw lines; return the next ``count`` lines."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+    try:
+        for request in requests:
+            writer.write((json.dumps(request) + "\n").encode())
+        await writer.drain()
+        return [await reader.readline() for _ in range(count)]
+    finally:
+        writer.close()
+        await writer.wait_closed()
+
+
+class TestEncodedAnswers:
+    """Result lines are spliced from pre-encoded text, byte for byte."""
+
+    #: An int, a string with quotes and non-ASCII, null, and absent.
+    IDS = [7, 'r"é中\\', None, "absent"]
+
+    @pytest.mark.parametrize("request_id", IDS)
+    def test_warm_and_cold_lines_match_canonical_dumps(self, request_id):
+        request = {"op": "avf", "profile": "crafty",
+                   "target_instructions": 500, "seed": 31}
+        if request_id != "absent":
+            request["id"] = request_id
+        echo = None if request_id == "absent" else request_id
+        key = parse_query(request).key
+
+        async def scenario(server):
+            # accepted + cold result, then one warm result.
+            return await raw_lines(server, [request], 2) + \
+                await raw_lines(server, [request], 1)
+
+        with use_runtime():
+            accepted, cold, warm = serve_scenario(scenario,
+                                                  resolver=echo_resolver)
+        assert json.loads(accepted)["status"] == "cold"
+        value = echo_resolver(parse_query(request))
+        for status, line in (("cold", cold), ("warm", warm)):
+            payload = {"id": echo, "event": "result", "ok": True,
+                       "status": status, "key": key, "value": value}
+            assert line == (canonical_dumps(payload) + "\n").encode()
+
+    def test_coalesced_waiters_get_the_same_bytes(self):
+        started = threading.Event()
+        release = threading.Event()
+
+        def gated(query):
+            started.set()
+            assert release.wait(10), "test deadlock: resolver never released"
+            return echo_resolver(query)
+
+        request = {"op": "avf", "profile": "crafty",
+                   "target_instructions": 500, "seed": 32}
+        key = parse_query(request).key
+
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            try:
+                for rid in ("first", "second"):
+                    writer.write((json.dumps({**request, "id": rid})
+                                  + "\n").encode())
+                await writer.drain()
+                accepted = [json.loads(await reader.readline())
+                            for _ in range(2)]
+                release.set()
+                results = [await reader.readline() for _ in range(2)]
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            return accepted, results
+
+        with use_runtime():
+            accepted, results = serve_scenario(scenario, resolver=gated)
+        assert sorted(a["status"] for a in accepted) == ["coalesced", "cold"]
+        value = echo_resolver(parse_query(request))
+        expected = {(canonical_dumps({
+            "id": rid, "event": "result", "ok": True, "status": "cold",
+            "key": key, "value": value}) + "\n").encode()
+            for rid in ("first", "second")}
+        assert set(results) == expected
+
+    @pytest.mark.parametrize("request_id", [
+        0, -12, 2 ** 70, 1.5, True, False, "", "é", {"b": 1, "a": [2]},
+        [None, "x"], None])
+    def test_answer_line_splices_any_id(self, request_id):
+        key = parse_query(AVF_REQUEST).key
+        value = {"z": [1, 2.5, None], "a": 'say "hi" é'}
+        for status in ("warm", "cold"):
+            payload = {"id": request_id, "event": "result", "ok": True,
+                       "status": status, "key": key, "value": value}
+            assert answer_line(request_id, status,
+                               encode_answer(key, value)) \
+                == (canonical_dumps(payload) + "\n").encode()
+
+
+class TestParseMemo:
+    """Repeated requests share one parse; malformed ones never do."""
+
+    def test_id_and_deadline_do_not_split_the_parse(self):
+        base = {"op": "avf", "profile": "crafty",
+                "target_instructions": 500, "seed": 41}
+        variants = [{**base, "id": 1}, {**base, "id": "two"},
+                    {**base, "id": None, "deadline": 30.0}, dict(base)]
+
+        async def scenario(server):
+            client = await AsyncServeClient().connect(
+                "127.0.0.1", server.port)
+            try:
+                finals = [await client.request(dict(v)) for v in variants]
+            finally:
+                await client.close()
+            return finals, dict(server.stats), len(server._parsed)
+
+        with use_runtime():
+            finals, stats, entries = serve_scenario(scenario,
+                                                    resolver=echo_resolver)
+        assert [f["status"] for f in finals] == ["cold"] + ["warm"] * 3
+        assert {f["key"] for f in finals} == {parse_query(base).key}
+        assert stats["serve_parse_hits"] == len(variants) - 1
+        assert entries == 1
+
+    def test_type_distinct_spellings_never_share_a_parse(self):
+        valid = {"op": "campaign", "profile": "crafty",
+                 "target_instructions": 500, "seed": 5, "trials": 10,
+                 "parity": True}
+
+        async def scenario(server):
+            client = await AsyncServeClient().connect(
+                "127.0.0.1", server.port)
+            codes = []
+            try:
+                ok = await client.request(dict(valid))
+                for _ in range(2):
+                    with pytest.raises(ServeError) as exc_info:
+                        await client.request({**valid, "parity": 1})
+                    codes.append(exc_info.value.code)
+                # 2000 and 2000.0 are different texts: two parses, but
+                # 2000.0 is not an int, so it is refused.
+                await client.request({**valid, "target_instructions": 2000})
+                with pytest.raises(ServeError) as exc_info:
+                    await client.request(
+                        {**valid, "target_instructions": 2000.0})
+                codes.append(exc_info.value.code)
+                # A float field spelt 2 and 2.0: two parses, one key.
+                avf = {"op": "avf", "profile": "crafty",
+                       "target_instructions": 500, "seed": 5}
+                spellings = [await client.request(
+                    {**avf, "machine": {"frequency_ghz": ghz}})
+                    for ghz in (2, 2.0)]
+            finally:
+                await client.close()
+            return ok, codes, spellings, dict(server.stats)
+
+        with use_runtime():
+            ok, codes, spellings, stats = serve_scenario(
+                scenario, resolver=echo_resolver)
+        assert ok["ok"] is True
+        assert codes == ["bad-request"] * 3
+        assert spellings[0]["key"] == spellings[1]["key"]
+        assert [s["status"] for s in spellings] == ["cold", "warm"]
+        assert stats.get("serve_parse_hits", 0) == 0
+
+    def test_malformed_requests_error_on_every_repeat(self):
+        unknown = {"op": "avf", "profile": "nosuchbench", "seed": 1}
+
+        async def scenario(server):
+            client = await AsyncServeClient().connect(
+                "127.0.0.1", server.port)
+            codes = []
+            try:
+                for _ in range(3):
+                    with pytest.raises(ServeError) as exc_info:
+                        await client.request(dict(unknown))
+                    codes.append(exc_info.value.code)
+            finally:
+                await client.close()
+            return codes, dict(server.stats), len(server._parsed)
+
+        with use_runtime():
+            codes, stats, entries = serve_scenario(scenario,
+                                                   resolver=echo_resolver)
+        assert codes == ["unknown-profile"] * 3
+        assert stats["serve_errors"] == 3
+        assert stats.get("serve_parse_hits", 0) == 0
+        assert entries == 0
+
+    def test_an_oversized_request_is_answered_but_not_kept(self):
+        from repro.serve.server import MAX_PARSE_MEMO_TEXT
+
+        request = {"op": "avf", "profile": "crafty",
+                   "target_instructions": 500, "seed": 44,
+                   "note": "x" * MAX_PARSE_MEMO_TEXT}
+
+        async def scenario(server):
+            client = await AsyncServeClient().connect(
+                "127.0.0.1", server.port)
+            try:
+                finals = [await client.request(dict(request))
+                          for _ in range(2)]
+            finally:
+                await client.close()
+            return finals, dict(server.stats), len(server._parsed)
+
+        with use_runtime():
+            finals, stats, entries = serve_scenario(scenario,
+                                                    resolver=echo_resolver)
+        assert [f["status"] for f in finals] == ["cold", "warm"]
+        assert stats.get("serve_parse_hits", 0) == 0
+        assert entries == 0
+
+    def test_deadline_is_read_from_the_live_request(self):
+        """A memo hit still honours the repeat's own ``deadline``."""
+        release = threading.Event()
+
+        def gated(query):
+            assert release.wait(10), "test deadlock: resolver never released"
+            return echo_resolver(query)
+
+        request = {"op": "avf", "profile": "crafty",
+                   "target_instructions": 500, "seed": 43}
+
+        async def scenario(server):
+            client = await AsyncServeClient().connect(
+                "127.0.0.1", server.port)
+            try:
+                first = asyncio.ensure_future(client.request(dict(request)))
+                with pytest.raises(ServeError) as exc_info:
+                    await client.request({**request, "deadline": 0.05})
+                release.set()
+                final = await first
+            finally:
+                await client.close()
+            return exc_info.value, final, dict(server.stats)
+
+        with use_runtime():
+            error, final, stats = serve_scenario(scenario, resolver=gated)
+        assert error.code == "deadline-exceeded"
+        assert final["status"] == "cold"
+        assert stats["serve_parse_hits"] == 1
+        assert stats["serve_deadline_expirations"] == 1
+

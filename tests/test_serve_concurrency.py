@@ -205,16 +205,63 @@ class TestLruBounds:
                 first = await client.request(request_for(5))
                 second = await client.request(request_for(5))
                 stats = dict(server.stats)
+                parsed = len(server._parsed)
             finally:
                 await client.close()
                 await server.stop()
-            return first, second, stats
+            return first, second, stats, parsed
 
         with use_runtime():
-            first, second, stats = asyncio.run(main())
+            first, second, stats, parsed = asyncio.run(main())
         assert first["status"] == "cold"
         assert second["status"] == "cold"
         assert first["value"] == second["value"] == {"echo": 5}
         assert sum(resolver.calls.values()) == 2
         assert stats["serve_cold_computes"] == 2
         assert stats.get("serve_lru_evictions", 0) == 0
+        # Nor is anything parsed twice from a memo.
+        assert stats.get("serve_parse_hits", 0) == 0
+        assert parsed == 0
+
+
+class TestParseMemoBounds:
+    @settings(max_examples=15, deadline=None)
+    @given(capacity=st.integers(min_value=1, max_value=4),
+           seeds=st.lists(st.integers(min_value=0, max_value=7),
+                          min_size=1, max_size=16))
+    def test_parse_memo_never_exceeds_lru_entries(self, capacity, seeds):
+        """The memo is an LRU of ``lru_entries`` parses: every repeat of
+        a request still in it is a parse hit, and it never grows past
+        the cap, whatever the order of requests."""
+        resolver = CountingResolver()
+        config = ServeConfig(host="127.0.0.1", port=0, lru_entries=capacity)
+
+        async def main():
+            server = AvfServer(config, resolver=resolver)
+            await server.start()
+            client = await AsyncServeClient().connect(
+                "127.0.0.1", server.port)
+            try:
+                for seed in seeds:
+                    final = await client.request(request_for(seed))
+                    assert final["value"] == {"echo": seed}
+                    assert len(server._parsed) <= capacity
+                stats = dict(server.stats)
+            finally:
+                await client.close()
+                await server.stop()
+            return stats
+
+        # The same LRU, modelled: which asks should find their parse.
+        memo, hits = [], 0
+        for seed in seeds:
+            if seed in memo:
+                hits += 1
+                memo.remove(seed)
+            elif len(memo) == capacity:
+                memo.pop(0)
+            memo.append(seed)
+
+        with use_runtime():
+            stats = asyncio.run(main())
+        assert stats.get("serve_parse_hits", 0) == hits

@@ -217,33 +217,31 @@ async def drive(args, requests, goldens, failures):
                     failures.append(f"post-storm answer {index} differs "
                                     f"from the direct engine call")
 
-        # ---- phase 3: warm-key latency over the raw client (the warm
-        # path itself is measured off-chaos: control dials direct) -------
-        warm_latencies = []
-        for i in range(args.warm_samples):
-            request = dict(requests[i % len(requests)])
-            t0 = time.perf_counter()
-            final = await control.request(request)
-            warm_latencies.append(time.perf_counter() - t0)
-            if final["status"] != "warm":
-                failures.append(f"latency-phase answer {i} was not warm "
-                                f"(status {final['status']!r})")
-
-        # ---- phase 4: the same warm round-trips through the resilient
-        # client — its retry/breaker/deadline bookkeeping must cost
-        # nearly nothing on the happy path ------------------------------
+        # ---- phase 3: warm-key latency, raw client against the
+        # retrying/circuit-breaking one. The two round trips alternate
+        # per sample on the same request (and swap order each sample),
+        # so host drift lands on both sides alike; the resilient
+        # client's bookkeeping must cost nearly nothing on the happy
+        # path. The warm path is measured off-chaos: both dial direct.
         resilient = ResilientAsyncClient(
             *upstream, timeout=30.0, policy=ClientPolicy(retries=2),
             breaker=CircuitBreaker())
-        resilient_latencies = []
+        timed = {"raw": (control, []), "resilient": (resilient, [])}
         for i in range(args.warm_samples):
-            request = dict(requests[i % len(requests)])
-            t0 = time.perf_counter()
-            final = await resilient.request(request)
-            resilient_latencies.append(time.perf_counter() - t0)
-            if final["status"] != "warm":
-                failures.append(f"resilient-phase answer {i} was not warm "
-                                f"(status {final['status']!r})")
+            request = requests[i % len(requests)]
+            order = ("raw", "resilient") if i % 2 == 0 \
+                else ("resilient", "raw")
+            for label in order:
+                client, latencies = timed[label]
+                payload = dict(request)
+                t0 = time.perf_counter()
+                final = await client.request(payload)
+                latencies.append(time.perf_counter() - t0)
+                if final["status"] != "warm":
+                    failures.append(f"{label} latency-phase answer {i} was "
+                                    f"not warm (status {final['status']!r})")
+        warm_latencies = timed["raw"][1]
+        resilient_latencies = timed["resilient"][1]
         after = await fetch_stats(control)
     finally:
         for client in pool:
@@ -260,7 +258,8 @@ async def drive(args, requests, goldens, failures):
 
     delta = {key: after.get(key, 0) - before.get(key, 0)
              for key in ("serve_requests", "serve_cold_computes",
-                         "serve_warm_hits", "serve_coalesced",
+                         "serve_warm_hits", "serve_parse_hits",
+                         "serve_coalesced",
                          "serve_lru_evictions", "serve_errors",
                          "serve_shed_requests",
                          "serve_deadline_expirations")}
