@@ -216,11 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve: answered-key LRU capacity, and the parse memo's "
              "(default $REPRO_SERVE_LRU or 256)")
     parser.add_argument(
-        "--compute-workers", type=int, default=None,
-        help="serve: engine threads draining cold keys (default "
-             "$REPRO_SERVE_WORKERS or 1; each computation still fans out "
-             "over --jobs worker processes)")
-    parser.add_argument(
         "--max-inflight", type=int, default=None,
         help="serve: cold computations admitted before new cold keys are "
              "shed with a retryable 'overloaded' error (default "
@@ -250,7 +245,6 @@ def _run_server(args, runtime) -> int:
     try:
         config = ServeConfig.from_env(host=args.host, port=args.port,
                                       lru_entries=args.lru_entries,
-                                      compute_workers=args.compute_workers,
                                       max_inflight=args.max_inflight,
                                       compute_deadline=args.compute_deadline)
     except ValueError as exc:

@@ -14,6 +14,7 @@ reads it (:class:`BenchmarkRun`).
 
 from __future__ import annotations
 
+import atexit
 import threading
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -137,6 +138,11 @@ def close_remote_stores() -> None:
     for store in _remote_stores.values():
         store.close()
     _remote_stores.clear()
+
+
+# A store's client runs on a private event loop; closing it before the
+# interpreter tears down leaves no reader task pending on that loop.
+atexit.register(close_remote_stores)
 
 
 def _remote_store():

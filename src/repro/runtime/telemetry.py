@@ -266,8 +266,10 @@ class Telemetry:
         if c["serve_drains"]:
             detail.append(f"drained ({c['serve_drained_answers']} answered, "
                           f"{c['serve_drain_refusals']} refused)")
-        if c["serve_store_hits"] or c["serve_store_puts"]:
-            detail.append(f"store {c['serve_store_hits']} gets, "
+        if (c["serve_store_hits"] or c["serve_store_misses"]
+                or c["serve_store_puts"]):
+            detail.append(f"store {c['serve_store_hits']} hits, "
+                          f"{c['serve_store_misses']} misses, "
                           f"{c['serve_store_puts']} puts")
         if detail:
             text += f" [{', '.join(detail)}]"
@@ -285,8 +287,6 @@ class Telemetry:
                 f"{c['remote_store_puts']} puts")
         if c["remote_store_errors"]:
             text += f", {c['remote_store_errors']} errors"
-        if c["remote_store_client_retries"]:
-            text += f", {c['remote_store_client_retries']} retries"
         if c["remote_store_breaker_open"]:
             text += (f", breaker opened x{c['remote_store_breaker_open']} "
                      f"({c['remote_store_short_circuits']} short-circuited)")

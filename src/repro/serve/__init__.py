@@ -10,8 +10,10 @@ The serving stack has five pieces:
   deduplicated/coalesced onto exactly one computation on the supervised
   engine, bounded admission with load shedding, per-request deadlines,
   and SIGTERM → graceful drain;
-* :mod:`repro.serve.client` — synchronous and asyncio clients with
-  retry/backoff/deadline discipline, plus the failure-tolerant
+* :mod:`repro.serve.client` — one asyncio client,
+  :class:`AsyncServeClient`, that owns framing, multiplexing, retry,
+  backoff, the circuit breaker and deadlines; :class:`ServeClient`, a
+  blocking facade over it; and the failure-tolerant
   :class:`RemoteStore` that lets the experiment plumbing fetch/put
   timeline entries through a running service;
 * :mod:`repro.serve.resilience` — the client-side failure machinery:
@@ -25,10 +27,8 @@ from repro.serve.chaos import ChaosProxy, WireChaosConfig
 from repro.serve.client import (
     AsyncServeClient,
     RemoteStore,
-    ResilientAsyncClient,
     ServeClient,
     ServeError,
-    WireDesync,
 )
 from repro.serve.protocol import (
     ProtocolError,
@@ -55,12 +55,10 @@ __all__ = [
     "DeadlineBudget",
     "ProtocolError",
     "RemoteStore",
-    "ResilientAsyncClient",
     "ServeClient",
     "ServeConfig",
     "ServeError",
     "WireChaosConfig",
-    "WireDesync",
     "canonical_dumps",
     "encode_benchmark",
     "encode_campaign",

@@ -26,10 +26,11 @@ Three pieces:
   re-opens the circuit. Structured server errors never trip the breaker
   — a server that answers, even with an error, is alive.
 
-Environment knobs (validated in the same style as the server's
-``REPRO_SERVE_*`` parsing): ``REPRO_SERVICE_TIMEOUT`` (per-attempt
-socket timeout for ``--service`` clients), ``REPRO_SERVICE_RETRIES``,
-``REPRO_SERVICE_BREAKER_THRESHOLD``, ``REPRO_SERVICE_BREAKER_RESET``.
+Environment knobs (parsed by :func:`env_int` / :func:`env_float`, which
+the server's ``REPRO_SERVE_*`` knobs share): ``REPRO_SERVICE_TIMEOUT``
+(per-attempt socket timeout for ``--service`` clients),
+``REPRO_SERVICE_RETRIES``, ``REPRO_SERVICE_BREAKER_THRESHOLD``,
+``REPRO_SERVICE_BREAKER_RESET``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import Callable, Dict, Optional
 
 from repro.runtime.resilience import RetryPolicy
 
-#: Per-attempt socket timeout for interactive clients (``ServeClient``).
+#: Per-attempt timeout for resilient interactive clients (``ServeClient``).
 DEFAULT_CLIENT_TIMEOUT = 300.0
 #: Per-attempt socket timeout for the experiment-plumbing store client.
 DEFAULT_STORE_TIMEOUT = 60.0
@@ -55,7 +56,8 @@ DEFAULT_BREAKER_RESET = 30.0
 DEFAULT_CLIENT_RETRIES = 2
 
 
-def _env_float(name: str, default: float) -> float:
+def env_float(name: str, default: float) -> float:
+    """``$name`` as a float; ``default`` when unset or empty."""
     raw = os.environ.get(name)
     if not raw:
         return default
@@ -65,7 +67,8 @@ def _env_float(name: str, default: float) -> float:
         raise ValueError(f"{name} must be a number (got {raw!r})")
 
 
-def _env_int(name: str, default: int) -> int:
+def env_int(name: str, default: int) -> int:
+    """``$name`` as an int; ``default`` when unset or empty."""
     raw = os.environ.get(name)
     if not raw:
         return default
@@ -77,7 +80,7 @@ def _env_int(name: str, default: int) -> int:
 
 def service_timeout(default: float) -> float:
     """Per-attempt socket timeout: ``REPRO_SERVICE_TIMEOUT`` or ``default``."""
-    value = _env_float("REPRO_SERVICE_TIMEOUT", default)
+    value = env_float("REPRO_SERVICE_TIMEOUT", default)
     if value <= 0:
         raise ValueError(
             f"REPRO_SERVICE_TIMEOUT must be positive (got {value!r})")
@@ -86,7 +89,7 @@ def service_timeout(default: float) -> float:
 
 def service_retries(default: int = DEFAULT_CLIENT_RETRIES) -> int:
     """Retry budget: ``REPRO_SERVICE_RETRIES`` or ``default``."""
-    value = _env_int("REPRO_SERVICE_RETRIES", default)
+    value = env_int("REPRO_SERVICE_RETRIES", default)
     if value < 0:
         raise ValueError(
             f"REPRO_SERVICE_RETRIES must be non-negative (got {value!r})")
@@ -214,9 +217,9 @@ class CircuitBreaker:
     @classmethod
     def from_env(cls, **kwargs) -> "CircuitBreaker":
         """Defaults from ``REPRO_SERVICE_BREAKER_*`` knobs."""
-        kwargs.setdefault("threshold", _env_int(
+        kwargs.setdefault("threshold", env_int(
             "REPRO_SERVICE_BREAKER_THRESHOLD", DEFAULT_BREAKER_THRESHOLD))
-        kwargs.setdefault("reset_timeout", _env_float(
+        kwargs.setdefault("reset_timeout", env_float(
             "REPRO_SERVICE_BREAKER_RESET", DEFAULT_BREAKER_RESET))
         return cls(**kwargs)
 

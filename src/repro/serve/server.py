@@ -12,9 +12,10 @@ One asyncio process answers AVF/MITF/false-DUE queries for arbitrary
   lookup, and one write of the answer's pre-encoded text;
 * **cold** keys are *coalesced*: the first request for a key creates one
   in-flight computation on the supervised engine (``run_benchmark`` /
-  ``run_campaign`` under the process's runtime context, in a worker
-  thread so the event loop stays responsive) and every concurrent request
-  for the same key awaits that single future — N clients, one simulation;
+  ``run_campaign`` under the process's runtime context, on the one
+  compute thread so the event loop stays responsive) and every
+  concurrent request for the same key awaits that single future — N
+  clients, one simulation;
 * the engine's own layers stack underneath: the in-process memos, the
   content-addressed result cache, and the persistent timeline store all
   apply, so even an LRU-evicted key usually re-resolves without
@@ -73,12 +74,12 @@ from repro.serve.protocol import (
     query_text,
     validate_store_key,
 )
+from repro.serve.resilience import env_float, env_int
 
 #: Default knobs (each has a ``REPRO_SERVE_*`` environment twin).
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8787
 DEFAULT_LRU_ENTRIES = 256
-DEFAULT_COMPUTE_WORKERS = 1
 #: Cold computations admitted before new cold keys are shed (0 = never).
 DEFAULT_MAX_INFLIGHT = 64
 #: Per-query answer deadline, in seconds (0 = none).
@@ -92,26 +93,6 @@ DRAIN_EXIT_CODE = 143
 MAX_PARSE_MEMO_TEXT = 8192
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer (got {raw!r})")
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be a number (got {raw!r})")
-
-
 @dataclass(frozen=True)
 class ServeConfig:
     """How one :class:`AvfServer` listens and bounds its memory."""
@@ -121,11 +102,6 @@ class ServeConfig:
     #: Answered-key LRU capacity, and the parse memo's; 0 disables warm
     #: serving entirely.
     lru_entries: int = DEFAULT_LRU_ENTRIES
-    #: Engine threads draining cold keys. The default of 1 serialises
-    #: simulations (the engine's in-process memos are not contended);
-    #: the engine itself still fans each computation out over the
-    #: runtime context's ``jobs`` worker processes.
-    compute_workers: int = DEFAULT_COMPUTE_WORKERS
     #: Cold computations outstanding before new cold keys are shed with
     #: ``overloaded``; 0 disables shedding. Warm hits and coalesced
     #: joins are never shed.
@@ -140,8 +116,6 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.lru_entries < 0:
             raise ValueError("lru_entries must be >= 0")
-        if self.compute_workers < 1:
-            raise ValueError("compute_workers must be >= 1")
         if self.max_inflight < 0:
             raise ValueError("max_inflight must be >= 0")
         if self.compute_deadline < 0:
@@ -154,15 +128,13 @@ class ServeConfig:
         """Defaults from ``REPRO_SERVE_*`` knobs, then explicit overrides."""
         values = {
             "host": os.environ.get("REPRO_SERVE_HOST", DEFAULT_HOST),
-            "port": _env_int("REPRO_SERVE_PORT", DEFAULT_PORT),
-            "lru_entries": _env_int("REPRO_SERVE_LRU", DEFAULT_LRU_ENTRIES),
-            "compute_workers": _env_int("REPRO_SERVE_WORKERS",
-                                        DEFAULT_COMPUTE_WORKERS),
-            "max_inflight": _env_int("REPRO_SERVE_MAX_INFLIGHT",
+            "port": env_int("REPRO_SERVE_PORT", DEFAULT_PORT),
+            "lru_entries": env_int("REPRO_SERVE_LRU", DEFAULT_LRU_ENTRIES),
+            "max_inflight": env_int("REPRO_SERVE_MAX_INFLIGHT",
                                      DEFAULT_MAX_INFLIGHT),
-            "compute_deadline": _env_float("REPRO_SERVE_DEADLINE",
+            "compute_deadline": env_float("REPRO_SERVE_DEADLINE",
                                            DEFAULT_COMPUTE_DEADLINE),
-            "retry_after": _env_float("REPRO_SERVE_RETRY_AFTER",
+            "retry_after": env_float("REPRO_SERVE_RETRY_AFTER",
                                       DEFAULT_RETRY_AFTER),
         }
         values.update({k: v for k, v in overrides.items() if v is not None})
@@ -221,9 +193,12 @@ class AvfServer:
     async def start(self) -> None:
         """Bind and begin accepting connections (port 0 picks a free one)."""
         self._stopped = asyncio.Event()
+        # One compute thread: pure-Python simulation gains nothing from a
+        # second under the GIL, and the engine's in-process memos stay
+        # uncontended. Each computation still fans out over the runtime
+        # context's ``jobs`` worker processes.
         self._executor = ThreadPoolExecutor(
-            max_workers=self.config.compute_workers,
-            thread_name_prefix="repro-serve")
+            max_workers=1, thread_name_prefix="repro-serve")
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port,
             limit=MAX_LINE_BYTES)
@@ -685,7 +660,6 @@ async def _serve_until_stopped(config: ServeConfig,
         pass  # platform without loop signal handlers: Ctrl-C still works
     announce(f"[repro serve] listening on {config.host}:{server.port} "
              f"(lru={config.lru_entries}, "
-             f"workers={config.compute_workers}, "
              f"max_inflight={config.max_inflight})")
     try:
         await server.wait_stopped()

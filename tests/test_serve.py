@@ -23,6 +23,7 @@ from repro.experiments.common import (
 )
 from repro.faults.campaign import run_campaign
 from repro.runtime.context import use_runtime
+from repro.runtime.telemetry import Telemetry
 from repro.serve.client import AsyncServeClient, ServeError
 from repro.serve.protocol import (
     answer_line,
@@ -139,6 +140,36 @@ class TestGoldenEquivalence:
         assert stats["serve_cold_computes"] == 1
         assert (stats.get("serve_warm_hits", 0)
                 + stats.get("serve_coalesced", 0)) == 5
+
+    def test_lru_evicted_key_re_resolves_without_simulating(self):
+        """A, B, A with a one-entry LRU: B evicts A's answer, so the
+        third ask is a server-level cold compute, but the engine's memos
+        answer it: the same bytes and no new simulation."""
+        other = {**AVF_REQUEST, "seed": 78}
+        config = ServeConfig(host="127.0.0.1", port=0, lru_entries=1)
+        with use_runtime() as runtime:
+            counters = runtime.telemetry.counters
+
+            def sims():
+                return (counters["functional_sims"],
+                        counters["pipeline_sims"])
+
+            async def scenario(server):
+                first = await ask(server, AVF_REQUEST)
+                await ask(server, other)
+                before = sims()
+                again = await ask(server, AVF_REQUEST)
+                return first, again, before, sims(), dict(server.stats)
+
+            first, again, before, after, stats = serve_scenario(
+                scenario, config=config)
+        assert before == (2, 2)
+        assert after == before
+        assert again["status"] == "cold"
+        assert canonical_dumps(again["value"]) \
+            == canonical_dumps(first["value"])
+        assert stats["serve_cold_computes"] == 3
+        assert stats["serve_lru_evictions"] == 2
 
 
 class TestProtocol:
@@ -557,3 +588,24 @@ class TestParseMemo:
         assert stats["serve_parse_hits"] == 1
         assert stats["serve_deadline_expirations"] == 1
 
+
+
+class TestServeFooter:
+    def test_store_account_names_hits_misses_and_puts(self):
+        """Two ``--service`` table1 runs against a cached server: 12
+        misses and 12 puts, then 12 hits — each under its own name."""
+        telemetry = Telemetry()
+        for name, count in (("serve_requests", 36),
+                            ("serve_store_hits", 12),
+                            ("serve_store_misses", 12),
+                            ("serve_store_puts", 12)):
+            telemetry.increment(name, count)
+        summary = telemetry.format_summary()
+        assert "[store 12 hits, 12 misses, 12 puts]" in summary
+
+    def test_store_account_shows_misses_alone(self):
+        telemetry = Telemetry()
+        telemetry.increment("serve_requests", 3)
+        telemetry.increment("serve_store_misses", 3)
+        assert "store 0 hits, 3 misses, 0 puts" \
+            in telemetry.format_summary()

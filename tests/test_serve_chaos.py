@@ -25,7 +25,7 @@ import pytest
 from repro.experiments.common import clear_caches
 from repro.runtime.context import use_runtime
 from repro.serve.chaos import WIRE_CHAOS_MODES, ChaosProxy, WireChaosConfig
-from repro.serve.client import ResilientAsyncClient, ServeError
+from repro.serve.client import AsyncServeClient, ServeError
 from repro.serve.protocol import canonical_dumps
 from repro.serve.resilience import CircuitBreaker, ClientPolicy
 from repro.serve.server import AvfServer, ServeConfig
@@ -79,7 +79,7 @@ async def storm(requests, resolver, chaos, timeout=0.75, policy=PERSISTENT):
     await server.start()
     proxy = ChaosProxy(("127.0.0.1", server.port), chaos)
     await proxy.start()
-    client = ResilientAsyncClient(
+    client = AsyncServeClient(
         "127.0.0.1", proxy.port, timeout=timeout, policy=policy,
         breaker=CircuitBreaker(threshold=1_000_000))
     outcomes = []
@@ -245,7 +245,7 @@ class TestChaosDifferential:
         async def main():
             proxy = ChaosProxy(("127.0.0.1", 1), WireChaosConfig(seed=1))
             await proxy.start()
-            client = ResilientAsyncClient(
+            client = AsyncServeClient(
                 "127.0.0.1", proxy.port, timeout=0.5,
                 policy=ClientPolicy(retries=1, backoff_base=0.001,
                                     backoff_cap=0.01, jitter=0.0),
@@ -281,7 +281,7 @@ class TestRealEngineUnderChaos:
         async def golden_answers():
             server = AvfServer(ServeConfig(host="127.0.0.1", port=0))
             await server.start()
-            client = ResilientAsyncClient(
+            client = AsyncServeClient(
                 "127.0.0.1", server.port, timeout=30.0,
                 policy=ClientPolicy(retries=0),
                 breaker=CircuitBreaker(threshold=1_000_000))

@@ -1,8 +1,8 @@
 """Dedup/coalescing and LRU-bound properties of the AVF query server.
 
 The load-bearing invariant: *K* requests over *M* distinct keys — any
-interleaving, any connection fan-out, any worker count — produce exactly
-*M* cold computations and *K* correct responses. A stub resolver counts
+interleaving, any connection fan-out — produce exactly *M* cold
+computations and *K* correct responses. A stub resolver counts
 its invocations per key, so a duplicate simulation is a counted fact,
 not an inference from timing.
 """
@@ -49,16 +49,13 @@ class TestDedupCoalescing:
         distinct=st.integers(min_value=1, max_value=5),
         picks=st.lists(st.integers(min_value=0, max_value=4),
                        min_size=1, max_size=24),
-        workers=st.integers(min_value=1, max_value=3),
     )
-    def test_k_requests_over_m_keys_yield_m_computes(self, distinct, picks,
-                                                     workers):
+    def test_k_requests_over_m_keys_yield_m_computes(self, distinct, picks):
         """However K requests interleave, each distinct key computes once."""
         seeds = [1000 + i for i in range(distinct)]
         assigned = [seeds[p % distinct] for p in picks]
         resolver = CountingResolver(delay=0.002)
-        config = ServeConfig(host="127.0.0.1", port=0, lru_entries=64,
-                             compute_workers=workers)
+        config = ServeConfig(host="127.0.0.1", port=0, lru_entries=64)
 
         async def main():
             server = AvfServer(config, resolver=resolver)

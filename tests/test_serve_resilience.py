@@ -41,7 +41,6 @@ from repro.serve.client import (
     RemoteStore,
     ServeClient,
     ServeError,
-    WireDesync,
 )
 from repro.serve.protocol import ProtocolError, canonical_dumps, \
     encode_benchmark
@@ -749,13 +748,13 @@ class TestDegradeToLocal:
         for get+put), and every report is byte-identical to a run with
         no service configured at all."""
         attempts = []
-        real_connect = socket.create_connection
+        real_connect = asyncio.open_connection
 
-        def refused(address, *args, **kwargs):
-            attempts.append(address)
+        async def refused(host, port, *args, **kwargs):
+            attempts.append((host, port))
             raise ConnectionRefusedError("service is down")
 
-        monkeypatch.setattr(socket, "create_connection", refused)
+        monkeypatch.setattr(asyncio, "open_connection", refused)
         profile = get_profile("crafty")
         settings = [ExperimentSettings(target_instructions=1000, seed=s)
                     for s in range(50)]
@@ -765,7 +764,7 @@ class TestDegradeToLocal:
             telemetry = dict(runtime.telemetry.counters)
         close_remote_stores()
         clear_caches()
-        monkeypatch.setattr(socket, "create_connection", real_connect)
+        monkeypatch.setattr(asyncio, "open_connection", real_connect)
         with use_runtime():
             baseline = [canonical_dumps(encode_benchmark(
                 run_benchmark(profile, s))) for s in settings]

@@ -13,10 +13,11 @@ contracts on the way through:
   ``stats`` counters, not inferred from timing;
 * **warm latency**: warm-key answers come back with a p50 under
   ``--max-warm-p50-ms`` (default 1 ms on localhost);
-* **resilience overhead**: routing the same warm queries through the
-  retrying/circuit-breaking :class:`ResilientAsyncClient` costs at most
+* **resilience overhead**: routing the same warm queries through a
+  retrying/circuit-breaking :class:`AsyncServeClient` (built with a
+  ``policy`` and ``breaker``) costs at most
   ``--max-resilience-overhead-pct`` (default 5%) extra warm p50 over
-  the raw client.
+  the bare client.
 
 ``--chaos-seed N`` interposes the deterministic wire-level
 :class:`ChaosProxy` between the load clients and the server: lines are
@@ -55,12 +56,7 @@ from repro.experiments.common import (
 from repro.faults.campaign import run_campaign
 from repro.runtime.context import use_runtime
 from repro.serve.chaos import ChaosProxy, WireChaosConfig
-from repro.serve.client import (
-    AsyncServeClient,
-    ResilientAsyncClient,
-    ServeError,
-    parse_address,
-)
+from repro.serve.client import AsyncServeClient, ServeError, parse_address
 from repro.serve.protocol import (
     canonical_dumps,
     encode_benchmark,
@@ -159,7 +155,7 @@ async def drive(args, requests, goldens, failures):
             storm_policy = ClientPolicy(retries=8, backoff_base=0.001,
                                         backoff_cap=0.01, jitter=0.0)
             storm_pool = [
-                ResilientAsyncClient(
+                AsyncServeClient(
                     *target, timeout=args.chaos_timeout,
                     policy=storm_policy,
                     breaker=CircuitBreaker(threshold=1_000_000))
@@ -223,7 +219,7 @@ async def drive(args, requests, goldens, failures):
         # so host drift lands on both sides alike; the resilient
         # client's bookkeeping must cost nearly nothing on the happy
         # path. The warm path is measured off-chaos: both dial direct.
-        resilient = ResilientAsyncClient(
+        resilient = AsyncServeClient(
             *upstream, timeout=30.0, policy=ClientPolicy(retries=2),
             breaker=CircuitBreaker())
         timed = {"raw": (control, []), "resilient": (resilient, [])}
