@@ -41,6 +41,7 @@ from repro.runtime import engine, resilience
 from repro.runtime.resilience import (
     RetryPolicy,
     SubjectMismatch,
+    WorkerPool,
     execute_campaign,
 )
 from repro.runtime.telemetry import Telemetry
@@ -176,6 +177,16 @@ class TestPoolLifetime:
             counters[jobs] = _work(telemetry)
         assert counters[1]["oracle_executions"] > 0
         assert counters[2] == counters[1]
+
+    def test_replace_returns_after_the_manager_thread_exits(self):
+        """A pool forked while the replaced pool's manager thread still
+        runs can inherit that thread's lock held, and hang."""
+        pool = WorkerPool(jobs=1)
+        executor = pool.borrow(1)
+        assert executor.submit(abs, -1).result() == 1
+        manager = executor._executor_manager_thread
+        pool.replace(executor)
+        assert not manager.is_alive()
 
     def test_clear_caches_stops_the_workers(
             self, small_program, small_execution, small_pipeline, serial,
