@@ -52,18 +52,15 @@ class Cache:
         self.hits = 0
         self.misses = 0
 
-    def _locate(self, address: int) -> tuple:
-        line = address >> self._line_shift
-        return self._sets[line & self._set_mask], line
-
     def probe(self, address: int) -> bool:
         """Check residency without updating replacement state or stats."""
-        tags, line = self._locate(address)
-        return line in tags
+        line = address >> self._line_shift
+        return line in self._sets[line & self._set_mask]
 
     def access(self, address: int) -> bool:
         """Reference ``address``: update LRU, fill on miss, return hit?"""
-        tags, line = self._locate(address)
+        line = address >> self._line_shift
+        tags = self._sets[line & self._set_mask]
         if line in tags:
             tags.remove(line)
             tags.append(line)

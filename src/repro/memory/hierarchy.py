@@ -69,17 +69,23 @@ class CacheHierarchy:
         self.l0 = Cache(config.l0)
         self.l1 = Cache(config.l1)
         self.l2 = Cache(config.l2)
+        #: The four possible outcomes, by hit level (L0, L1, L2, memory):
+        #: built once and shared, which is safe since they are frozen.
+        self.results = (
+            AccessResult(config.l0_latency, False, False, False),
+            AccessResult(config.l1_latency, True, False, False),
+            AccessResult(config.l2_latency, True, True, False),
+            AccessResult(config.memory_latency, True, True, True))
 
     def access(self, address: int) -> AccessResult:
         """Reference ``address`` (load, store, or prefetch) and time it."""
-        cfg = self.config
         if self.l0.access(address):
-            return AccessResult(cfg.l0_latency, False, False, False)
+            return self.results[0]
         if self.l1.access(address):
-            return AccessResult(cfg.l1_latency, True, False, False)
+            return self.results[1]
         if self.l2.access(address):
-            return AccessResult(cfg.l2_latency, True, True, False)
-        return AccessResult(cfg.memory_latency, True, True, True)
+            return self.results[2]
+        return self.results[3]
 
     def snapshot(self) -> tuple:
         """Copy of all three levels' replacement state."""

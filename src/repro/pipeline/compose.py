@@ -22,8 +22,8 @@ describes the machine). Three things make it fast:
   closed form over a skipped span.
 
 * **A cheap per-cycle body.** IQ entries are plain lists decoded once per
-  instruction (:mod:`repro.pipeline.kernel`), and the interval log is a
-  flat list of tuples that becomes an
+  instruction (:mod:`repro.pipeline.kernel`), and the interval log is
+  one flat list, six slots per row, whose strided slices become an
   :class:`~repro.pipeline.iq.IntervalTimeline` — no
   ``OccupancyInterval`` objects are built unless a consumer asks.
 
@@ -55,7 +55,7 @@ describes the machine). Three things make it fast:
     signature) key, a stored delta is *validated* — same trace windows,
     same touched cache-set and predictor pre-images, headroom under
     ``max_cycles`` — and then applied: rows are shifted and spliced onto
-    the flat log, the queue and ready maps are rebuilt from the exit
+    the flat log, the queue and ready tables are rebuilt from the exit
     state, cache/predictor post images are installed, and the loop
     fast-forwards the whole span.
 
@@ -84,8 +84,7 @@ import numpy as np
 
 from repro.arch.trace import BRANCH_TAKEN, EXECUTED, IS_LOAD, IS_STORE
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import Opcode
-from repro.memory.hierarchy import AccessResult
+from repro.isa.registers import NUM_GPRS, NUM_PREDICATES
 from repro.pipeline.chunks import iter_chunks
 from repro.pipeline.config import IssuePolicy, SquashAction, Trigger
 from repro.pipeline.iq import (
@@ -171,6 +170,10 @@ _CHUNK_INTERN: Dict[tuple, int] = {}
 _PREP: "OrderedDict[int, tuple]" = OrderedDict()
 #: (id(trace), fetch_width) -> (trace, aligned bytearray, leader cids).
 _CHUNK_PREP: "OrderedDict[tuple, tuple]" = OrderedDict()
+
+#: Ready tables with no register in flight (-1: ready since forever).
+_NO_GPRS = [-1] * NUM_GPRS
+_NO_PREDICATES = [-1] * NUM_PREDICATES
 
 _REC_STAT_KEYS = ("squash_events", "squashed_instructions",
                   "wrong_path_fetched", "throttle_cycles", "redirects")
@@ -310,10 +313,14 @@ class _Rows:
     """The timing loop's reader of one trace's columns.
 
     Memoryviews hand out plain ints (the address column as unsigned
-    64-bit); each table instruction is decoded on its first use.
+    64-bit) without copying the columns into per-run lists (tens of MB
+    on a 200k-row trace); each table instruction is decoded once per
+    run. Entries are built per fetch, not copied from a per-row template
+    table: that holds a 14-slot list per row (an LRU of them raised the
+    exhibit suite's peak RSS by about a third) and saves no time.
     """
 
-    __slots__ = ("trace", "instr", "pc", "mem", "flags", "table", "decoded")
+    __slots__ = ("trace", "instr", "pc", "mem", "flags", "decoded")
 
     def __init__(self, trace) -> None:
         self.trace = trace
@@ -321,25 +328,23 @@ class _Rows:
         self.pc = memoryview(trace.pc)
         self.mem = memoryview(trace.mem_addr.view(np.uint64))
         self.flags = memoryview(trace.flags)
-        self.table = trace.instructions
-        self.decoded: list = [None] * len(self.table)
+        self.decoded = [_decode(i) for i in trace.instructions]
+
+    def entry(self, seq: int) -> list:
+        """Fresh queue entry for trace row ``seq`` (the fetch stage
+        builds the same list inline)."""
+        d = self.decoded[self.instr[seq]]
+        flags = self.flags[seq]
+        return [seq, d[0], d[1], d[2], d[3], False, 0, None, False,
+                self.mem[seq] if flags & _MEMORY else None,
+                flags & EXECUTED == EXECUTED, d[5], d[4], self.pc[seq]]
 
 
-def _entry_for(rows: _Rows, seq: int) -> list:
-    """Fresh 14-slot queue entry for trace row ``seq``.
-
-    Entries are built on demand instead of from an O(n) prebuilt
-    template table: a fully memoized run touches only a few percent of
-    the trace directly, so the prebuild would dominate its runtime.
-    """
-    k = rows.instr[seq]
-    d = rows.decoded[k]
-    if d is None:
-        d = rows.decoded[k] = _decode(rows.table[k])
-    flags = rows.flags[seq]
-    return [seq, d[0], d[1], d[2], d[3], False, 0, None, False,
-            rows.mem[seq] if flags & _MEMORY else None,
-            flags & EXECUTED == EXECUTED, rows.table[k], d[4], rows.pc[seq]]
+def _live(ready: list, cycle: int) -> tuple:
+    """(register, ready - cycle) of every register still in flight,
+    in register order. Stale ready-times (``<= cycle``) read the same as
+    none at every read site, so they are dropped."""
+    return tuple([(r, v - cycle) for r, v in enumerate(ready) if v > cycle])
 
 
 def _chunk_prep(trace, width: int, cids: list) -> tuple:
@@ -372,11 +377,9 @@ def _chunk_prep(trace, width: int, cids: list) -> tuple:
 
 def _make_rec_access(hierarchy) -> tuple:
     """An ``access`` clone that snapshots touched sets before first use."""
-    cfg = hierarchy.config
     caches = (hierarchy.l0, hierarchy.l1, hierarchy.l2)
     pres: Tuple[dict, dict, dict] = ({}, {}, {})
-    lats = (cfg.l0_latency, cfg.l1_latency, cfg.l2_latency)
-    memory_latency = cfg.memory_latency
+    results = hierarchy.results
 
     def rec_access(address):
         level = 0
@@ -387,10 +390,9 @@ def _make_rec_access(hierarchy) -> tuple:
             if si not in pre:
                 pre[si] = list(cache._sets[si])
             if cache.access(address):
-                return AccessResult(lats[level], level >= 1, level >= 2,
-                                    False)
+                return results[level]
             level += 1
-        return AccessResult(memory_latency, True, True, True)
+        return results[3]
 
     return rec_access, pres
 
@@ -426,7 +428,7 @@ def _static_template(pc, program, static_templates, pc_of_instr) -> list:
 # Signature / finalize / match / apply (module-level: no hot-loop cells).
 # ---------------------------------------------------------------------------
 
-def _build_key(cid, queue, row_cids, ptr, cycle, gpr_ready, pred_ready,
+def _build_key(cid, queue, row_cids, ptr, cycle, gpr_live, pred_live,
                wpm, wpc, pending_redirect, pending_squashes,
                mispredicted_entry, fetch_resume, throttle_until,
                history) -> tuple:
@@ -434,7 +436,8 @@ def _build_key(cid, queue, row_cids, ptr, cycle, gpr_ready, pred_ready,
 
     Flat (one tuple, fixed five slots per queue entry, length-prefixed
     variable sections) so hashing and equality are single C passes; the
-    length prefixes keep the flat encoding unambiguous.
+    length prefixes keep the flat encoding unambiguous. ``gpr_live`` and
+    ``pred_live`` are the in-flight ready-times (:func:`_live`).
     """
     parts = [cid, len(queue)]
     append = parts.append
@@ -454,18 +457,11 @@ def _build_key(cid, queue, row_cids, ptr, cycle, gpr_ready, pred_ready,
             append(entry[E_ALLOC] - cycle)
             append(ir)
             append(entry[E_MISPRED])
-    live = [(r, v - cycle) for r, v in gpr_ready.items() if v > cycle]
-    live.sort()
-    append(len(live))
-    for r, rel in live:
-        append(r)
-        append(rel)
-    live = [(r, v - cycle) for r, v in pred_ready.items() if v > cycle]
-    live.sort()
-    append(len(live))
-    for r, rel in live:
-        append(r)
-        append(rel)
+    for live in (gpr_live, pred_live):
+        append(len(live))
+        for r, rel in live:
+            append(r)
+            append(rel)
     append(len(pending_squashes))
     for fire, mret, se in pending_squashes:
         qi = -1
@@ -522,7 +518,9 @@ def _finalize(queue, cycle, trace_ptr, rec_cycle0, rec_bptr, rec_mark,
     rissue = array("q")
     rdealloc = array("q")
     toks: list = []
-    for s, k, a, i, d, instr in log[rec_mark:]:
+    flat = log[rec_mark:]
+    for s, k, a, i, d, instr in zip(flat[0::6], flat[1::6], flat[2::6],
+                                    flat[3::6], flat[4::6], flat[5::6]):
         if s == -1:
             rseq.append(_SENT)
             toks.append(pc_of_instr[id(instr)])
@@ -550,11 +548,8 @@ def _finalize(queue, cycle, trace_ptr, rec_cycle0, rec_bptr, rec_mark,
                               entry[E_ALLOC] - cycle, ir,
                               entry[E_MISPRED]))
     seg.x_entries = tuple(x_entries)
-    seg.x_gpr = tuple(sorted((r, v - cycle)
-                             for r, v in gpr_ready.items() if v > cycle))
-    seg.x_pred = tuple(sorted((r, v - cycle)
-                              for r, v in pred_ready.items()
-                              if v > cycle))
+    seg.x_gpr = _live(gpr_ready, cycle)
+    seg.x_pred = _live(pred_ready, cycle)
     seg.x_wpm = wpm
     seg.x_wpc = wpc if wpm else 0
     if pending_redirect is None:
@@ -661,16 +656,15 @@ def _match(segs, cycle, max_cycles, trace_ptr, trace_n, row_cids,
 
 
 def _apply(seg, cycle, trace_ptr, rows, static_templates,
-           pc_of_instr, program, log, gpr_ready, pred_ready, hierarchy,
+           pc_of_instr, program, gpr_ready, pred_ready, hierarchy,
            predictor, stats) -> tuple:
-    """Install a validated delta; returns the new loop state."""
+    """Install a validated delta; returns the new loop state.
+
+    The delta's rows are not spliced here: the caller notes the splice
+    and :func:`_assemble` shifts the rows into the columns once.
+    """
     new_cycle = cycle + seg.d_cycle
     new_ptr = trace_ptr + seg.d_ptr
-
-    # Splice lazily: one marker now, columns assembled once at the end
-    # (_assemble). Markers are lists so ``type(row) is tuple`` still
-    # identifies plain rows.
-    log.append([seg.rows, cycle, trace_ptr])
 
     queue: List[list] = []
     qappend = queue.append
@@ -685,7 +679,7 @@ def _apply(seg, cycle, trace_ptr, rows, static_templates,
             entry = template.copy()
         else:
             sr, ar, ir, mp = t
-            entry = _entry_for(rows, new_ptr + sr)
+            entry = rows.entry(new_ptr + sr)
             if mp:
                 entry[E_MISPRED] = True
         entry[E_ALLOC] = new_cycle + ar
@@ -704,10 +698,10 @@ def _apply(seg, cycle, trace_ptr, rows, static_templates,
         (new_cycle + fr, new_cycle + mr, queue[qi] if qi >= 0 else [])
         for fr, mr, qi in seg.x_squashes]
 
-    gpr_ready.clear()
+    gpr_ready[:] = _NO_GPRS
     for r, rel in seg.x_gpr:
         gpr_ready[r] = new_cycle + rel
-    pred_ready.clear()
+    pred_ready[:] = _NO_PREDICATES
     for r, rel in seg.x_pred:
         pred_ready[r] = new_cycle + rel
 
@@ -742,13 +736,14 @@ def _apply(seg, cycle, trace_ptr, rows, static_templates,
             new_cycle + seg.x_th)
 
 
-def _assemble(log, rows, static_templates, program,
+def _assemble(log, splices, rows, static_templates, program,
               pc_of_instr) -> IntervalTimeline:
-    """Expand the mixed row/marker log into one IntervalTimeline.
+    """Expand the flat log and the splices into one IntervalTimeline.
 
-    Plain rows are zipped column-wise in runs; each splice marker's
-    :class:`IntervalBlock` columns are shift-extended in place — the
-    per-row tuples a live splice would have built are never created.
+    ``splices`` holds ``(log position, IntervalBlock, cycle, trace_ptr)``
+    in log order. Between splices each column is one strided slice of
+    the flat log; each block's columns are shift-extended in place — the
+    per-row slots a live splice would have logged are never created.
     """
     seq = array("q")
     kind = array("b")
@@ -758,26 +753,21 @@ def _assemble(log, rows, static_templates, program,
     instr: list = []
     instr_append = instr.append
     by_row = None  # every row's instruction, listed at the first splice
-    run: list = []
-    run_append = run.append
 
-    def flush() -> None:
-        s, k, a, i, d, ins = zip(*run)
-        seq.extend(s)
-        kind.extend(k)
-        alloc.extend(a)
-        issue.extend(i)
-        dealloc.extend(d)
-        instr.extend(ins)
-        del run[:]
+    def plain(start, stop) -> None:
+        # fromlist converts a list about twice as fast as extend.
+        seq.fromlist(log[start:stop:6])
+        kind.fromlist(log[start + 1:stop:6])
+        alloc.fromlist(log[start + 2:stop:6])
+        issue.fromlist(log[start + 3:stop:6])
+        dealloc.fromlist(log[start + 4:stop:6])
+        instr.extend(log[start + 5:stop:6])
 
-    for row in log:
-        if type(row) is tuple:
-            run_append(row)
-            continue
-        if run:
-            flush()
-        block, dc, dp = row
+    done = 0
+    for at, block, dc, dp in splices:
+        if at > done:
+            plain(done, at)
+            done = at
         if by_row is None:
             by_row = rows.trace.row_instructions()
         bseq = block.seq
@@ -796,8 +786,7 @@ def _assemble(log, rows, static_templates, program,
                                                 static_templates,
                                                 pc_of_instr)
                 instr_append(template[E_INSTR])
-    if run:
-        flush()
+    plain(done, len(log))
     timeline = IntervalTimeline(())
     timeline.seq = seq
     timeline.kind = kind
@@ -833,10 +822,14 @@ def run_composed(sim) -> PipelineResult:
     trig_l0 = trigger is Trigger.L0_MISS
     trig_l1 = trigger is Trigger.L1_MISS
 
-    # ---- on-demand entry construction (14-slot: + pc) -------------------
+    # ---- trace columns, read per fetch (14-slot entries: + pc) ----------
     trace_n = len(trace)
     rows = _Rows(trace)
+    row_instr = rows.instr
+    row_pc = rows.pc
+    row_mem = rows.mem
     row_flags = rows.flags
+    decoded = rows.decoded
     static_templates: dict = {}
     pc_of_instr: dict = {}
 
@@ -865,6 +858,10 @@ def run_composed(sim) -> PipelineResult:
     rec_pres: tuple = ({}, {}, {})
     rec_ppre: dict = {}
     rec_stats0 = rec_totals0 = rec_cache0 = rec_pred0 = ()
+    # The last splice and the cycle it left the loop at: a lookup at that
+    # same cycle reads the ready tables exactly as the splice set them.
+    applied = None
+    applied_cycle = -1
     local_hits = local_misses = local_fallbacks = local_splices = 0
     evictions0 = chunk_memo_evictions
 
@@ -872,17 +869,23 @@ def run_composed(sim) -> PipelineResult:
     # ``head`` instead of ``pop(0)``-ing (O(queue length) per commit);
     # the dead prefix is compacted at the rare queue-rebuild points
     # (redirects, squashes) and whenever it outgrows the live suffix.
+    # With in-order issue every entry in [head, ip) has issued, so the
+    # issue and event-skip scans start at ``ip``, not at ``head``; every
+    # queue rebuild resets ``ip`` to 0 (the scans skip issued entries).
     queue: List[list] = []
     head = 0
-    #: Flat interval log: (seq, kind, alloc, issue, dealloc, instruction)
-    #: with -1 for "no seq" / "never issued" (see IntervalTimeline).
-    log: List[tuple] = []
-    log_append = log.append
+    ip = 0
+    #: Flat interval log, six slots per row: seq, kind, alloc, issue,
+    #: dealloc, instruction, with -1 for "no seq" / "never issued" (see
+    #: IntervalTimeline). Each column is one strided slice of it.
+    log: list = []
+    log_extend = log.extend
+    #: Memo splices, (log position, IntervalBlock, cycle, trace_ptr).
+    splices: List[tuple] = []
 
-    gpr_ready: dict = {}
-    pred_ready: dict = {}
-    gready = gpr_ready.get
-    pready = pred_ready.get
+    # Ready cycle per register number; -1 (or any cycle <= now) is ready.
+    gpr_ready = list(_NO_GPRS)
+    pred_ready = list(_NO_PREDICATES)
 
     trace_ptr = 0
     wrong_path_mode = False
@@ -951,7 +954,7 @@ def run_composed(sim) -> PipelineResult:
                     pred_update = real_pred_update
                     if head:
                         del queue[:head]
-                        head = 0
+                        head = ip = 0
                     if trace_ptr > rec_max:
                         rec_max = trace_ptr
                     seg = _finalize(
@@ -983,10 +986,15 @@ def run_composed(sim) -> PipelineResult:
                             and len(queue) - head <= _SIG_QUEUE_CAP:
                         if head:
                             del queue[:head]
-                            head = 0
+                            head = ip = 0
+                        if cycle == applied_cycle:
+                            glive, plive = applied.x_gpr, applied.x_pred
+                        else:
+                            glive = _live(gpr_ready, cycle)
+                            plive = _live(pred_ready, cycle)
                         key = _build_key(
                             cid, queue, row_cids, trace_ptr, cycle,
-                            gpr_ready, pred_ready, wrong_path_mode,
+                            glive, plive, wrong_path_mode,
                             wrong_pc, pending_redirect, pending_squashes,
                             mispredicted_entry, fetch_resume,
                             throttle_until, predictor._history)
@@ -998,15 +1006,19 @@ def run_composed(sim) -> PipelineResult:
                                 trace_n, row_cids, predictor._table,
                                 hierarchy)
                         if seg is not None:
+                            splices.append((len(log), seg.rows, cycle,
+                                            trace_ptr))
                             (queue, cycle, trace_ptr, wrong_path_mode,
                              wrong_pc, pending_redirect, pending_squashes,
                              mispredicted_entry, fetch_resume,
                              throttle_until) = _apply(
                                 seg, cycle, trace_ptr, rows,
                                 static_templates, pc_of_instr, program,
-                                log, gpr_ready, pred_ready, hierarchy,
+                                gpr_ready, pred_ready, hierarchy,
                                 predictor, stats)
-                            head = 0
+                            head = ip = 0
+                            applied = seg
+                            applied_cycle = cycle
                             td = seg.totals_d
                             l0_miss_total += td[0]
                             l1_miss_total += td[1]
@@ -1048,7 +1060,7 @@ def run_composed(sim) -> PipelineResult:
                                           hierarchy.l2.misses)
                             rec_pred0 = (predictor.predictions,
                                          predictor.mispredictions)
-        if recording and (len(log) - rec_mark > _ROW_CAP
+        if recording and (len(log) - rec_mark > 6 * _ROW_CAP
                           or len(rec_pres[0]) + len(rec_pres[1])
                           + len(rec_pres[2]) > _SET_CAP):
             recording = False
@@ -1063,13 +1075,13 @@ def run_composed(sim) -> PipelineResult:
             for entry in queue[head:] if head else queue:
                 if entry[E_WRONG]:
                     ic = entry[E_ISSUE]
-                    log_append((-1, KIND_WRONG_PATH, entry[E_ALLOC],
+                    log_extend((-1, KIND_WRONG_PATH, entry[E_ALLOC],
                                 -1 if ic is None else ic, cycle,
                                 entry[E_INSTR]))
                 else:
                     kept.append(entry)
             queue = kept
-            head = 0
+            head = ip = 0
             wrong_path_mode = False
             pending_redirect = None
             mispredicted_entry = None
@@ -1086,6 +1098,7 @@ def run_composed(sim) -> PipelineResult:
             if head:
                 del queue[:head]
                 head = 0
+            ip = 0
             miss_return = max(s[1] for s in fired)
             if throttle_action:
                 if throttle_until < miss_return:
@@ -1117,12 +1130,12 @@ def run_composed(sim) -> PipelineResult:
                     victim_has_branch = False
                     for entry in victims:
                         if entry[E_WRONG]:
-                            log_append((-1, KIND_WRONG_PATH,
+                            log_extend((-1, KIND_WRONG_PATH,
                                         entry[E_ALLOC], -1, cycle,
                                         entry[E_INSTR]))
                         else:
                             seq = entry[E_SEQ]
-                            log_append((seq, KIND_SQUASHED,
+                            log_extend((seq, KIND_SQUASHED,
                                         entry[E_ALLOC], -1, cycle,
                                         entry[E_INSTR]))
                             if rewind_to is None or seq < rewind_to:
@@ -1154,7 +1167,7 @@ def run_composed(sim) -> PipelineResult:
                             for entry in queue:
                                 if entry[E_WRONG]:
                                     ic = entry[E_ISSUE]
-                                    log_append((-1, KIND_WRONG_PATH,
+                                    log_extend((-1, KIND_WRONG_PATH,
                                                 entry[E_ALLOC],
                                                 -1 if ic is None else ic,
                                                 cycle, entry[E_INSTR]))
@@ -1178,13 +1191,13 @@ def run_composed(sim) -> PipelineResult:
             ic = entry[E_ISSUE]
             if ic is None or ic + commit_latency > cycle:
                 break
-            log_append((entry[E_SEQ], KIND_COMMITTED, entry[E_ALLOC], ic,
+            log_extend((entry[E_SEQ], KIND_COMMITTED, entry[E_ALLOC], ic,
                         cycle, entry[E_INSTR]))
             head += 1
             committed_now += 1
         if head >= 512 and head * 2 >= queue_len:
             del queue[:head]
-            head = 0
+            head = ip = 0
 
         # ---- issue --------------------------------------------------------
         # IN_ORDER: a not-ready instruction blocks everything younger.
@@ -1194,9 +1207,12 @@ def run_composed(sim) -> PipelineResult:
         mul_slots = cfg_mul_units
         branch_slots = cfg_branch_units
         issued_now = 0
-        scan_limit = len(queue) if in_order else \
-            min(len(queue), head + scheduler_window)
-        position = head
+        if in_order:
+            position = ip if ip > head else head
+            scan_limit = len(queue)
+        else:
+            position = head
+            scan_limit = min(len(queue), head + scheduler_window)
         while issued_now < issue_width and position < scan_limit:
             entry = queue[position]
             position += 1
@@ -1204,28 +1220,23 @@ def run_composed(sim) -> PipelineResult:
                 continue
             klass = entry[E_KLASS]
             if klass <= K_STORE:
-                if mem_slots == 0:
-                    if in_order:
-                        break
-                    continue
+                blocked = mem_slots == 0
             elif klass == K_MUL:
-                if mul_slots == 0:
-                    if in_order:
-                        break
-                    continue
+                blocked = mul_slots == 0
             elif klass == K_BRANCH:
-                if branch_slots == 0:
-                    if in_order:
-                        break
-                    continue
-            blocked = pready(entry[E_QP], -1) > cycle
+                blocked = branch_slots == 0
+            else:
+                blocked = False
             if not blocked:
-                for reg in entry[E_SRC]:
-                    if gready(reg, -1) > cycle:
-                        blocked = True
-                        break
+                blocked = pred_ready[entry[E_QP]] > cycle
+                if not blocked:
+                    for reg in entry[E_SRC]:
+                        if gpr_ready[reg] > cycle:
+                            blocked = True
+                            break
             if blocked:
                 if in_order:
+                    position -= 1  # ip stays on the blocked entry
                     break
                 continue
 
@@ -1279,6 +1290,8 @@ def run_composed(sim) -> PipelineResult:
                 dest = entry[E_DEST]
                 if dest and entry[E_EXEC]:
                     gpr_ready[dest] = cycle + alu_latency
+        if in_order:
+            ip = position
 
         # ---- fetch --------------------------------------------------------
         fetched = 0
@@ -1288,9 +1301,11 @@ def run_composed(sim) -> PipelineResult:
                 fetch_resume = cycle + 1 + geometric(
                     1.0 / bubble_len, maximum=20)
             else:
-                while fetched < fetch_width \
-                        and len(queue) - head < iq_entries:
-                    if wrong_path_mode:
+                room = iq_entries - len(queue) + head
+                if room > fetch_width:
+                    room = fetch_width
+                if wrong_path_mode:
+                    while fetched < room:
                         pc = wrong_pc
                         template = static_templates.get(pc)
                         if template is None:
@@ -1301,31 +1316,35 @@ def run_composed(sim) -> PipelineResult:
                         entry = template.copy()
                         entry[E_ALLOC] = cycle
                         queue.append(entry)
-                        stats["wrong_path_fetched"] += 1
                         fetched += 1
-                        continue
-                    if trace_ptr >= trace_n:
-                        break
-                    entry = _entry_for(rows, trace_ptr)
-                    entry[E_ALLOC] = cycle
-                    if entry[E_INSTR].opcode is Opcode.BR:
-                        taken = (row_flags[trace_ptr] & BRANCH_TAKEN
-                                 == BRANCH_TAKEN)
-                        pc = entry[E_PC]
-                        prediction = pred_update(pc, taken)
-                        if prediction != taken:
-                            entry[E_MISPRED] = True
-                            mispredicted_entry = entry
-                            wrong_path_mode = True
-                            wrong_pc = (pc + 1 if taken
-                                        else pc + entry[E_INSTR].imm)
-                            queue.append(entry)
-                            trace_ptr += 1
-                            fetched += 1
-                            break  # redirect ends the fetch group
-                    queue.append(entry)
-                    trace_ptr += 1
-                    fetched += 1
+                    stats["wrong_path_fetched"] += fetched
+                else:
+                    start = trace_ptr
+                    end = trace_ptr + room
+                    if end > trace_n:
+                        end = trace_n
+                    while trace_ptr < end:
+                        d = decoded[row_instr[trace_ptr]]
+                        flags = row_flags[trace_ptr]
+                        pc = row_pc[trace_ptr]
+                        entry = [trace_ptr, d[0], d[1], d[2], d[3], False,
+                                 cycle, None, False,
+                                 row_mem[trace_ptr] if flags & _MEMORY
+                                 else None,
+                                 flags & EXECUTED == EXECUTED, d[5], d[4],
+                                 pc]
+                        queue.append(entry)
+                        trace_ptr += 1
+                        if d[6]:
+                            taken = flags & BRANCH_TAKEN == BRANCH_TAKEN
+                            if pred_update(pc, taken) != taken:
+                                entry[E_MISPRED] = True
+                                mispredicted_entry = entry
+                                wrong_path_mode = True
+                                wrong_pc = pc + 1 if taken \
+                                    else pc + d[5].imm
+                                break  # a redirect ends the fetch group
+                    fetched = trace_ptr - start
         elif cycle < throttle_until:
             stats["throttle_cycles"] += 1
 
@@ -1390,9 +1409,12 @@ def run_composed(sim) -> PipelineResult:
         # non-issued entry matters; windowed OoO: the min over the
         # window). Stale ready-times lie in the past — clamp to nc, which
         # is exactly when a per-cycle step would re-test them.
-        position = head
-        scan_limit = queue_len if in_order else \
-            min(queue_len, head + scheduler_window)
+        if in_order:
+            position = ip
+            scan_limit = queue_len
+        else:
+            position = head
+            scan_limit = min(queue_len, head + scheduler_window)
         while position < scan_limit:
             entry = queue[position]
             position += 1
@@ -1402,9 +1424,9 @@ def run_composed(sim) -> PipelineResult:
                 if in_order:
                     break
                 continue
-            ready = pready(entry[E_QP], -1)
+            ready = pred_ready[entry[E_QP]]
             for reg in entry[E_SRC]:
-                r = gready(reg, -1)
+                r = gpr_ready[reg]
                 if r > ready:
                     ready = r
             if ready < nc:
@@ -1482,7 +1504,7 @@ def run_composed(sim) -> PipelineResult:
     return PipelineResult(
         cycles=cycle,
         committed=trace_n,
-        intervals=_assemble(log, rows, static_templates, program,
+        intervals=_assemble(log, splices, rows, static_templates, program,
                             pc_of_instr),
         iq_entries=iq_entries,
         stats=stats,

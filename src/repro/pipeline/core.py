@@ -44,8 +44,8 @@ from repro.util.rng import DeterministicRng, derive_seed
 #: exhibit sweeps, which run 3-4 triggers over one trace. Entries carry
 #: the exact address stream (the bytes of the trace's address column),
 #: so a (vanishingly unlikely) hash collision degrades to a recompute,
-#: never to wrong state. Process-local: worker
-#: processes each grow their own. Bounded LRU: a hit refreshes the entry,
+#: never to wrong state. Process-local: each pool worker
+#: grows its own and keeps it across its tasks. Bounded LRU: a hit refreshes the entry,
 #: inserting past the cap evicts the least-recently-used one (long
 #: multi-workload campaigns previously grew this without limit).
 _WARM_SNAPSHOTS: "OrderedDict" = OrderedDict()

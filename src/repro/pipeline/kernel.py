@@ -9,7 +9,7 @@ registers the issue stage tests.
 
 from __future__ import annotations
 
-from repro.isa.opcodes import InstrClass
+from repro.isa.opcodes import InstrClass, Opcode
 
 #: Functional-unit class codes (LOAD/STORE share the memory ports).
 K_LOAD, K_STORE, K_MUL, K_COMPARE, K_BRANCH, K_OTHER = range(6)
@@ -29,7 +29,10 @@ _INF = float("inf")
 
 
 def _decode(instruction):
-    """The per-instruction facts the hot loop needs, computed once."""
+    """The per-instruction facts the hot loop needs, computed once:
+    (klass, source GPRs, dest GPR, qp, dest predicate, the instruction,
+    whether it is a predicted ``BR``)."""
     return (_KMAP.get(instruction.instr_class, K_OTHER),
             instruction.source_gprs(), instruction.dest_gpr,
-            instruction.qp, instruction.dest_predicate)
+            instruction.qp, instruction.dest_predicate, instruction,
+            instruction.opcode is Opcode.BR)

@@ -64,19 +64,20 @@ def _worker_counters(context) -> dict:
 
 def _fresh_worker(cache_dir: Optional[str], **settings):
     """Install a private serial context in a pool worker and empty the
-    in-process memos an earlier task in the same worker left behind, so
-    every task computes, and counts, exactly what it would in a fresh
-    process whatever ran before it."""
+    result and chunk memos an earlier task in the same worker left
+    behind, so every task computes what it would in a fresh process.
+    Warm-hierarchy snapshots are kept, as the serial path keeps them:
+    each is keyed by, and compared with, the whole address stream it was
+    warmed on, so a restore equals a fresh warm-up and only the
+    ``warm_hierarchy_*`` counters differ."""
     from repro.experiments.common import clear_caches
     from repro.pipeline.compose import clear_chunk_memos
-    from repro.pipeline.core import clear_warm_snapshots
     from repro.runtime.cache import ResultCache
     from repro.runtime.context import RuntimeContext, set_runtime
 
     cache = ResultCache(cache_dir) if cache_dir else None
     context = set_runtime(RuntimeContext(jobs=1, cache=cache, **settings))
     clear_caches()
-    clear_warm_snapshots()
     clear_chunk_memos()
     return context
 

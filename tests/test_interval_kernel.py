@@ -89,6 +89,10 @@ class TestGoldenFile:
         keys.update(key for key, _ in golden.tiled_cases(
             golden.tiled_program()[0]))
         assert keys == set(GOLDEN)
+        # The 1-wide and 1-entry queues that squash on every L0 miss.
+        for name in ("narrow_l0", "one_entry_ooo_l0"):
+            assert {key for key, _ in golden.variant_cases(name)} <= keys
+        assert len(GOLDEN) == 188
 
 
 class TestDifferentialMatrix:

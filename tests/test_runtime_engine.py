@@ -135,6 +135,29 @@ class TestExperimentEquivalence:
         assert [r.report.ipc for r in first] == \
             [r.report.ipc for r in second]
 
+    def test_parallel_table1_reuses_warm_snapshots(self):
+        """Pool workers keep their warm-hierarchy snapshots across tasks:
+        Table 1 at jobs=2 matches serial byte for byte, and some profile
+        restores the warm state a worker built under another trigger
+        (each of 4 profiles runs 3 times on 2 workers)."""
+        from repro.experiments import table1
+        from repro.pipeline.core import clear_warm_snapshots
+
+        profiles = [_tiny_profile(f"warm-{c}") for c in "abcd"]
+        settings = ExperimentSettings(target_instructions=2000)
+        clear_caches()
+        clear_warm_snapshots()
+        with use_runtime():
+            serial = table1.format_result(table1.run(settings, profiles))
+        clear_caches()
+        clear_warm_snapshots()
+        with use_runtime(jobs=2) as context:
+            parallel = table1.format_result(table1.run(settings, profiles))
+            misses = context.telemetry.counters["warm_hierarchy_misses"]
+        clear_caches()
+        assert parallel == serial
+        assert 0 < misses < 3 * len(profiles)
+
     def test_parallel_workers_use_the_service_store(self, tmp_path):
         """Workers consult the context's remote timeline store too: with
         the service down, every parallel run records its failed lookup

@@ -250,8 +250,10 @@ class TestEnvKnobs:
 
     def test_client_timeout_configurable(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVICE_TIMEOUT", "42")
-        assert ServeClient("h:1").timeout == 42.0
-        assert ServeClient("h:1", timeout=7.0).timeout == 7.0  # explicit wins
+        with ServeClient("h:1") as client:
+            assert client.timeout == 42.0
+        with ServeClient("h:1", timeout=7.0) as client:
+            assert client.timeout == 7.0  # explicit wins
 
     def test_serve_config_overload_knobs(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_MAX_INFLIGHT", "3")
@@ -480,12 +482,12 @@ class TestServeClientReconnect:
         probe.close()
         policy = ClientPolicy(retries=50, backoff_base=0.05,
                               backoff_cap=0.1, jitter=0.0, deadline=0.15)
-        client = ServeClient(f"127.0.0.1:{dead_port}", timeout=0.2,
-                             policy=policy, breaker=quiet_breaker())
-        started = time.monotonic()
-        with pytest.raises(ConnectionError):
-            client.request({"op": "ping"})
-        elapsed = time.monotonic() - started
+        with ServeClient(f"127.0.0.1:{dead_port}", timeout=0.2,
+                         policy=policy, breaker=quiet_breaker()) as client:
+            started = time.monotonic()
+            with pytest.raises(ConnectionError):
+                client.request({"op": "ping"})
+            elapsed = time.monotonic() - started
         assert elapsed < 2.0
         assert client.counters["client_retries"] < 50
 
@@ -497,20 +499,21 @@ class TestServeClientReconnect:
         clock = FakeClock()
         breaker = CircuitBreaker(threshold=2, reset_timeout=30.0,
                                  clock=clock)
-        client = ServeClient(f"127.0.0.1:{dead_port}", timeout=0.2,
-                             policy=ClientPolicy(retries=0),
-                             breaker=breaker)
-        for _ in range(2):
-            with pytest.raises(ConnectionError):
+        with ServeClient(f"127.0.0.1:{dead_port}", timeout=0.2,
+                         policy=ClientPolicy(retries=0),
+                         breaker=breaker) as client:
+            for _ in range(2):
+                with pytest.raises(ConnectionError):
+                    client.request({"op": "ping"})
+            assert breaker.state == "open"
+            with pytest.raises(BreakerOpen) as exc_info:
                 client.request({"op": "ping"})
-        assert breaker.state == "open"
-        with pytest.raises(BreakerOpen) as exc_info:
-            client.request({"op": "ping"})
-        assert exc_info.value.retry_in == pytest.approx(30.0)
-        assert breaker.counters["breaker_failures"] == 2  # no new connects
-        clock.advance(31.0)
-        with pytest.raises(ConnectionError):  # the half-open probe
-            client.request({"op": "ping"})
+            assert exc_info.value.retry_in == pytest.approx(30.0)
+            # No new connects while open.
+            assert breaker.counters["breaker_failures"] == 2
+            clock.advance(31.0)
+            with pytest.raises(ConnectionError):  # the half-open probe
+                client.request({"op": "ping"})
         assert breaker.state == "open"
         assert breaker.counters["breaker_probes"] == 1
 

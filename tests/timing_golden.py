@@ -52,7 +52,9 @@ PROFILE_INSTRUCTIONS = 3000
 #: Tile factor of the tiled-trace cases.
 TILE_FACTOR = 10
 
-#: Machine variants of the ablations, as edits of a base machine.
+#: Machine variants, as edits of a base machine: those of the ablations,
+#: plus a 1-wide machine and a 1-entry out-of-order queue that squash on
+#: every L0 miss (queue rebuilds at their narrowest).
 VARIANTS = {
     "baseline": lambda m: m,
     "throttle": lambda m: replace(m, squash=SquashConfig(
@@ -71,6 +73,12 @@ VARIANTS = {
     "wide_machine": lambda m: replace(m, fetch_width=8, issue_width=8,
                                       commit_width=8),
     "queue_never_fills": lambda m: replace(m, iq_entries=16384),
+    "narrow_l0": lambda m: replace(
+        m, fetch_width=1, issue_width=1, commit_width=1,
+        squash=SquashConfig(trigger=Trigger.L0_MISS)),
+    "one_entry_ooo_l0": lambda m: replace(
+        m, iq_entries=1, issue_policy=IssuePolicy.OOO_WINDOW,
+        squash=SquashConfig(trigger=Trigger.L0_MISS)),
 }
 
 
