@@ -52,7 +52,7 @@ from repro.arch.executor import (
     snapshot_interval,
 )
 from repro.arch.result import ExecutionResult
-from repro.due.outcomes import FaultOutcome
+from repro.due.outcomes import FaultOutcome, Tally
 from repro.due.pi_bit import PiBitTracker
 from repro.due.tracking import BurstAction, TrackingLevel, classify_burst
 from repro.faults.mbu import (
@@ -629,8 +629,8 @@ class StrikeClassifier:
                              else iv.issue_cycle for iv in intervals]))
         return self._columns
 
-    def classify(self, batch: StrikeBatch) -> Tuple[Counter, int]:
-        """``(outcome counts, tracker misses)`` for one batch of trials."""
+    def classify(self, batch: StrikeBatch) -> Tally:
+        """The :class:`~repro.due.outcomes.Tally` of one batch of trials."""
         n = len(batch)
         self.trials += n
         seq_col, kind_col, issue_col = self._interval_columns()
@@ -669,7 +669,7 @@ class StrikeClassifier:
         rows = np.flatnonzero(survivors)
         self.vector_kills += n - len(rows)
         if not len(rows):
-            return counts, 0
+            return Tally(counts)
         bursts = np.left_shift(1, batch.bit[rows])
         if batch.mask is not None:
             bursts = np.where(batch.mask[rows] != 0, batch.mask[rows], bursts)
@@ -678,7 +678,7 @@ class StrikeClassifier:
                                         detected[rows].tolist())
 
     def _classify_survivors(self, counts: Counter, seqs: List[int],
-                            bursts: List[int], detects: List[bool]):
+                            bursts: List[int], detects: List[bool]) -> Tally:
         """Walk the committed-read survivors in trial order.
 
         A burst's static hint is the subset test ``burst ⊆ kill[seq]``,
@@ -700,7 +700,7 @@ class StrikeClassifier:
             hints = [False] * len(seqs)
         tracker = self.tracker
         executions_before = oracle.executions
-        tracker_misses = 0
+        misses = 0
         for seq, burst, hint, detect in zip(seqs, bursts, hints, detects):
             effect = oracle.effect_mask_from_hint(seq, burst, hint)
             if detect and tracker.process_fault(
@@ -713,8 +713,8 @@ class StrikeClassifier:
                 counts[_EFFECT_TO_OUTCOME[effect]] += 1
                 # A detected error the tracker let through: an artifact
                 # of replaying π propagation over the uncorrupted trace.
-                tracker_misses += detect
+                misses += detect
         executed = oracle.executions - executions_before
         self.reexecutions += executed
         self.scalar_kills += len(seqs) - executed
-        return counts, tracker_misses
+        return Tally(counts, misses)

@@ -1,4 +1,4 @@
-"""Monte-Carlo fault-injection campaigns."""
+"""Monte-Carlo fault-injection campaigns and their supervised execution."""
 
 from __future__ import annotations
 
@@ -7,31 +7,55 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import sqrt
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.arch.result import ExecutionResult
-from repro.due.outcomes import FaultOutcome
+from repro.due.outcomes import FaultOutcome, Tally
 from repro.due.tracking import DEFAULT_PET_ENTRIES, EccScheme, TrackingLevel
 from repro.faults.batch import (
     StrikeClassifier,
+    SubjectToken,
     draw_strike_batch,
     local_subject,
+    resolve_subject,
 )
 from repro.faults.mbu import get_preset
-from repro.faults.oracle import oracle_cache_key, persist
+from repro.faults.oracle import (
+    load_persisted,
+    oracle_cache_key,
+    persist,
+    validate_table,
+)
 from repro.isa.program import Program
 from repro.pipeline.result import PipelineResult
-from repro.runtime.cache import MISS, cache_key
-from repro.runtime.chaos import ChaosInjector
-from repro.runtime.checkpoint import CheckpointJournal
+from repro.runtime.cache import MISS, ResultCache, cache_key
+from repro.runtime.chaos import ChaosConfig, ChaosInjector
+from repro.runtime.checkpoint import CheckpointJournal, remaining_ranges
 from repro.runtime.context import get_runtime
 from repro.runtime.resilience import (
+    CacheCorrupt,
     CampaignInterrupted,
     CompletenessReport,
+    ResultInvalid,
+    RetryPolicy,
     RuntimeFault,
+    SubjectMismatch,
+    SupervisedTask,
+    Supervisor,
     TrialCrash,
-    execute_campaign,
+    start_watchdog,
 )
+from repro.runtime.telemetry import Telemetry
 from repro.util.rng import derive_seed
 
 
@@ -92,6 +116,10 @@ class CampaignResult:
     counts: Counter = field(default_factory=Counter)
     tracker_misses: int = 0
     completeness: Optional[CompletenessReport] = None
+
+    @property
+    def tally(self) -> Tally:
+        return Tally(self.counts, self.tracker_misses)
 
     @property
     def trials(self) -> int:
@@ -175,8 +203,8 @@ def run_trial_block(
     stop: int,
     on_trial: Optional[Callable[[int], None]] = None,
     classifier: Optional[StrikeClassifier] = None,
-) -> Tuple[Counter, int]:
-    """Classify trials ``[start, stop)``; returns (counts, tracker misses).
+) -> Tally:
+    """Classify trials ``[start, stop)`` and return their tally.
 
     The block draws its own strikes (:func:`~repro.faults.batch.
     draw_strike_batch`, a pure function of the trial indices) and
@@ -217,6 +245,254 @@ def run_trial_block(
         raise TrialCrash(
             f"trials [{start}, {stop}) raised {type(exc).__name__}: {exc}",
             trial_index=start if stop - start == 1 else None) from exc
+
+
+# ---------------------------------------------------------------------------
+# Campaign execution under supervision
+# ---------------------------------------------------------------------------
+
+def plan_blocks(spans: Sequence[Tuple[int, int]], jobs: int,
+                fine: bool = False) -> List[Tuple[int, int]]:
+    """Split remaining trial ranges into contiguous work blocks.
+
+    ``fine`` (used when checkpointing) raises the block count to roughly
+    4x the worker count so an interrupt loses at most a small block.
+    Blocking never affects tallies — only scheduling and checkpoint
+    granularity.
+    """
+    total = sum(stop - start for start, stop in spans)
+    if total == 0:
+        return []
+    target = max(1, jobs)
+    if fine:
+        target = max(target, min(total, target * 4))
+    chunk = max(1, -(-total // target))
+    blocks: List[Tuple[int, int]] = []
+    for start, stop in spans:
+        cursor = start
+        while cursor < stop:
+            upper = min(stop, cursor + chunk)
+            blocks.append((cursor, upper))
+            cursor = upper
+    return blocks
+
+
+class ShardResult(NamedTuple):
+    """What one shard hands back to :func:`execute_campaign`."""
+
+    tally: Tally
+    elapsed: float
+    #: Effect-oracle entries the shard computed, for the parent to persist.
+    oracle_new: Dict[Tuple[int, int], str]
+    #: Oracle, batch and burst counters: telemetry, which depends on the
+    #: sharding, so never part of the tally.
+    counters: Dict[str, int]
+
+
+def shard_worker(subject, pipeline_result, config, start: int, stop: int,
+                 chaos_config: Optional[ChaosConfig],
+                 cache_dir: Optional[str], attempt: int) -> ShardResult:
+    """Classify trials ``[start, stop)`` under optional chaos injection.
+
+    Runs in a worker process (or inline when serial). The process
+    resolves ``subject`` (a :class:`~repro.faults.batch.SubjectToken`) to
+    the program's strike subject, derived on its first shard of the
+    program and reused by every later one. The shard builds its own
+    classifier over it — its effect oracle preloaded from the persistent
+    cache when ``cache_dir`` is given — and only then starts its
+    watchdog clock, so none of that set-up counts against the per-trial
+    budget. Retry and quarantine operate on trial indices, because a
+    shard's strikes are a pure function of the indices it covers.
+    """
+    on_trial = None
+    if chaos_config is not None:
+        injector = ChaosInjector(chaos_config)
+        injector.maybe_kill(("shard", start, stop), attempt)
+
+        def on_trial(index: int) -> None:
+            injector.maybe_interrupt(("trial", index))
+            injector.maybe_delay(("trial", index))
+            injector.maybe_raise(("trial", index), attempt)
+
+    began = time.perf_counter()
+    strike_subject = resolve_subject(subject).prepare()
+    classifier = StrikeClassifier(strike_subject, pipeline_result, config)
+    if cache_dir is not None:
+        classifier.oracle.preload(load_persisted(
+            ResultCache(cache_dir), oracle_cache_key(subject.key)))
+    start_watchdog()
+
+    tally = run_trial_block(
+        subject.program, strike_subject.baseline, pipeline_result, config,
+        start, stop, on_trial=on_trial, classifier=classifier)
+    stats = classifier.oracle.counters()
+    stats.update(classifier.counters())
+    if config.scheme is not None or config.mbu_preset is not None:
+        # Legacy single-bit campaigns skip the merge so their telemetry
+        # dumps stay byte-identical to pre-MBU runs.
+        stats.update(classifier.burst_counters())
+    return ShardResult(tally, time.perf_counter() - began,
+                       classifier.oracle.new_entries(), stats)
+
+
+def validate_shard(value: Any, task: SupervisedTask) -> None:
+    """Reject a structurally invalid shard result (:class:`ResultInvalid`)."""
+    ok = (isinstance(value, ShardResult)
+          and isinstance(value.tally, Tally)
+          and isinstance(value.elapsed, float)
+          and validate_table(value.oracle_new) is not None
+          and isinstance(value.counters, dict)
+          and all(isinstance(k, str) and isinstance(n, int)
+                  for k, n in value.counters.items()))
+    if not ok:
+        raise ResultInvalid(
+            f"shard {task.key} returned a malformed result: {value!r:.120}")
+    value.tally.check(task.items, ResultInvalid)
+
+
+def execute_campaign(
+    program,
+    baseline,
+    pipeline_result,
+    config,
+    jobs: int,
+    *,
+    policy: Optional[RetryPolicy] = None,
+    telemetry: Optional[Telemetry] = None,
+    journal: Optional[CheckpointJournal] = None,
+    chaos: Optional[ChaosConfig] = None,
+    cache_dir: Optional[str] = None,
+) -> Tuple[Tally, CompletenessReport, Dict[Tuple[int, int], str]]:
+    """Run a campaign under full supervision.
+
+    Handles resume (merging a checkpoint journal's completed ranges),
+    retry/backoff, watchdog deadlines, pool rebuilds, two-phase
+    quarantine (failed blocks are split into single trials so only the
+    deterministically-failing indices are lost), and checkpointing of
+    every completed block. Returns ``(tally, report, oracle_new)`` where
+    ``oracle_new`` is the union of effect-oracle entries the shards
+    computed (for the caller to persist). ``journal`` must cover
+    ``config.trials`` trials.
+
+    Each shard draws its own trials' strikes, so a degenerate pipeline
+    result that cannot be sampled fails inside every shard as a
+    :class:`TrialCrash` and ends in the quarantine report.
+
+    Pooled shards carry a slim subject token, not the baseline: each
+    worker re-derives the program's run once and checks it against the
+    token. If the caller's baseline is not that run, a worker that does
+    not hold its subject fails with :class:`SubjectMismatch` before
+    classifying anything; the blocks not yet merged then run again with
+    the baseline shipped.
+
+    A corrupt journal is discarded (counted in telemetry) and the
+    campaign restarts from zero — never trust, always re-derive.
+    """
+    policy = policy or RetryPolicy()
+    telemetry = telemetry or Telemetry()
+    tally = Tally(Counter())
+    oracle_new: Dict[Tuple[int, int], str] = {}
+    covered: Sequence[Tuple[int, int]] = ()
+
+    if journal is not None:
+        try:
+            state = journal.load()
+        except CacheCorrupt:
+            telemetry.increment("checkpoint_corrupt")
+            journal.discard()
+            state = None
+        if state is not None:
+            tally, covered = state.tally, state.ranges
+    resumed = sum(stop - start for start, stop in covered)
+    if resumed:
+        telemetry.increment("checkpoint_resumed_trials", resumed)
+
+    blocks = plan_blocks(remaining_ranges(config.trials, covered), jobs,
+                         fine=journal is not None)
+    #: Ranges whose tallies are merged; a pass cut short by a
+    #: SubjectMismatch runs only the others again.
+    accepted: set = set()
+
+    def on_result(index: int, task: SupervisedTask,
+                  shard: ShardResult) -> None:
+        nonlocal tally
+        tally = tally.merge(shard.tally)
+        oracle_new.update(shard.oracle_new)
+        accepted.add(task.key)
+        start, stop = task.key
+        if journal is not None:
+            journal.record(start, stop, shard.tally)
+            telemetry.increment("checkpoint_writes")
+        telemetry.merge_counters(shard.counters)
+        telemetry.record_worker("campaign", index, task.items, shard.elapsed)
+
+    key = local_subject(program, baseline).key
+    ship_baseline = False
+    retries = 0
+
+    def run_pass(spans: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
+        nonlocal ship_baseline, retries
+        while True:
+            todo = [span for span in spans if span not in accepted]
+            pooled = jobs > 1 and len(todo) > 1
+            subject = SubjectToken(key, program, baseline
+                                   if ship_baseline or not pooled else None)
+            tasks = [
+                SupervisedTask(
+                    fn=shard_worker,
+                    args=(subject, pipeline_result, config, start, stop,
+                          chaos, cache_dir),
+                    items=stop - start, key=(start, stop), deadline=True)
+                for start, stop in todo
+            ]
+            supervisor = Supervisor(policy, label="campaign",
+                                    max_workers=jobs, telemetry=telemetry,
+                                    quarantine=True, validate=validate_shard,
+                                    on_result=on_result)
+            try:
+                bad = (supervisor.run_pooled(tasks) if pooled
+                       else supervisor.run_serial(tasks))
+            except SubjectMismatch:
+                if ship_baseline:
+                    raise
+                # Some worker could not re-derive the baseline: ship it
+                # from now on, to the blocks still unmerged.
+                ship_baseline = True
+                telemetry.increment("baselines_shipped")
+                continue
+            finally:
+                retries += supervisor.retries
+            return [tasks[i].key for i in bad]
+
+    quarantined: List[int] = []
+    try:
+        bad_blocks = run_pass(blocks)
+        if bad_blocks:
+            # Phase 2: isolate the deterministic failures trial-by-trial.
+            singles = [(index, index + 1)
+                       for start, stop in bad_blocks
+                       for index in range(start, stop)]
+            bad_trials = run_pass(singles)
+            quarantined = sorted(start for start, _ in bad_trials)
+    except KeyboardInterrupt:
+        done = sum(tally.counts.values())
+        raise CampaignInterrupted(
+            f"campaign interrupted after {done}/{config.trials} trials"
+            + ("; checkpoint journal flushed" if journal is not None
+               else ""),
+            trials_done=done) from None
+
+    if quarantined:
+        telemetry.increment("quarantined_trials", len(quarantined))
+
+    report = CompletenessReport(
+        trials_requested=config.trials,
+        trials_succeeded=config.trials - len(quarantined),
+        quarantined=tuple(quarantined),
+        retries=retries,
+        resumed_trials=resumed,
+    )
+    return tally, report, oracle_new
 
 
 def campaign_key(program: Program, baseline: ExecutionResult,
@@ -279,15 +555,14 @@ def run_campaign(
         cached = runtime.cache.get(campaign_id)
         if cached is not MISS:
             try:
-                counts, tracker_misses = cached
-                counts = Counter(counts)
+                counts, misses = cached
+                tally = Tally(Counter(counts), misses).check(config.trials)
             except (TypeError, ValueError):
                 # Unpicklable-but-wrong-shape entry: fall through and
                 # recompute; the fresh put below overwrites it.
                 runtime.cache.errors += 1
             else:
-                return CampaignResult(config=config, counts=counts,
-                                      tracker_misses=tracker_misses)
+                return CampaignResult(config, *tally)
 
     journal = None
     if checkpoint_dir is not None:
@@ -299,7 +574,7 @@ def run_campaign(
 
     began = time.perf_counter()
     try:
-        counts, tracker_misses, completeness, oracle_new = execute_campaign(
+        tally, completeness, oracle_new = execute_campaign(
             program, baseline, pipeline_result, config, effective_jobs,
             policy=runtime.policy, telemetry=telemetry, journal=journal,
             chaos=chaos, cache_dir=runtime.cache_dir)
@@ -322,7 +597,8 @@ def run_campaign(
     if runtime.cache is not None and completeness.complete:
         # Degraded tallies are never cached: a later run with a healthier
         # environment must be able to produce the full campaign.
-        runtime.cache.put(campaign_id, (dict(counts), tracker_misses))
+        counts, misses = tally
+        runtime.cache.put(campaign_id, (dict(counts), misses))
         if chaos is not None and chaos.enabled("corrupt-cache"):
             ChaosInjector(chaos).corrupt_file(
                 runtime.cache.path_for(campaign_id),
@@ -333,6 +609,4 @@ def run_campaign(
         ChaosInjector(chaos).corrupt_file(journal.path, "journal",
                                           campaign_id[:12])
         telemetry.increment("chaos_corruptions")
-    return CampaignResult(config=config, counts=counts,
-                          tracker_misses=tracker_misses,
-                          completeness=completeness)
+    return CampaignResult(config, *tally, completeness=completeness)

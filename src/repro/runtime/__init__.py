@@ -7,6 +7,12 @@ identical results whether they run serially, across worker processes,
 out of the persistent cache, or through a crash/retry/resume history —
 the supervision layer (:mod:`repro.runtime.resilience`) guarantees that
 failures cost wall-clock time, never correctness.
+
+The runtime knows nothing of what a campaign counts. Campaign
+orchestration (block planning, the shard worker, merging and journalling
+each block's :class:`~repro.due.outcomes.Tally`) lives in
+:mod:`repro.faults.campaign`; the checkpoint journal
+(:mod:`repro.runtime.checkpoint`) stores tallies in their JSON form.
 """
 
 from repro.runtime.cache import CODE_VERSION, MISS, ResultCache, cache_key
@@ -20,6 +26,7 @@ from repro.runtime.checkpoint import (
     JOURNAL_VERSION,
     CheckpointJournal,
     JournalState,
+    remaining_ranges,
 )
 from repro.runtime.context import (
     RuntimeContext,
@@ -43,7 +50,6 @@ from repro.runtime.resilience import (
     TrialTimeout,
     WorkerLost,
     classify_failure,
-    remaining_ranges,
 )
 from repro.runtime.telemetry import Telemetry, WorkerTiming
 

@@ -22,8 +22,9 @@ import pickle
 import tempfile
 from array import array
 from enum import Enum
+from functools import partial
 from pathlib import Path
-from typing import Any, Iterator, Union
+from typing import Any, BinaryIO, Callable, Iterator, Union
 
 from repro.util.gcpause import gc_paused
 
@@ -147,9 +148,44 @@ def cache_key(*parts: Any) -> str:
     return digest.hexdigest()
 
 
-def fingerprint_program(program: Any) -> str:
-    """Content hash of a program's code, layout, and metadata."""
-    return cache_key(program)
+def _fsync_directory(directory: Path) -> None:
+    """Best-effort fsync of a directory entry (no-op where unsupported)."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
+
+
+def atomic_write(path: Path, write: Callable[[BinaryIO], object]) -> None:
+    """Durably replace ``path`` with what ``write`` writes to a handle.
+
+    The bytes go to a temp file beside ``path``, are flushed and
+    fsynced, then renamed over ``path`` (and the directory entry is
+    fsynced), so a crash mid-write never leaves a torn file under the
+    real name.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-",
+                                    suffix=path.suffix)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            write(handle)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+    _fsync_directory(path.parent)
 
 
 class ResultCache:
@@ -196,25 +232,9 @@ class ResultCache:
         entry under the real key — corruption tolerance on read is the
         backstop, not the plan.
         """
-        path = self.path_for(key)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(dir=path.parent,
-                                            prefix=".tmp-", suffix=".pkl")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(value, handle,
-                                protocol=pickle.HIGHEST_PROTOCOL)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp_name, path)
-                self._fsync_dir(path.parent)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            atomic_write(self.path_for(key), partial(
+                pickle.dump, value, protocol=pickle.HIGHEST_PROTOCOL))
         except Exception:
             self.errors += 1
             return False
@@ -234,20 +254,6 @@ class ResultCache:
             get_runtime().telemetry.increment("cache_corrupt_entries")
         except Exception:
             pass
-
-    @staticmethod
-    def _fsync_dir(directory: Path) -> None:
-        """Best-effort fsync of the directory entry after a rename."""
-        try:
-            fd = os.open(directory, os.O_RDONLY)
-        except OSError:
-            return
-        try:
-            os.fsync(fd)
-        except OSError:
-            pass
-        finally:
-            os.close(fd)
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*/*.pkl"))

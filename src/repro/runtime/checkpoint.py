@@ -1,10 +1,9 @@
 """Atomic, versioned checkpoint journal for interruptible campaigns.
 
 A campaign periodically records each completed block of trials —
-``(start, stop, outcome tallies, tracker misses)`` — into a JSON journal
-keyed by the campaign's content hash. Writes are torn-write safe: the
-payload goes to a temp file, is flushed and fsynced, then atomically
-renamed over the journal (the directory entry is fsynced too). A
+``(start, stop)`` plus the block's :class:`~repro.due.outcomes.Tally` —
+into a JSON journal keyed by the campaign's content hash. Writes are
+torn-write safe (:func:`~repro.runtime.cache.atomic_write`). A
 ``--resume`` run loads the journal, re-validates it end to end (format
 version, campaign key, trial count, per-range tally sums, a sha256
 checksum over the canonical payload), merges the completed ranges, and
@@ -20,15 +19,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.due.outcomes import FaultOutcome
-from repro.runtime.resilience import CacheCorrupt, remaining_ranges
+from repro.due.outcomes import Tally
+from repro.runtime.cache import atomic_write
+from repro.runtime.resilience import CacheCorrupt
 
 #: Bump when the journal format changes; old journals are discarded.
 JOURNAL_VERSION = 1
@@ -39,12 +37,35 @@ class JournalState:
     """Validated contents of a checkpoint journal."""
 
     ranges: Tuple[Tuple[int, int], ...]
-    counts: Counter
-    tracker_misses: int
+    tally: Tally
 
-    @property
-    def trials_covered(self) -> int:
-        return sum(stop - start for start, stop in self.ranges)
+
+def remaining_ranges(trials: int,
+                     covered: Sequence[Tuple[int, int]]
+                     ) -> List[Tuple[int, int]]:
+    """Complement of ``covered`` within ``range(trials)``.
+
+    Raises :class:`CacheCorrupt` when the covered ranges overlap or fall
+    outside the campaign — a journal claiming impossible coverage is
+    corrupt even if its checksum matches.
+    """
+    spans = sorted((int(start), int(stop)) for start, stop in covered)
+    out: List[Tuple[int, int]] = []
+    cursor = 0
+    for start, stop in spans:
+        if start < 0 or stop > trials or start >= stop:
+            raise CacheCorrupt(
+                f"checkpoint range [{start}, {stop}) outside campaign "
+                f"of {trials} trials")
+        if start < cursor:
+            raise CacheCorrupt(
+                f"overlapping checkpoint ranges at trial {start}")
+        if start > cursor:
+            out.append((cursor, start))
+        cursor = stop
+    if cursor < trials:
+        out.append((cursor, trials))
+    return out
 
 
 def _canonical(payload: Mapping) -> bytes:
@@ -56,40 +77,6 @@ def _checksum(payload: Mapping) -> str:
     body = {key: value for key, value in payload.items()
             if key != "checksum"}
     return hashlib.sha256(_canonical(body)).hexdigest()
-
-
-def fsync_directory(directory: Path) -> None:
-    """Best-effort fsync of a directory entry (no-op where unsupported)."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
-
-
-def atomic_write(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` via flush + fsync + atomic rename."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-",
-                                    suffix=path.suffix)
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    fsync_directory(path.parent)
 
 
 class CheckpointJournal:
@@ -141,63 +128,35 @@ class CheckpointJournal:
         if not isinstance(entries, list):
             raise CacheCorrupt("checkpoint journal entries missing")
 
-        counts: Counter = Counter()
-        tracker_misses = 0
+        tally = Tally(Counter())
         ranges: List[Tuple[int, int]] = []
         for entry in entries:
-            state = self._validate_entry(entry)
-            start, stop, entry_counts, misses = state
+            start, stop, entry_tally = self._validate_entry(entry)
             ranges.append((start, stop))
-            counts.update(entry_counts)
-            tracker_misses += misses
+            tally = tally.merge(entry_tally)
         # Overlap / bounds validation (raises CacheCorrupt).
         remaining_ranges(self.trials, ranges)
         self._entries = [dict(entry) for entry in entries]
-        return JournalState(ranges=tuple(ranges), counts=counts,
-                            tracker_misses=tracker_misses)
+        return JournalState(ranges=tuple(ranges), tally=tally)
 
     @staticmethod
-    def _validate_entry(entry) -> Tuple[int, int, Counter, int]:
+    def _validate_entry(entry) -> Tuple[int, int, Tally]:
         if not isinstance(entry, dict):
             raise CacheCorrupt("checkpoint entry is not an object")
         try:
             start = int(entry["start"])
             stop = int(entry["stop"])
-            misses = int(entry["misses"])
-            raw_counts = entry["counts"]
         except (KeyError, TypeError, ValueError) as exc:
             raise CacheCorrupt(f"malformed checkpoint entry: {exc}")
-        if not isinstance(raw_counts, dict) or misses < 0:
-            raise CacheCorrupt("malformed checkpoint entry")
-        counts: Counter = Counter()
-        for name, value in raw_counts.items():
-            try:
-                outcome = FaultOutcome(name)
-            except ValueError:
-                raise CacheCorrupt(f"unknown outcome {name!r} in checkpoint")
-            if not isinstance(value, int) or value < 0:
-                raise CacheCorrupt(f"bad tally for {name!r} in checkpoint")
-            counts[outcome] = value
-        if sum(counts.values()) != stop - start:
-            raise CacheCorrupt(
-                f"checkpoint entry [{start}, {stop}) tallies "
-                f"{sum(counts.values())} trials")
-        return start, stop, counts, misses
+        tally = Tally.from_json(entry, CacheCorrupt)
+        return start, stop, tally.check(stop - start, CacheCorrupt)
 
     # -- writing ---------------------------------------------------------
 
-    def record(self, start: int, stop: int,
-               counts: Mapping[FaultOutcome, int],
-               tracker_misses: int) -> None:
+    def record(self, start: int, stop: int, tally: Tally) -> None:
         """Append one completed block and flush the journal atomically."""
-        self._entries.append({
-            "start": int(start),
-            "stop": int(stop),
-            "misses": int(tracker_misses),
-            "counts": {outcome.value: int(n)
-                       for outcome, n in sorted(counts.items(),
-                                                key=lambda kv: kv[0].value)},
-        })
+        self._entries.append(
+            {"start": int(start), "stop": int(stop), **tally.to_json()})
         self._write()
 
     def _write(self) -> None:
@@ -208,14 +167,13 @@ class CheckpointJournal:
             "entries": self._entries,
         }
         payload["checksum"] = _checksum(payload)
-        atomic_write(self.path, _canonical(payload))
+        data = _canonical(payload)
+        atomic_write(self.path, lambda handle: handle.write(data))
 
     def discard(self) -> None:
         """Forget all recorded blocks and remove the on-disk journal."""
         self._entries = []
         try:
             self.path.unlink()
-        except FileNotFoundError:
-            pass
         except OSError:
             pass

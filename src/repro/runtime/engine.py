@@ -17,7 +17,7 @@ here runs under a :class:`~repro.runtime.resilience.Supervisor` that
 borrows the runtime context's worker pool, classifies failures, retries
 with backoff, enforces watchdog deadlines, and replaces the pool when
 workers die. Campaign trials fan out through
-:func:`repro.runtime.resilience.execute_campaign`.
+:func:`repro.faults.campaign.execute_campaign`.
 """
 
 from __future__ import annotations

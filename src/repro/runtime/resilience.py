@@ -15,10 +15,14 @@ This module wraps that pool with a supervisor that
   budget, completing the campaign in degraded mode with an explicit
   :class:`CompletenessReport`.
 
-Determinism is preserved throughout: a shard's tallies depend only on
+Determinism is preserved throughout: a shard's result depends only on
 which trial indices it covers (per-trial seed streams), so re-running a
 shard after a crash — or splitting it into single trials to isolate a
 poisoned index — reproduces the fault-free result bit-for-bit.
+
+Campaign orchestration on top of this supervisor (block planning, the
+shard worker, journalled resume) lives in the fault layer, beside the
+campaign it runs; this module knows nothing of what a task computes.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import itertools
 import multiprocessing
 import threading
 import time
-from collections import Counter, deque
+from collections import deque
 from contextlib import contextmanager
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -48,8 +52,6 @@ from typing import (
     Tuple,
 )
 
-from repro.due.outcomes import FaultOutcome
-from repro.runtime.chaos import ChaosConfig, ChaosInjector
 from repro.runtime.telemetry import Telemetry
 from repro.util.rng import DeterministicRng, derive_seed
 
@@ -149,13 +151,13 @@ class CacheCorrupt(RuntimeFault):
 
 
 class ResultInvalid(RuntimeFault):
-    """A worker returned structurally invalid tallies."""
+    """A worker returned a structurally invalid result."""
 
 
 class SubjectMismatch(RuntimeFault):
     """A worker re-derived a different baseline than the campaign's.
 
-    Raised by :func:`repro.faults.batch.resolve_subject` when a slim
+    Raised by the fault layer's ``resolve_subject`` when a slim
     shard's program does not re-run to the baseline its token names (a
     truncated or hand-built baseline, say). Never retried: the
     supervisor raises it at once and the campaign runs its unfinished
@@ -305,7 +307,7 @@ class WorkerPool:
     Started on first borrow with ``max(jobs, requested)`` workers and
     kept between fan-outs, so a run of campaigns pays the process
     start-up once and each worker keeps what it derived for earlier
-    tasks (the strike subjects of :mod:`repro.faults.batch`). One
+    tasks (a campaign's strike subjects, say). One
     fan-out holds the pool at a time (:meth:`lease`), so a rebuild never
     kills another fan-out's work and a task's watchdog clock never runs
     while it waits for a worker. :meth:`replace` kills a broken or hung
@@ -630,311 +632,3 @@ class Supervisor:
             workers.replace(pool)
             raise
         return quarantined
-
-
-# ---------------------------------------------------------------------------
-# Campaign execution under supervision
-# ---------------------------------------------------------------------------
-
-def remaining_ranges(trials: int,
-                     covered: Sequence[Tuple[int, int]]
-                     ) -> List[Tuple[int, int]]:
-    """Complement of ``covered`` within ``range(trials)``.
-
-    Raises :class:`CacheCorrupt` when the covered ranges overlap or fall
-    outside the campaign — a journal claiming impossible coverage is
-    corrupt even if its checksum matches.
-    """
-    spans = sorted((int(start), int(stop)) for start, stop in covered)
-    out: List[Tuple[int, int]] = []
-    cursor = 0
-    for start, stop in spans:
-        if start < 0 or stop > trials or start >= stop:
-            raise CacheCorrupt(
-                f"checkpoint range [{start}, {stop}) outside campaign "
-                f"of {trials} trials")
-        if start < cursor:
-            raise CacheCorrupt(
-                f"overlapping checkpoint ranges at trial {start}")
-        if start > cursor:
-            out.append((cursor, start))
-        cursor = stop
-    if cursor < trials:
-        out.append((cursor, trials))
-    return out
-
-
-def plan_blocks(spans: Sequence[Tuple[int, int]], jobs: int,
-                fine: bool = False) -> List[Tuple[int, int]]:
-    """Split remaining trial ranges into contiguous work blocks.
-
-    ``fine`` (used when checkpointing) raises the block count to roughly
-    4x the worker count so an interrupt loses at most a small block.
-    Blocking never affects tallies — only scheduling and checkpoint
-    granularity.
-    """
-    total = sum(stop - start for start, stop in spans)
-    if total == 0:
-        return []
-    target = max(1, jobs)
-    if fine:
-        target = max(target, min(total, target * 4))
-    chunk = max(1, -(-total // target))
-    blocks: List[Tuple[int, int]] = []
-    for start, stop in spans:
-        cursor = start
-        while cursor < stop:
-            upper = min(stop, cursor + chunk)
-            blocks.append((cursor, upper))
-            cursor = upper
-    return blocks
-
-
-def shard_worker(subject, pipeline_result, config, start: int, stop: int,
-                 chaos_config: Optional[ChaosConfig],
-                 cache_dir: Optional[str], attempt: int):
-    """Classify trials ``[start, stop)`` under optional chaos injection.
-
-    Runs in a worker process (or inline when serial). ``subject`` is a
-    :class:`~repro.faults.batch.SubjectToken`; the process resolves it to
-    the program's :class:`~repro.faults.batch.StrikeSubject`, derived on
-    its first shard of the program and reused by every later one. Each
-    shard then builds its own :class:`~repro.faults.batch.StrikeClassifier`
-    over the subject — preloading its effect oracle from the persistent
-    cache when ``cache_dir`` is given — starts its watchdog clock (so
-    none of that set-up counts against the per-trial budget), draws and
-    classifies its strikes,
-    and returns ``(counts dict, tracker_misses, elapsed_seconds, oracle
-    new-entry dict, counter dict)``; the parent merges the last two so
-    no re-execution is ever repeated in a later run. Retry and
-    quarantine operate on trial indices, because a shard's strikes are a
-    pure function of the indices it covers.
-    """
-    from repro.faults.batch import StrikeClassifier, resolve_subject
-    from repro.faults.campaign import run_trial_block
-    from repro.faults.oracle import load_persisted, oracle_cache_key
-
-    injector = ChaosInjector(chaos_config) if chaos_config else None
-    if injector is not None:
-        injector.maybe_kill(("shard", start, stop), attempt)
-
-    on_trial = None
-    if injector is not None:
-        def on_trial(index: int) -> None:
-            injector.maybe_interrupt(("trial", index))
-            injector.maybe_delay(("trial", index))
-            injector.maybe_raise(("trial", index), attempt)
-
-    began = time.perf_counter()
-    strike_subject = resolve_subject(subject).prepare()
-    classifier = StrikeClassifier(strike_subject, pipeline_result, config)
-    if cache_dir is not None:
-        from repro.runtime.cache import ResultCache
-
-        classifier.oracle.preload(load_persisted(
-            ResultCache(cache_dir), oracle_cache_key(subject.key)))
-    start_watchdog()
-
-    counts, tracker_misses = run_trial_block(
-        subject.program, strike_subject.baseline, pipeline_result, config,
-        start, stop, on_trial=on_trial, classifier=classifier)
-    stats = classifier.oracle.counters()
-    stats.update(classifier.counters())
-    if config.scheme is not None or config.mbu_preset is not None:
-        # Legacy single-bit campaigns skip the merge so their telemetry
-        # dumps stay byte-identical to pre-MBU runs.
-        stats.update(classifier.burst_counters())
-    return (dict(counts), tracker_misses, time.perf_counter() - began,
-            classifier.oracle.new_entries(), stats)
-
-
-def validate_shard(value: Any, task: SupervisedTask) -> None:
-    """Reject structurally invalid worker tallies (:class:`ResultInvalid`)."""
-    from repro.faults.oracle import validate_table
-
-    ok = False
-    try:
-        counts, tracker_misses, elapsed, oracle_new, oracle_counters = value
-        ok = (isinstance(counts, dict)
-              and all(isinstance(outcome, FaultOutcome)
-                      and isinstance(n, int) and n >= 0
-                      for outcome, n in counts.items())
-              and sum(counts.values()) == task.items
-              and isinstance(tracker_misses, int) and tracker_misses >= 0
-              and isinstance(elapsed, float)
-              and validate_table(oracle_new) is not None
-              and isinstance(oracle_counters, dict)
-              and all(isinstance(k, str) and isinstance(n, int)
-                      for k, n in oracle_counters.items()))
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
-        raise ResultInvalid(
-            f"shard {task.key} returned malformed tallies: {value!r:.120}")
-
-
-def execute_campaign(
-    program,
-    baseline,
-    pipeline_result,
-    config,
-    jobs: int,
-    *,
-    policy: Optional[RetryPolicy] = None,
-    telemetry: Optional[Telemetry] = None,
-    journal=None,
-    chaos: Optional[ChaosConfig] = None,
-    cache_dir: Optional[str] = None,
-) -> Tuple[Counter, int, CompletenessReport, Dict[Tuple[int, int], str]]:
-    """Run a campaign under full supervision.
-
-    Handles resume (merging a checkpoint journal's completed ranges),
-    retry/backoff, watchdog deadlines, pool rebuilds, two-phase
-    quarantine (failed blocks are split into single trials so only the
-    deterministically-failing indices are lost), and checkpointing of
-    every completed block. Returns ``(counts, tracker_misses, report,
-    oracle_new)`` where ``oracle_new`` is the union of effect-oracle
-    entries the shards computed (for the caller to persist).
-
-    Each shard draws its own trials' strikes, so a degenerate pipeline
-    result that cannot be sampled fails inside every shard as a
-    :class:`TrialCrash` and ends in the quarantine report.
-
-    Pooled shards carry a slim subject token, not the baseline: each
-    worker re-derives the program's run once and checks it against the
-    token. If the caller's baseline is not that run, a worker that does
-    not hold its subject fails with :class:`SubjectMismatch` before
-    classifying anything; the blocks not yet merged then run again with
-    the baseline shipped.
-
-    A corrupt journal is discarded (counted in telemetry) and the
-    campaign restarts from zero — never trust, always re-derive.
-    """
-    # Local import: the fault layer imports this module.
-    from repro.faults.batch import SubjectToken, local_subject
-
-    policy = policy or RetryPolicy()
-    counts: Counter = Counter()
-    tracker_misses = 0
-    oracle_new: Dict[Tuple[int, int], str] = {}
-    resumed = 0
-    covered: List[Tuple[int, int]] = []
-
-    if journal is not None:
-        try:
-            state = journal.load()
-        except CacheCorrupt:
-            if telemetry is not None:
-                telemetry.increment("checkpoint_corrupt")
-            journal.discard()
-            state = None
-        if state is not None:
-            counts.update(state.counts)
-            tracker_misses += state.tracker_misses
-            covered = list(state.ranges)
-            resumed = sum(stop - start for start, stop in covered)
-            if telemetry is not None:
-                telemetry.increment("checkpoint_resumed_trials", resumed)
-
-    try:
-        remaining = remaining_ranges(config.trials, covered)
-    except CacheCorrupt:
-        # Impossible coverage claims: start over from nothing.
-        if telemetry is not None:
-            telemetry.increment("checkpoint_corrupt")
-        if journal is not None:
-            journal.discard()
-        counts.clear()
-        tracker_misses = 0
-        resumed = 0
-        remaining = [(0, config.trials)]
-
-    blocks = plan_blocks(remaining, jobs, fine=journal is not None)
-    #: Ranges whose tallies are merged; a pass cut short by a
-    #: SubjectMismatch runs only the others again.
-    accepted: set = set()
-
-    def on_result(index: int, task: SupervisedTask, value) -> None:
-        nonlocal tracker_misses
-        shard_counts, shard_misses, seconds, shard_oracle, oracle_stats = value
-        counts.update(shard_counts)
-        tracker_misses += shard_misses
-        oracle_new.update(shard_oracle)
-        accepted.add(task.key)
-        start, stop = task.key
-        if journal is not None:
-            journal.record(start, stop, shard_counts, shard_misses)
-            if telemetry is not None:
-                telemetry.increment("checkpoint_writes")
-        if telemetry is not None:
-            telemetry.merge_counters(oracle_stats)
-            telemetry.record_worker("campaign", index, task.items, seconds)
-
-    key = local_subject(program, baseline).key
-    ship_baseline = False
-    retries = 0
-
-    def run_pass(spans: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
-        nonlocal ship_baseline, retries
-        while True:
-            todo = [span for span in spans if span not in accepted]
-            pooled = jobs > 1 and len(todo) > 1
-            subject = SubjectToken(key, program, baseline
-                                   if ship_baseline or not pooled else None)
-            tasks = [
-                SupervisedTask(
-                    fn=shard_worker,
-                    args=(subject, pipeline_result, config, start, stop,
-                          chaos, cache_dir),
-                    items=stop - start, key=(start, stop), deadline=True)
-                for start, stop in todo
-            ]
-            supervisor = Supervisor(policy, label="campaign",
-                                    max_workers=jobs, telemetry=telemetry,
-                                    quarantine=True, validate=validate_shard,
-                                    on_result=on_result)
-            try:
-                bad = (supervisor.run_pooled(tasks) if pooled
-                       else supervisor.run_serial(tasks))
-            except SubjectMismatch:
-                if ship_baseline:
-                    raise
-                # Some worker could not re-derive the baseline: ship it
-                # from now on, to the blocks still unmerged.
-                ship_baseline = True
-                if telemetry is not None:
-                    telemetry.increment("baselines_shipped")
-                continue
-            finally:
-                retries += supervisor.retries
-            return [tasks[i].key for i in bad]
-
-    quarantined: List[int] = []
-    try:
-        bad_blocks = run_pass(blocks)
-        if bad_blocks:
-            # Phase 2: isolate the deterministic failures trial-by-trial.
-            singles = [(index, index + 1)
-                       for start, stop in bad_blocks
-                       for index in range(start, stop)]
-            bad_trials = run_pass(singles)
-            quarantined = sorted(start for start, _ in bad_trials)
-    except KeyboardInterrupt:
-        done = sum(counts.values())
-        raise CampaignInterrupted(
-            f"campaign interrupted after {done}/{config.trials} trials"
-            + ("; checkpoint journal flushed" if journal is not None
-               else ""),
-            trials_done=done) from None
-
-    if quarantined and telemetry is not None:
-        telemetry.increment("quarantined_trials", len(quarantined))
-
-    report = CompletenessReport(
-        trials_requested=config.trials,
-        trials_succeeded=config.trials - len(quarantined),
-        quarantined=tuple(quarantined),
-        retries=retries,
-        resumed_trials=resumed,
-    )
-    return counts, tracker_misses, report, oracle_new

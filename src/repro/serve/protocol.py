@@ -389,13 +389,11 @@ def encode_benchmark(run) -> Dict[str, Any]:
 
 def encode_campaign(result: CampaignResult) -> Dict[str, Any]:
     """Service payload for one :class:`CampaignResult` (injection answer)."""
+    tally = result.tally.to_json()
     return {
         "trials": result.trials,
-        "counts": {outcome.value: count
-                   for outcome, count in sorted(result.counts.items(),
-                                                key=lambda kv: kv[0].value)
-                   if count},
-        "tracker_misses": result.tracker_misses,
+        "counts": tally["counts"],
+        "tracker_misses": tally["misses"],
         "sdc_avf_estimate": result.sdc_avf_estimate,
         "due_avf_estimate": result.due_avf_estimate,
         "false_due_estimate": result.false_due_estimate,
@@ -410,38 +408,3 @@ def validate_store_key(raw: Any) -> str:
                             "store key must be a 64-char sha256 hex digest")
     return raw
 
-
-def machine_overrides_for(machine: MachineConfig,
-                          base: Optional[MachineConfig] = None
-                          ) -> Tuple[str, Dict[str, Any]]:
-    """Render a resolved machine back into ``(trigger, overrides)`` form.
-
-    Used by clients that hold a :class:`MachineConfig` object (the remote
-    timeline store, the load harness) to phrase a request whose resolved
-    machine round-trips to exactly ``machine``.
-    """
-    base = base or MachineConfig(fetch_bubble_prob=machine.fetch_bubble_prob)
-    # The server fills fetch_bubble_prob from the profile before applying
-    # overrides, so it is pinned unconditionally — the caller's machine
-    # must win even when it happens to equal some default.
-    overrides: Dict[str, Any] = {
-        "fetch_bubble_prob": machine.fetch_bubble_prob}
-    for name in _MACHINE_SCALARS:
-        if name == "fetch_bubble_prob":
-            continue
-        value = getattr(machine, name)
-        if value != getattr(base, name):
-            overrides[name] = value
-    if machine.issue_policy != base.issue_policy:
-        overrides["issue_policy"] = machine.issue_policy.value
-    if machine.squash.action != base.squash.action:
-        overrides["squash_action"] = machine.squash.action.value
-    if machine.squash.resume_at_miss_return \
-            != base.squash.resume_at_miss_return:
-        overrides["resume_at_miss_return"] = \
-            machine.squash.resume_at_miss_return
-    if machine.hierarchy != base.hierarchy:
-        raise ProtocolError(
-            "bad-request",
-            "hierarchy geometry is not overridable over the wire")
-    return machine.squash.trigger.value, overrides

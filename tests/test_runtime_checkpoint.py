@@ -5,37 +5,39 @@ from collections import Counter
 
 import pytest
 
-from repro.due.outcomes import FaultOutcome
+from repro.due.outcomes import FaultOutcome, Tally
+from repro.runtime.cache import atomic_write
 from repro.runtime.checkpoint import (
     JOURNAL_VERSION,
     CheckpointJournal,
-    atomic_write,
+    remaining_ranges,
 )
-from repro.runtime.resilience import CacheCorrupt, remaining_ranges
+from repro.runtime.resilience import CacheCorrupt
 
 KEY = "a" * 64  # stand-in campaign content hash
 
 
-def _block(n, *, masked=0):
-    """Outcome tallies for a block of ``n`` trials."""
-    return {FaultOutcome.BENIGN_UNREAD: masked,
-            FaultOutcome.SDC: n - masked}
+def _block(n, *, masked=0, misses=0):
+    """The tally of a block of ``n`` trials."""
+    return Tally(Counter({FaultOutcome.BENIGN_UNREAD: masked,
+                          FaultOutcome.SDC: n - masked}), misses)
 
 
 class TestAtomicWrite:
     def test_writes_payload(self, tmp_path):
         path = tmp_path / "sub" / "x.json"
-        atomic_write(path, b"hello")
+        atomic_write(path, lambda handle: handle.write(b"hello"))
         assert path.read_bytes() == b"hello"
 
     def test_replaces_existing(self, tmp_path):
         path = tmp_path / "x.json"
-        atomic_write(path, b"one")
-        atomic_write(path, b"two")
+        atomic_write(path, lambda handle: handle.write(b"one"))
+        atomic_write(path, lambda handle: handle.write(b"two"))
         assert path.read_bytes() == b"two"
 
     def test_leaves_no_temp_files(self, tmp_path):
-        atomic_write(tmp_path / "x.json", b"data")
+        atomic_write(tmp_path / "x.json",
+                     lambda handle: handle.write(b"data"))
         assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
 
 
@@ -70,31 +72,31 @@ class TestJournalRoundTrip:
 
     def test_record_then_load(self, tmp_path):
         journal = CheckpointJournal(tmp_path, KEY, trials=20)
-        journal.record(0, 10, _block(10, masked=4), tracker_misses=2)
-        journal.record(15, 20, _block(5, masked=1), tracker_misses=1)
+        journal.record(0, 10, _block(10, masked=4, misses=2))
+        journal.record(15, 20, _block(5, masked=1, misses=1))
 
         fresh = CheckpointJournal(tmp_path, KEY, trials=20)
         state = fresh.load()
         assert state.ranges == ((0, 10), (15, 20))
-        assert state.trials_covered == 15
-        assert state.counts == Counter({FaultOutcome.BENIGN_UNREAD: 5,
-                                        FaultOutcome.SDC: 10})
-        assert state.tracker_misses == 3
+        assert sum(stop - start for start, stop in state.ranges) == 15
+        assert state.tally.counts == Counter({FaultOutcome.BENIGN_UNREAD: 5,
+                                              FaultOutcome.SDC: 10})
+        assert state.tally.tracker_misses == 3
 
     def test_resumed_journal_keeps_appending(self, tmp_path):
         journal = CheckpointJournal(tmp_path, KEY, trials=20)
-        journal.record(0, 10, _block(10), tracker_misses=0)
+        journal.record(0, 10, _block(10))
 
         resumed = CheckpointJournal(tmp_path, KEY, trials=20)
         resumed.load()
-        resumed.record(10, 20, _block(10), tracker_misses=0)
+        resumed.record(10, 20, _block(10))
         state = CheckpointJournal(tmp_path, KEY, trials=20).load()
         assert state.ranges == ((0, 10), (10, 20))
         assert remaining_ranges(20, state.ranges) == []
 
     def test_discard_removes_file(self, tmp_path):
         journal = CheckpointJournal(tmp_path, KEY, trials=20)
-        journal.record(0, 10, _block(10), tracker_misses=0)
+        journal.record(0, 10, _block(10))
         assert journal.path.exists()
         journal.discard()
         assert not journal.path.exists()
@@ -105,7 +107,7 @@ class TestJournalRoundTrip:
 class TestJournalValidation:
     def _journal_with_block(self, tmp_path):
         journal = CheckpointJournal(tmp_path, KEY, trials=20)
-        journal.record(0, 10, _block(10, masked=3), tracker_misses=1)
+        journal.record(0, 10, _block(10, masked=3, misses=1))
         return journal
 
     def _tamper(self, journal, mutate):
@@ -148,13 +150,13 @@ class TestJournalValidation:
 
     def test_overlapping_entries(self, tmp_path):
         journal = self._journal_with_block(tmp_path)
-        journal.record(5, 15, _block(10), tracker_misses=0)
+        journal.record(5, 15, _block(10))
         with pytest.raises(CacheCorrupt):
             CheckpointJournal(tmp_path, KEY, trials=20).load()
 
     def test_tally_sum_must_match_range(self, tmp_path):
         journal = CheckpointJournal(tmp_path, KEY, trials=20)
-        journal.record(0, 10, _block(7), tracker_misses=0)  # 7 != 10
+        journal.record(0, 10, _block(7))  # 7 != 10
         with pytest.raises(CacheCorrupt, match="tallies"):
             CheckpointJournal(tmp_path, KEY, trials=20).load()
 

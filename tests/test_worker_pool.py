@@ -23,7 +23,7 @@ from repro.experiments.common import (
     prefetch_functional,
     run_benchmarks,
 )
-from repro.faults import batch
+from repro.faults import batch, campaign
 from repro.faults.batch import (
     SUBJECT_CACHE_ENTRIES,
     SubjectToken,
@@ -31,7 +31,11 @@ from repro.faults.batch import (
     resolve_subject,
     subject_key,
 )
-from repro.faults.campaign import CampaignConfig, run_campaign
+from repro.faults.campaign import (
+    CampaignConfig,
+    execute_campaign,
+    run_campaign,
+)
 from repro.isa.opcodes import Opcode
 from repro.pipeline.config import Trigger
 from repro.pipeline.core import PipelineSimulator
@@ -42,7 +46,6 @@ from repro.runtime.resilience import (
     RetryPolicy,
     SubjectMismatch,
     WorkerPool,
-    execute_campaign,
 )
 from repro.runtime.telemetry import Telemetry
 from repro.serve.protocol import canonical_dumps, encode_campaign
@@ -82,7 +85,7 @@ def _work(telemetry: Telemetry) -> dict:
             if name.startswith(_WORK_COUNTERS)}
 
 
-_SHARD_WORKER = resilience.shard_worker
+_SHARD_WORKER = campaign.shard_worker
 
 
 def _refuse_last_block(subject, pipeline_result, config, start, stop,
@@ -296,7 +299,7 @@ class TestPoolLifetime:
 
         def campaign(config, chaos):
             telemetry = Telemetry()
-            counts, misses, report, _ = execute_campaign(
+            (counts, misses), report, _ = execute_campaign(
                 small_program, small_execution, small_pipeline, config, 2,
                 policy=policy, telemetry=telemetry, chaos=chaos)
             return counts, misses, report, telemetry.counters
@@ -544,7 +547,7 @@ class TestBaselineFidelity:
             monkeypatch, tmp_path):
         """Blocks merged before a SubjectMismatch are not run again: the
         retry ships the baseline to the unmerged blocks only."""
-        monkeypatch.setattr(resilience, "shard_worker", _refuse_last_block)
+        monkeypatch.setattr(campaign, "shard_worker", _refuse_last_block)
         telemetry = Telemetry()
         with use_runtime(jobs=2, policy=FAST, telemetry=telemetry,
                          checkpoint_dir=tmp_path):
@@ -569,7 +572,7 @@ class TestBaselineFidelity:
             reference = run_campaign(small_program, small_execution,
                                      small_pipeline, config)
         assert reference.completeness.quarantined
-        monkeypatch.setattr(resilience, "shard_worker",
+        monkeypatch.setattr(campaign, "shard_worker",
                             _refuse_last_singles)
         telemetry = Telemetry()
         with use_runtime(jobs=2, policy=FAST, chaos=chaos,

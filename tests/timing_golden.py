@@ -198,7 +198,16 @@ def digest(result) -> dict:
             "stats": stats.hexdigest(), "intervals": intervals.hexdigest()}
 
 
+#: Cycle cap of a golden run on a machine that keeps the default cap:
+#: about 40x the largest case (47,509 cycles), so a timing-loop bug that
+#: strands entries fails within seconds instead of spinning for minutes
+#: up to the default 30M cycles.
+GOLDEN_MAX_CYCLES = 2_000_000
+
+
 def simulate(program_, trace, machine):
+    if machine.max_cycles == MachineConfig.max_cycles:
+        machine = replace(machine, max_cycles=GOLDEN_MAX_CYCLES)
     return PipelineSimulator(program_, trace, machine, seed=TEST_SEED).run()
 
 
