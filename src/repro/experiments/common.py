@@ -15,6 +15,7 @@ reads it (:class:`BenchmarkRun`).
 from __future__ import annotations
 
 import atexit
+import os
 import threading
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -143,6 +144,9 @@ def close_remote_stores() -> None:
 # A store's client runs on a private event loop; closing it before the
 # interpreter tears down leaves no reader task pending on that loop.
 atexit.register(close_remote_stores)
+# A forked pool worker opens its own connections; the parent's sockets
+# and event loops stay the parent's to use and close.
+os.register_at_fork(after_in_child=_remote_stores.clear)
 
 
 def _remote_store():

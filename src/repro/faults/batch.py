@@ -12,8 +12,9 @@ A campaign shard turns its trial range into outcomes in two array steps:
 * :class:`StrikeSubject` holds what the program and its baseline run
   determine — output signature and budget, deadness, kill masks,
   snapshot log. It is derived at most once per process per program and
-  shared by every campaign and block on it; pooled shards name it with
-  a slim :class:`SubjectToken` instead of carrying the baseline.
+  shared by every campaign and block on it; a campaign's pool workers
+  start holding the parent's (:func:`repro.faults.campaign.
+  execute_campaign`).
 * :class:`StrikeClassifier` applies Figure 1's outcome tree (benign,
   SDC, true/false DUE, corrected). The protection is one row per burst
   pattern of a decoder action table: unprotected queues escape every
@@ -37,7 +38,6 @@ import hashlib
 import threading
 from bisect import bisect_right
 from collections import Counter, OrderedDict
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -73,7 +73,6 @@ from repro.isa.program import Program
 from repro.pipeline.iq import CODE_BY_KIND, KIND_COMMITTED, NO_VALUE
 from repro.pipeline.result import PipelineResult
 from repro.runtime.cache import cache_key
-from repro.runtime.resilience import SubjectMismatch
 
 #: Everything a 41-bit syllable can hold.
 _ALL_BITS = (1 << ENCODING_BITS) - 1
@@ -341,27 +340,27 @@ def build_kill_masks(baseline, deadness) -> List[int]:
 class StrikeSubject:
     """What a program and its baseline run determine for every strike.
 
-    The baseline's output signature and the re-execution budget are
-    taken at construction; the deadness analysis, the kill masks, the
-    snapshot log and the :attr:`key` are derived on first use. None of
+    The baseline's output signature, the re-execution budget and the
+    :attr:`key` are taken at construction; the deadness analysis, the
+    kill masks and the snapshot log are derived on first use. None of
     it depends on the campaign configuration, so one subject serves
     every campaign, configuration and trial block on the program
-    (:func:`local_subject` and :func:`resolve_subject` keep it for the
-    life of the process). The per-configuration parts, the effect
-    oracle's memo and the π-bit tracker, stay in
-    :class:`StrikeClassifier`: no memo is shared across configurations,
-    so counters never depend on which process ran which block.
+    (:func:`local_subject` keeps it for the life of the process). The
+    per-configuration parts, the effect oracle's memo and the π-bit
+    tracker, stay in :class:`StrikeClassifier`: no memo is shared
+    across configurations, so counters never depend on which process
+    ran which block.
     """
 
-    def __init__(self, program: Program, baseline: ExecutionResult,
-                 key: Optional[str] = None) -> None:
+    def __init__(self, program: Program, baseline: ExecutionResult) -> None:
         self.program = program
         self.baseline = baseline
         #: Budget of every re-execution (a corrupted run may loop).
         self.limits = default_limits(baseline)
         #: What every re-execution's signature is compared against.
         self.signature = baseline.output_signature()
-        self._key = key
+        #: :func:`subject_key` of the program and baseline.
+        self.key = subject_key(program, baseline)
         self._deadness = None
         self._kill: Optional[List[int]] = None
         self._snapshots: Optional[SnapshotLog] = None
@@ -369,21 +368,15 @@ class StrikeSubject:
     def prepare(self) -> "StrikeSubject":
         """Derive every lazy part now; returns the subject.
 
-        A pooled shard calls this before its watchdog clock starts, so
-        a worker's first shard on a program is not charged for it.
+        A campaign calls this before its first shard, so its pool
+        workers start holding the derived parts and no shard's watchdog
+        clock is charged for them.
         """
         # Property reads for their side effect: each derives and keeps
         # its part (the kill masks derive the deadness analysis).
         self.kill_masks
         self.snapshots
         return self
-
-    @property
-    def key(self) -> str:
-        """:func:`subject_key` of the program and baseline."""
-        if self._key is None:
-            self._key = subject_key(self.program, self.baseline)
-        return self._key
 
     @property
     def deadness(self):
@@ -416,9 +409,9 @@ def subject_key(program: Program, baseline: ExecutionResult) -> str:
     """Digest naming the subject of ``(program, baseline)``.
 
     Covers the program's canonical bytes and the whole run: status,
-    outputs, function activations and every trace column. Re-deriving
-    the run in another process gives the same key; a truncated or
-    otherwise different run of the same program does not.
+    outputs, function activations and every trace column, so a
+    truncated or otherwise different run of the same program has
+    another key.
     """
     trace = baseline.trace
     activations = sorted((key, record.entry_pc, record.call_seq,
@@ -434,43 +427,14 @@ def subject_key(program: Program, baseline: ExecutionResult) -> str:
     return digest.hexdigest()
 
 
-@dataclass(frozen=True)
-class SubjectToken:
-    """Names a :class:`StrikeSubject` across processes.
-
-    ``key`` is the subject's :attr:`~StrikeSubject.key`. A process
-    holding no subject under ``key`` builds one from ``baseline`` when
-    the token carries it; otherwise it re-derives the baseline as the
-    program's own default run and raises
-    :class:`~repro.runtime.resilience.SubjectMismatch` unless that run
-    has the same key. Pooled shards carry no baseline: the program is
-    tens of kB, the baseline hundreds.
-    """
-
-    key: str
-    program: Program
-    baseline: Optional[ExecutionResult] = None
-
-
-#: Bound on the subjects one process keeps: a long-lived worker or
-#: server meets many programs over its life.
+#: Bound on the subjects one process keeps: a long-lived server meets
+#: many programs over its life.
 SUBJECT_CACHE_ENTRIES = 4
 
 #: Subjects this process holds by key, least recently used first.
 _SUBJECTS: "OrderedDict[str, StrikeSubject]" = OrderedDict()
-#: Guards ``_SUBJECTS`` (a server resolves campaigns on several threads).
+#: Guards ``_SUBJECTS`` (a server runs campaigns on several threads).
 _LOCK = threading.Lock()
-
-
-def _adopt(subject: StrikeSubject) -> StrikeSubject:
-    """The held subject under ``subject.key``, else ``subject``, now held."""
-    key = subject.key
-    with _LOCK:
-        subject = _SUBJECTS.setdefault(key, subject)
-        _SUBJECTS.move_to_end(key)
-        while len(_SUBJECTS) > SUBJECT_CACHE_ENTRIES:
-            _SUBJECTS.popitem(last=False)
-    return subject
 
 
 def local_subject(program: Program,
@@ -485,25 +449,13 @@ def local_subject(program: Program,
             if subject.program is program and subject.baseline is baseline:
                 _SUBJECTS.move_to_end(key)
                 return subject
-    return _adopt(StrikeSubject(program, baseline))
-
-
-def resolve_subject(token: SubjectToken) -> StrikeSubject:
-    """This process's subject for ``token``, derived on first use."""
+    subject = StrikeSubject(program, baseline)
     with _LOCK:
-        subject = _SUBJECTS.get(token.key)
-        if subject is not None:
-            _SUBJECTS.move_to_end(token.key)
-            return subject
-    baseline = token.baseline
-    if baseline is None:
-        baseline = FunctionalSimulator(token.program).run()
-        if subject_key(token.program, baseline) != token.key:
-            raise SubjectMismatch(
-                f"the campaign's baseline of {token.program.name} is not "
-                f"the program's own run ({baseline.status.value}, "
-                f"{len(baseline.trace)} commits when re-derived)")
-    return _adopt(StrikeSubject(token.program, baseline, token.key))
+        subject = _SUBJECTS.setdefault(subject.key, subject)
+        _SUBJECTS.move_to_end(subject.key)
+        while len(_SUBJECTS) > SUBJECT_CACHE_ENTRIES:
+            _SUBJECTS.popitem(last=False)
+    return subject
 
 
 def clear_subjects() -> None:

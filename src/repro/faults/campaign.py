@@ -24,10 +24,8 @@ from repro.due.outcomes import FaultOutcome, Tally
 from repro.due.tracking import DEFAULT_PET_ENTRIES, EccScheme, TrackingLevel
 from repro.faults.batch import (
     StrikeClassifier,
-    SubjectToken,
     draw_strike_batch,
     local_subject,
-    resolve_subject,
 )
 from repro.faults.mbu import get_preset
 from repro.faults.oracle import (
@@ -46,10 +44,10 @@ from repro.runtime.resilience import (
     CacheCorrupt,
     CampaignInterrupted,
     CompletenessReport,
+    Held,
     ResultInvalid,
     RetryPolicy,
     RuntimeFault,
-    SubjectMismatch,
     SupervisedTask,
     Supervisor,
     TrialCrash,
@@ -289,20 +287,19 @@ class ShardResult(NamedTuple):
     counters: Dict[str, int]
 
 
-def shard_worker(subject, pipeline_result, config, start: int, stop: int,
+def shard_worker(payload: Held, config, start: int, stop: int,
                  chaos_config: Optional[ChaosConfig],
                  cache_dir: Optional[str], attempt: int) -> ShardResult:
     """Classify trials ``[start, stop)`` under optional chaos injection.
 
-    Runs in a worker process (or inline when serial). The process
-    resolves ``subject`` (a :class:`~repro.faults.batch.SubjectToken`) to
-    the program's strike subject, derived on its first shard of the
-    program and reused by every later one. The shard builds its own
-    classifier over it — its effect oracle preloaded from the persistent
-    cache when ``cache_dir`` is given — and only then starts its
-    watchdog clock, so none of that set-up counts against the per-trial
-    budget. Retry and quarantine operate on trial indices, because a
-    shard's strikes are a pure function of the indices it covers.
+    Runs in a worker process (or inline when serial). ``payload`` is
+    the campaign's prepared strike subject and pipeline result, which a
+    pooled worker started holding. The shard builds its own classifier
+    over them — its effect oracle preloaded from the persistent cache
+    when ``cache_dir`` is given — and only then starts its watchdog
+    clock, so none of that set-up counts against the per-trial budget.
+    Retry and quarantine operate on trial indices, because a shard's
+    strikes are a pure function of the indices it covers.
     """
     on_trial = None
     if chaos_config is not None:
@@ -315,15 +312,15 @@ def shard_worker(subject, pipeline_result, config, start: int, stop: int,
             injector.maybe_raise(("trial", index), attempt)
 
     began = time.perf_counter()
-    strike_subject = resolve_subject(subject).prepare()
-    classifier = StrikeClassifier(strike_subject, pipeline_result, config)
+    subject, pipeline_result = payload.get()
+    classifier = StrikeClassifier(subject, pipeline_result, config)
     if cache_dir is not None:
         classifier.oracle.preload(load_persisted(
             ResultCache(cache_dir), oracle_cache_key(subject.key)))
     start_watchdog()
 
     tally = run_trial_block(
-        subject.program, strike_subject.baseline, pipeline_result, config,
+        subject.program, subject.baseline, pipeline_result, config,
         start, stop, on_trial=on_trial, classifier=classifier)
     stats = classifier.oracle.counters()
     stats.update(classifier.counters())
@@ -378,12 +375,10 @@ def execute_campaign(
     result that cannot be sampled fails inside every shard as a
     :class:`TrialCrash` and ends in the quarantine report.
 
-    Pooled shards carry a slim subject token, not the baseline: each
-    worker re-derives the program's run once and checks it against the
-    token. If the caller's baseline is not that run, a worker that does
-    not hold its subject fails with :class:`SubjectMismatch` before
-    classifying anything; the blocks not yet merged then run again with
-    the baseline shipped.
+    The parent prepares the strike subject of ``(program, baseline)``
+    once; a pooled fan-out has the pool's workers start holding it and
+    ``pipeline_result``, so its shards carry neither and no worker
+    derives anything the parent holds.
 
     A corrupt journal is discarded (counted in telemetry) and the
     campaign restarts from zero — never trust, always re-derive.
@@ -409,16 +404,12 @@ def execute_campaign(
 
     blocks = plan_blocks(remaining_ranges(config.trials, covered), jobs,
                          fine=journal is not None)
-    #: Ranges whose tallies are merged; a pass cut short by a
-    #: SubjectMismatch runs only the others again.
-    accepted: set = set()
 
     def on_result(index: int, task: SupervisedTask,
                   shard: ShardResult) -> None:
         nonlocal tally
         tally = tally.merge(shard.tally)
         oracle_new.update(shard.oracle_new)
-        accepted.add(task.key)
         start, stop = task.key
         if journal is not None:
             journal.record(start, stop, shard.tally)
@@ -426,43 +417,29 @@ def execute_campaign(
         telemetry.merge_counters(shard.counters)
         telemetry.record_worker("campaign", index, task.items, shard.elapsed)
 
-    key = local_subject(program, baseline).key
-    ship_baseline = False
+    subject = local_subject(program, baseline).prepare()
+    # The pool holds the pipeline result, so its identity names it.
+    payload = Held((subject.key, id(pipeline_result)),
+                   (subject, pipeline_result))
     retries = 0
 
     def run_pass(spans: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
-        nonlocal ship_baseline, retries
-        while True:
-            todo = [span for span in spans if span not in accepted]
-            pooled = jobs > 1 and len(todo) > 1
-            subject = SubjectToken(key, program, baseline
-                                   if ship_baseline or not pooled else None)
-            tasks = [
-                SupervisedTask(
-                    fn=shard_worker,
-                    args=(subject, pipeline_result, config, start, stop,
-                          chaos, cache_dir),
-                    items=stop - start, key=(start, stop), deadline=True)
-                for start, stop in todo
-            ]
-            supervisor = Supervisor(policy, label="campaign",
-                                    max_workers=jobs, telemetry=telemetry,
-                                    quarantine=True, validate=validate_shard,
-                                    on_result=on_result)
-            try:
-                bad = (supervisor.run_pooled(tasks) if pooled
-                       else supervisor.run_serial(tasks))
-            except SubjectMismatch:
-                if ship_baseline:
-                    raise
-                # Some worker could not re-derive the baseline: ship it
-                # from now on, to the blocks still unmerged.
-                ship_baseline = True
-                telemetry.increment("baselines_shipped")
-                continue
-            finally:
-                retries += supervisor.retries
-            return [tasks[i].key for i in bad]
+        nonlocal retries
+        tasks = [
+            SupervisedTask(
+                fn=shard_worker,
+                args=(payload, config, start, stop, chaos, cache_dir),
+                items=stop - start, key=(start, stop), deadline=True)
+            for start, stop in spans
+        ]
+        supervisor = Supervisor(policy, label="campaign", max_workers=jobs,
+                                telemetry=telemetry, quarantine=True,
+                                validate=validate_shard, on_result=on_result)
+        bad = (supervisor.run_pooled(tasks, held=[payload])
+               if jobs > 1 and len(tasks) > 1
+               else supervisor.run_serial(tasks))
+        retries += supervisor.retries
+        return [tasks[i].key for i in bad]
 
     quarantined: List[int] = []
     try:

@@ -138,6 +138,8 @@ _SET_CAP = 128
 _SIG_QUEUE_CAP = 192
 #: Cached per-trace preprocessing entries (row/chunk content ids).
 _PREP_LIMIT = 8
+#: Tables the decode memo tracks: an exhibit times 26 traces per trigger.
+_DECODED_LIMIT = 32
 #: Chunks recorded per segment. Segments validate on state alone, so
 #: longer spans amortize the per-boundary signature/lookup cost.
 _MERGE_CHUNKS = 8
@@ -170,6 +172,9 @@ _CHUNK_INTERN: Dict[tuple, int] = {}
 _PREP: "OrderedDict[int, tuple]" = OrderedDict()
 #: (id(trace), fetch_width) -> (trace, aligned bytearray, leader cids).
 _CHUNK_PREP: "OrderedDict[tuple, tuple]" = OrderedDict()
+#: id(instruction table) -> (table, decoded table or None before its
+#: second run), LRU.
+_DECODED: "OrderedDict[int, tuple]" = OrderedDict()
 
 #: Ready tables with no register in flight (-1: ready since forever).
 _NO_GPRS = [-1] * NUM_GPRS
@@ -215,6 +220,7 @@ def clear_chunk_memos() -> None:
     _MEMOS.clear()
     _PREP.clear()
     _CHUNK_PREP.clear()
+    _DECODED.clear()
     _total_bytes = 0
 
 
@@ -314,10 +320,11 @@ class _Rows:
 
     Memoryviews hand out plain ints (the address column as unsigned
     64-bit) without copying the columns into per-run lists (tens of MB
-    on a 200k-row trace); each table instruction is decoded once per
-    run. Entries are built per fetch, not copied from a per-row template
-    table: that holds a 14-slot list per row (an LRU of them raised the
-    exhibit suite's peak RSS by about a third) and saves no time.
+    on a 200k-row trace); the instruction table's decoding is kept
+    across runs (:func:`_decoded`). Entries are built per fetch, not
+    copied from a per-row template table: that holds a 14-slot list per
+    row (an LRU of them raised the exhibit suite's peak RSS by about a
+    third) and saves no time.
     """
 
     __slots__ = ("trace", "instr", "pc", "mem", "flags", "decoded")
@@ -328,7 +335,7 @@ class _Rows:
         self.pc = memoryview(trace.pc)
         self.mem = memoryview(trace.mem_addr.view(np.uint64))
         self.flags = memoryview(trace.flags)
-        self.decoded = [_decode(i) for i in trace.instructions]
+        self.decoded = _decoded(trace.instructions)
 
     def entry(self, seq: int) -> list:
         """Fresh queue entry for trace row ``seq`` (the fetch stage
@@ -338,6 +345,20 @@ class _Rows:
         return [seq, d[0], d[1], d[2], d[3], False, 0, None, False,
                 self.mem[seq] if flags & _MEMORY else None,
                 flags & EXECUTED == EXECUTED, d[5], d[4], self.pc[seq]]
+
+
+def _decoded(table: tuple) -> list:
+    """:func:`_decode` of a trace's instruction table, kept from the
+    table's second run on: Table 1's three triggers decode each trace
+    twice, and a table timed once (a fresh service key) keeps nothing."""
+    cached = _DECODED.pop(id(table), None)
+    seen = cached is not None and cached[0] is table
+    decoded = (cached[1] if seen and cached[1] is not None
+               else [_decode(i) for i in table])
+    while len(_DECODED) >= _DECODED_LIMIT:
+        _DECODED.popitem(last=False)
+    _DECODED[id(table)] = (table, decoded if seen else None)
+    return decoded
 
 
 def _live(ready: list, cycle: int) -> tuple:

@@ -16,8 +16,10 @@ Failure handling lives in :mod:`repro.runtime.resilience`: every fan-out
 here runs under a :class:`~repro.runtime.resilience.Supervisor` that
 borrows the runtime context's worker pool, classifies failures, retries
 with backoff, enforces watchdog deadlines, and replaces the pool when
-workers die. Campaign trials fan out through
-:func:`repro.faults.campaign.execute_campaign`.
+workers die. The benchmark and functional tasks here carry their inputs.
+Campaign trials fan out through :func:`repro.faults.campaign.
+execute_campaign`, whose workers start holding the campaign's strike
+subject and pipeline result (``WorkerPool.hold``).
 """
 
 from __future__ import annotations

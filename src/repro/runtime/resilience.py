@@ -31,7 +31,7 @@ import itertools
 import multiprocessing
 import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from contextlib import contextmanager
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -67,6 +67,13 @@ _TICK_SECONDS = 0.05
 #: (set by :func:`_init_worker`) and the ticket of the running task.
 _START_PIPE: Any = None
 _TICKET: Optional[int] = None
+#: Worker side of :meth:`WorkerPool.hold`: the values the worker started
+#: holding, by name (set by :func:`_init_worker`).
+_HELD: Dict[Any, Any] = {}
+
+#: Bound on the values one pool holds: a run meets a few campaign
+#: subjects at a time, and every worker keeps a copy of each.
+HELD_ENTRIES = 4
 
 #: Parent side: ticket numbers, unique across every fan-out of the
 #: process, so a report left in a pipe by a finished fan-out never arms
@@ -74,8 +81,8 @@ _TICKET: Optional[int] = None
 _TICKETS = itertools.count()
 
 
-def _init_worker(start_pipe) -> None:
-    """Pool initializer: keep the watchdog's start pipe, die quietly.
+def _init_worker(start_pipe, held: Dict[Any, Any]) -> None:
+    """Pool initializer: keep the start pipe and held values, die quietly.
 
     Workers forked from the CLI inherit its SIGTERM->KeyboardInterrupt
     handler, so a supervisor pool teardown (``terminate()``) would spew a
@@ -84,8 +91,9 @@ def _init_worker(start_pipe) -> None:
     """
     import signal
 
-    global _START_PIPE
+    global _START_PIPE, _HELD
     _START_PIPE = start_pipe
+    _HELD = held
 
     try:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
@@ -109,7 +117,7 @@ def start_watchdog() -> None:
     """Start the running pooled task's watchdog clock now.
 
     A task with a deadline calls this once its set-up is done (a
-    campaign shard: after it has derived its strike subject), so worker
+    campaign shard: after it has built its classifier), so worker
     start-up, argument unpickling and set-up never count against the
     per-trial budget. A no-op outside a pooled task.
     """
@@ -152,17 +160,6 @@ class CacheCorrupt(RuntimeFault):
 
 class ResultInvalid(RuntimeFault):
     """A worker returned a structurally invalid result."""
-
-
-class SubjectMismatch(RuntimeFault):
-    """A worker re-derived a different baseline than the campaign's.
-
-    Raised by the fault layer's ``resolve_subject`` when a slim
-    shard's program does not re-run to the baseline its token names (a
-    truncated or hand-built baseline, say). Never retried: the
-    supervisor raises it at once and the campaign runs its unfinished
-    blocks again with the baseline shipped.
-    """
 
 
 class CampaignInterrupted(RuntimeFault):
@@ -301,19 +298,44 @@ class CompletenessReport:
 # The worker pool
 # ---------------------------------------------------------------------------
 
+class Held:
+    """A task argument whose value every pool worker starts with.
+
+    The fan-out has the pool hold it (``Supervisor.run_pooled(...,
+    held=...)``); pickled, a ``Held`` is its ``name`` alone, so a task
+    carrying one costs a few bytes however large the (never None) value.
+    :meth:`get` returns the worker's copy, or the value itself when the
+    task runs inline. ``name`` must name one value while a pool holds it.
+    """
+
+    def __init__(self, name: Any, value: Any = None) -> None:
+        self.name = name
+        self._value = value
+
+    def __reduce__(self):
+        return (Held, (self.name,))
+
+    def get(self) -> Any:
+        return _HELD[self.name] if self._value is None else self._value
+
+
 class WorkerPool:
     """The process pool a runtime context lends to every fan-out.
 
     Started on first borrow with ``max(jobs, requested)`` workers and
     kept between fan-outs, so a run of campaigns pays the process
-    start-up once and each worker keeps what it derived for earlier
-    tasks (a campaign's strike subjects, say). One
+    start-up once. Every worker starts holding the pool's held values
+    (:meth:`hold`, at most :data:`HELD_ENTRIES`, least recently held
+    dropped first): they travel as the pool initializer's arguments, so
+    a forked worker inherits them unpickled and a spawned one unpickles
+    them once, and the tasks that read them carry only their names. One
     fan-out holds the pool at a time (:meth:`lease`), so a rebuild never
     kills another fan-out's work and a task's watchdog clock never runs
     while it waits for a worker. :meth:`replace` kills a broken or hung
-    pool and the next borrow starts a fresh one; :meth:`shutdown` stops
-    the workers and waits for them. Each pool has a start pipe on which
-    its workers report, by ticket, the tasks whose watchdog clocks start
+    pool and the next borrow starts a fresh one holding the same values;
+    :meth:`shutdown` stops the workers, waits for them and drops the
+    held values. Each pool has a start pipe on which its workers report,
+    by ticket, the tasks whose watchdog clocks start
     (:func:`start_watchdog`, read back by :meth:`started`).
     """
 
@@ -323,6 +345,9 @@ class WorkerPool:
         self.workers = 0
         self._executor: Optional[ProcessPoolExecutor] = None
         self._pipe: Optional[Tuple[Any, Any]] = None
+        #: Values every worker holds, least recently held first. A live
+        #: pool's workers hold each (and maybe some evicted since).
+        self._held: "OrderedDict[Any, Any]" = OrderedDict()
         self._lock = threading.Lock()
         self._lease = threading.RLock()
 
@@ -331,6 +356,21 @@ class WorkerPool:
         """Hold the pool for one fan-out; other threads' fan-outs wait."""
         with self._lease:
             yield self
+
+    def hold(self, held: Held) -> None:
+        """Have every worker hold ``held``'s value; call inside the lease.
+
+        A live pool whose workers started without it is replaced, and
+        the next :meth:`borrow` starts one holding it.
+        """
+        with self._lock:
+            stale = self._executor if held.name not in self._held else None
+            self._held[held.name] = held.get()
+            self._held.move_to_end(held.name)
+            while len(self._held) > HELD_ENTRIES:
+                self._held.popitem(last=False)
+        if stale is not None:
+            self.replace(stale)
 
     def borrow(self, workers: int) -> ProcessPoolExecutor:
         """The live pool, started with ``max(jobs, workers)`` workers if
@@ -341,7 +381,7 @@ class WorkerPool:
                 self._pipe = multiprocessing.Pipe(duplex=False)
                 self._executor = ProcessPoolExecutor(
                     max_workers=self.workers, initializer=_init_worker,
-                    initargs=(self._pipe[1],))
+                    initargs=(self._pipe[1], dict(self._held)))
             return self._executor
 
     def started(self) -> List[int]:
@@ -381,10 +421,11 @@ class WorkerPool:
             manager.join(timeout=5.0)
 
     def shutdown(self) -> None:
-        """Stop the workers and wait for them to exit."""
+        """Stop the workers, wait for them and drop the held values."""
         with self._lock:
             executor, self._executor = self._executor, None
             pipe, self._pipe = self._pipe, None
+            self._held.clear()
         if executor is not None:
             executor.shutdown(wait=True, cancel_futures=True)
         _close_pipe(pipe)
@@ -433,8 +474,7 @@ class Supervisor:
     accounting.
 
     With ``quarantine=True`` exhausted tasks are set aside and reported;
-    otherwise the final classified fault is raised. A
-    :class:`SubjectMismatch` is raised at once either way.
+    otherwise the final classified fault is raised.
     """
 
     def __init__(
@@ -474,8 +514,6 @@ class Supervisor:
                 quarantined: List[int]) -> None:
         """Record a failed attempt; schedule a retry, quarantine, or raise."""
         self._count(FAULT_COUNTERS.get(type(fault), "runtime_faults"))
-        if isinstance(fault, SubjectMismatch):
-            raise fault
         attempts[index] += 1
         if attempts[index] <= self.policy.retries:
             self.retries += 1
@@ -515,13 +553,16 @@ class Supervisor:
 
     # -- pooled path -----------------------------------------------------
 
-    def run_pooled(self, tasks: Sequence[SupervisedTask]) -> List[int]:
-        """Run tasks on the context's pool, holding its lease for the
-        whole fan-out; returns quarantined indices."""
+    def run_pooled(self, tasks: Sequence[SupervisedTask],
+                   held: Sequence[Held] = ()) -> List[int]:
+        """Run tasks on the context's pool, its lease taken and its
+        workers holding ``held``; returns quarantined indices."""
         # Local import: the context module imports this one.
         from repro.runtime.context import get_runtime
 
         with get_runtime().pool.lease() as workers:
+            for value in held:
+                workers.hold(value)
             return self._run_leased(workers, tasks)
 
     def _run_leased(self, workers: WorkerPool,

@@ -56,11 +56,11 @@ def _block_counts(program, baseline, pipeline, config, indices):
 _INIT_WORKER = resilience._init_worker
 
 
-def _slow_start(start_pipe) -> None:
+def _slow_start(start_pipe, held) -> None:
     """Pool initializer slower than a single trial's budget plus the
     flat allowance deadlines used to carry (0.25 s + 1 s)."""
     time.sleep(1.5)
-    _INIT_WORKER(start_pipe)
+    _INIT_WORKER(start_pipe, held)
 
 
 @pytest.fixture(scope="module")
@@ -197,7 +197,7 @@ class TestQuarantine:
             monkeypatch):
         """Every pool, the ones rebuilt after the hang included, takes
         1.5 s to start: the watchdog clock starts when a shard has
-        derived its subject, so only the hung trial is charged."""
+        built its classifier, so only the hung trial is charged."""
         monkeypatch.setattr(resilience, "_init_worker", _slow_start)
         config = CampaignConfig(trials=12, seed=13)
         seed = _find_seed(lambda s: len([

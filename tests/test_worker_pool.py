@@ -1,13 +1,16 @@
 """The runtime context's worker pool and the per-program strike subject.
 
 One pool per context: every fan-out borrows it, breakage and watchdog
-expiry replace it mid-context, and nothing outlives the context.
+expiry replace it mid-context, and nothing outlives the context. Its
+workers start holding what the fan-outs ask it to hold, so a campaign's
+workers derive nothing the parent holds.
 One subject per program per process: trial blocks and campaigns share
 the program-level derivations, never a memo, so tallies and counters
 are those of the one-block serial run.
 """
 
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
@@ -20,15 +23,14 @@ from repro.experiments import common
 from repro.experiments.common import (
     ExperimentSettings,
     clear_caches,
+    close_remote_stores,
     prefetch_functional,
     run_benchmarks,
 )
-from repro.faults import batch, campaign
+from repro.faults import batch
 from repro.faults.batch import (
     SUBJECT_CACHE_ENTRIES,
-    SubjectToken,
     local_subject,
-    resolve_subject,
     subject_key,
 )
 from repro.faults.campaign import (
@@ -43,8 +45,10 @@ from repro.runtime.chaos import ChaosConfig, ChaosInjector
 from repro.runtime.context import configure, reset_runtime, use_runtime
 from repro.runtime import engine, resilience
 from repro.runtime.resilience import (
+    Held,
     RetryPolicy,
-    SubjectMismatch,
+    SupervisedTask,
+    Supervisor,
     WorkerPool,
 )
 from repro.runtime.telemetry import Telemetry
@@ -85,29 +89,14 @@ def _work(telemetry: Telemetry) -> dict:
             if name.startswith(_WORK_COUNTERS)}
 
 
-_SHARD_WORKER = campaign.shard_worker
+def _read_held(held: Held):
+    """Pool task: the worker's copy of a held value."""
+    return held.get()
 
 
-def _refuse_last_block(subject, pipeline_result, config, start, stop,
-                       chaos, cache_dir, attempt):
-    """Shard worker whose process holds no subject for the last block of
-    a 24-trial campaign: a pass that mixes merged blocks and a
-    mismatch."""
-    if subject.baseline is None and stop == 24:
-        raise SubjectMismatch(f"no subject for [{start}, {stop})")
-    return _SHARD_WORKER(subject, pipeline_result, config, start, stop,
-                         chaos, cache_dir, attempt)
-
-
-def _refuse_last_singles(subject, pipeline_result, config, start, stop,
-                         chaos, cache_dir, attempt):
-    """Shard worker that cannot resolve the slim token of the last trial
-    of a 12-trial block when run alone: the quarantine pass mixes merged
-    trials and a mismatch."""
-    if subject.baseline is None and stop - start == 1 and stop % 12 == 0:
-        raise SubjectMismatch(f"no subject for trial {start}")
-    return _SHARD_WORKER(subject, pipeline_result, config, start, stop,
-                         chaos, cache_dir, attempt)
+def _remote_store_count(attempt: int) -> int:
+    """Pool task: the service-store connections the worker holds."""
+    return len(common._remote_stores)
 
 
 @pytest.fixture(autouse=True)
@@ -136,6 +125,18 @@ def starts(monkeypatch):
     counter = _PoolStarts()
     monkeypatch.setattr(resilience, "ProcessPoolExecutor", counter)
     return counter
+
+
+@pytest.fixture(scope="module")
+def truncated(small_program, small_execution, base_machine):
+    """A baseline that is not the program's own run: cut short."""
+    baseline = FunctionalSimulator(
+        small_program,
+        ExecutionLimits(max_instructions=len(small_execution.trace) // 2),
+    ).run()
+    pipeline = PipelineSimulator(small_program, baseline.trace,
+                                 base_machine, seed=TEST_SEED).run()
+    return baseline, pipeline
 
 
 @pytest.fixture(scope="module")
@@ -222,22 +223,63 @@ class TestPoolLifetime:
     def test_spawned_workers_need_no_fork_inheritance(
             self, small_program, small_execution, small_pipeline, serial,
             starts):
-        """Workers that inherit nothing from the parent derive the same
-        subjects and tallies: the pool works under any start method."""
+        """Workers that inherit nothing from the parent unpickle the
+        held subject once and give the same tallies: the pool works, and
+        eight campaigns on one subject start it once, under any start
+        method."""
         starts.factory = _SPAWNED
-        telemetry = Telemetry()
-        with use_runtime(jobs=2, telemetry=telemetry):
+        with use_runtime(jobs=2):
             results = [_bytes(run_campaign(small_program, small_execution,
                                            small_pipeline, config))
-                       for config in EIGHT[:2]]
+                       for config in EIGHT]
             assert starts.count == 1
-        assert results == serial[:2]
-        assert "baselines_shipped" not in telemetry.counters
+        assert results == serial
+        assert multiprocessing.active_children() == []
+
+    def test_alternating_programs_start_two_pools(
+            self, small_program, small_execution, small_pipeline, starts):
+        """Campaigns on programs A, B, A, B: B restarts the pool holding
+        both, and A and B again find their subjects held."""
+        other = run_benchmarks([_tiny_profile("held-b")],
+                               ExperimentSettings(target_instructions=2000),
+                               Trigger.NONE)[0]
+        subjects = [(small_program, small_execution, small_pipeline),
+                    (other.program, other.execution, other.pipeline)] * 2
+        with use_runtime():
+            reference = [_bytes(run_campaign(*subject, EIGHT[1]))
+                         for subject in subjects[:2]]
+        with use_runtime(jobs=2):
+            results = [_bytes(run_campaign(*subject, EIGHT[1]))
+                       for subject in subjects]
+            assert starts.count == 2
+        assert results == reference * 2
+        assert multiprocessing.active_children() == []
+
+    def test_replaced_pool_still_holds_its_values(self, starts):
+        """A pool replaced after a worker died starts its new workers
+        holding what the old ones held."""
+        pool = WorkerPool(jobs=1)
+        payload = Held("payload", [1, 2, 3])
+        try:
+            with pool.lease():
+                pool.hold(payload)
+                executor = pool.borrow(1)
+                assert executor.submit(_read_held, payload).result() == \
+                    [1, 2, 3]
+                pool.replace(executor)
+                assert pool.borrow(1).submit(
+                    _read_held, payload).result() == [1, 2, 3]
+        finally:
+            pool.shutdown()
+        assert starts.count == 2
         assert multiprocessing.active_children() == []
 
     def test_killed_worker_rebuilds_the_pool_mid_context(
             self, small_program, small_execution, small_pipeline, serial,
             starts):
+        """The replacement pool's workers hold the campaign's payload
+        too: the killed campaign's tallies are the serial ones, and the
+        next campaign on the subject starts no pool."""
         chaos = ChaosConfig(modes=("kill-worker",), seed=5, kill_prob=1.0)
         telemetry = Telemetry()
         with use_runtime(jobs=2, policy=FAST, chaos=chaos,
@@ -410,6 +452,23 @@ class TestFanOutTasksStartClean:
                 assert [r.report for r in parallel] == \
                     [r.report for r in serial]
 
+    def test_forked_workers_forget_the_parents_service_stores(self):
+        """A forked worker opens its own service connections instead of
+        talking through the parent's socket and event loop."""
+        counts = []
+        with use_runtime(jobs=2, service="127.0.0.1:1",
+                         service_timeout=2.0):
+            assert common._remote_store() is not None
+            assert len(common._remote_stores) == 1
+            Supervisor(FAST, label="stores", max_workers=2,
+                       on_result=lambda i, t, count: counts.append(count)
+                       ).run_pooled([SupervisedTask(
+                           fn=_remote_store_count, args=(), deadline=False)
+                           for _ in range(2)])
+            assert len(common._remote_stores) == 1
+        close_remote_stores()
+        assert counts == [0, 0]
+
     def test_functional_counters_do_not_depend_on_earlier_tasks(self):
         profiles = [_tiny_profile("clean-c"), _tiny_profile("clean-d")]
         settings = ExperimentSettings(target_instructions=2000)
@@ -456,6 +515,39 @@ class TestStrikeSubject:
         assert four_work == one_work
         assert one_work["oracle_executions"] > 0
 
+    def test_pooled_workers_derive_nothing(
+            self, small_program, small_execution, small_pipeline, serial,
+            monkeypatch, tmp_path):
+        """Forked workers start holding the parent's prepared subject:
+        no worker runs the program (re-executions of a struck
+        instruction aside) or analyses its deadness."""
+        log = tmp_path / "worker-calls"
+        parent = os.getpid()
+        run, analyze = FunctionalSimulator.run, batch.analyze_deadness
+
+        def note(call: str) -> None:
+            if os.getpid() != parent:
+                with open(log, "a") as out:
+                    out.write(call + "\n")
+
+        def counted_run(simulator, *args, **kwargs):
+            note("run" if kwargs.get("override_seq") is None
+                 else "re-execution")
+            return run(simulator, *args, **kwargs)
+
+        def counted_analyze(baseline):
+            note("deadness")
+            return analyze(baseline)
+
+        monkeypatch.setattr(FunctionalSimulator, "run", counted_run)
+        monkeypatch.setattr(batch, "analyze_deadness", counted_analyze)
+        with use_runtime(jobs=2):
+            results = [_bytes(run_campaign(small_program, small_execution,
+                                           small_pipeline, config))
+                       for config in EIGHT]
+        assert results == serial
+        assert set(log.read_text().split()) == {"re-execution"}
+
     def test_subject_cache_is_bounded(self):
         programs = [program([I(Opcode.MOVI, r1=1, imm=value),
                              I(Opcode.OUT, r2=1), I(Opcode.HALT)])
@@ -467,38 +559,11 @@ class TestStrikeSubject:
         newest = subjects[-1]
         assert local_subject(newest.program, newest.baseline) is newest
 
-    def test_slim_token_rederives_the_same_baseline(
-            self, small_program, small_execution):
-        token = SubjectToken(subject_key(small_program, small_execution),
-                             small_program)
-        subject = resolve_subject(token)
-        assert subject.baseline is not small_execution
-        assert subject_key(small_program, subject.baseline) == token.key
-        assert resolve_subject(token) is subject
-
 
 class TestBaselineFidelity:
-    @pytest.fixture(scope="class")
-    def truncated(self, small_program, small_execution, base_machine):
-        """A baseline that is not the program's own run: cut short."""
-        baseline = FunctionalSimulator(
-            small_program,
-            ExecutionLimits(max_instructions=len(small_execution.trace) // 2),
-        ).run()
-        pipeline = PipelineSimulator(small_program, baseline.trace,
-                                     base_machine, seed=TEST_SEED).run()
-        return baseline, pipeline
-
-    def test_slim_token_refuses_a_different_baseline(
-            self, small_program, truncated):
-        baseline, _ = truncated
-        token = SubjectToken(subject_key(small_program, baseline),
-                             small_program)
-        with pytest.raises(SubjectMismatch, match=small_program.name):
-            resolve_subject(token)
-
     def test_parallel_campaign_uses_the_callers_baseline(
-            self, small_program, small_execution, small_pipeline, truncated):
+            self, small_program, small_execution, small_pipeline, truncated,
+            starts):
         baseline, pipeline = truncated
         assert subject_key(small_program, baseline) != \
             subject_key(small_program, small_execution)
@@ -507,24 +572,22 @@ class TestBaselineFidelity:
             reference = run_campaign(small_program, baseline, pipeline,
                                      config)
         clear_caches()
-        telemetry = Telemetry()
-        with use_runtime(jobs=2, policy=FAST, telemetry=telemetry):
-            # Start the workers first, so none holds the truncated
-            # baseline's subject and every shard must re-derive it.
+        with use_runtime(jobs=2, policy=FAST):
+            # Start the workers on the program's own run first: the
+            # truncated baseline's campaign must restart them holding
+            # its subject.
             run_campaign(small_program, small_execution, small_pipeline,
                          EIGHT[0])
-            assert "baselines_shipped" not in telemetry.counters
             parallel = run_campaign(small_program, baseline, pipeline,
                                     config)
-        assert telemetry.counters["baselines_shipped"] == 1
+            assert starts.count == 2
         assert _bytes(parallel) == _bytes(reference)
 
     def test_spawned_workers_holding_some_subjects(
             self, small_program, truncated, starts):
-        """A second campaign on the truncated baseline meets spawned
-        workers that hold its subject (shipped to them by the first) and
-        may meet workers that do not; its tallies stay the serial ones
-        whichever worker ran which block."""
+        """Two campaigns on the truncated baseline meet spawned workers
+        that unpickled its subject once; their tallies stay the serial
+        ones whichever worker ran which block."""
         baseline, pipeline = truncated
         configs = [CampaignConfig(trials=40, seed=seed, parity=True)
                    for seed in (3, 4)]
@@ -539,48 +602,5 @@ class TestBaselineFidelity:
                                  configs[0])
             second = run_campaign(small_program, baseline, pipeline,
                                   configs[1])
-            assert starts.count >= 1
+            assert starts.count == 1
         assert [_bytes(first), _bytes(second)] == reference
-
-    def test_mixed_pass_merges_each_block_once(
-            self, small_program, small_execution, small_pipeline, serial,
-            monkeypatch, tmp_path):
-        """Blocks merged before a SubjectMismatch are not run again: the
-        retry ships the baseline to the unmerged blocks only."""
-        monkeypatch.setattr(campaign, "shard_worker", _refuse_last_block)
-        telemetry = Telemetry()
-        with use_runtime(jobs=2, policy=FAST, telemetry=telemetry,
-                         checkpoint_dir=tmp_path):
-            result = run_campaign(small_program, small_execution,
-                                  small_pipeline, EIGHT[0])
-        assert _bytes(result) == serial[0]
-        assert telemetry.counters["baselines_shipped"] == 1
-        assert telemetry.counters["checkpoint_writes"] == 8
-
-    def test_mixed_quarantine_pass_merges_each_trial_once(
-            self, small_program, small_execution, small_pipeline,
-            monkeypatch):
-        """The single-trial quarantine pass recovers from a mismatch the
-        same way, and quarantines exactly the serial run's trials."""
-        config = EIGHT[1]
-        seed = next(s for s in range(5000) if 1 <= len(ChaosInjector(
-            ChaosConfig(modes=("poison-trial",), seed=s, poison_prob=0.05)
-        ).poisoned_trials(config.trials)) <= 2)
-        chaos = ChaosConfig(modes=("poison-trial",), seed=seed,
-                            poison_prob=0.05)
-        with use_runtime(policy=FAST, chaos=chaos):
-            reference = run_campaign(small_program, small_execution,
-                                     small_pipeline, config)
-        assert reference.completeness.quarantined
-        monkeypatch.setattr(campaign, "shard_worker",
-                            _refuse_last_singles)
-        telemetry = Telemetry()
-        with use_runtime(jobs=2, policy=FAST, chaos=chaos,
-                         telemetry=telemetry):
-            result = run_campaign(small_program, small_execution,
-                                  small_pipeline, config)
-        assert telemetry.counters["baselines_shipped"] == 1
-        assert result.counts == reference.counts
-        assert result.tracker_misses == reference.tracker_misses
-        assert result.completeness.quarantined == \
-            reference.completeness.quarantined
