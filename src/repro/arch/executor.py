@@ -17,12 +17,13 @@ the columnar :class:`~repro.arch.trace.Trace` from them once at the end
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
+from repro.arch.liveness import Liveness
 from repro.arch.result import ExecutionResult, ExecutionStatus, InvocationRecord
 from repro.arch.state import ADDRESS_MASK, WORD_MASK, ArchState
 from repro.arch.trace import (
@@ -166,14 +167,6 @@ class Snapshot:
         return cls(pc, tuple(state.gprs), tuple(state.predicates),
                    dict(state.memory), tuple(state.call_stack), output_count)
 
-    def matches(self, pc: int, state: ArchState, output_count: int) -> bool:
-        """Whether ``state`` at ``pc`` equals this snapshot's state."""
-        return (pc == self.pc and output_count == self.output_count
-                and tuple(state.gprs) == self.gprs
-                and tuple(state.predicates) == self.predicates
-                and tuple(state.call_stack) == self.call_stack
-                and state.memory == self.memory)
-
     def restore(self) -> ArchState:
         state = ArchState()
         state.gprs = list(self.gprs)
@@ -188,7 +181,9 @@ class SnapshotLog:
     """Snapshots of one unmodified run and how that run ended.
 
     ``snapshots[j]`` is the state before commit ``j * interval``; the log
-    is valid only for runs under the same ``max_instructions``.
+    is valid only for runs under the same ``max_instructions``. A run
+    resumes from it only when it carries the logged run's
+    :class:`~repro.arch.liveness.Liveness` (:func:`resume_log`).
     """
 
     interval: int
@@ -196,6 +191,48 @@ class SnapshotLog:
     snapshots: Tuple[Snapshot, ...]
     status: ExecutionStatus
     outputs: Tuple[int, ...]
+    liveness: Optional[Liveness] = field(default=None, compare=False,
+                                         repr=False)
+
+    def rejoins(self, index: int, pc: int, state: ArchState) -> bool:
+        """Whether a run at ``pc`` in ``state`` before commit ``index *
+        interval`` has rejoined the logged run at ``snapshots[index]``.
+
+        It has when its pc, its call stack and every GPR, predicate and
+        memory word that the logged run reads before it writes it from
+        that commit on equal the snapshot's; memory words compare as
+        read, so an unmapped word equals a stored 0. The rest of the run
+        is then the logged run's rest. Each later read is either of a
+        location that was live at the snapshot, and so equal, or of a
+        location written since from equal inputs (the same instruction
+        at the same pc, by induction), so every instruction computes
+        what the logged run's does and the run ends as it did, at the
+        same commit: the instruction budget included. A location the
+        logged run writes before it reads it cannot reach anything.
+        The log's run must be the one its liveness was traced from;
+        reads after that run's end never happen, so a run that ended in
+        LIMIT or a trap is described exactly too.
+        """
+        snapshot = self.snapshots[index]
+        if pc != snapshot.pc:
+            return False
+        live = self.liveness
+        gprs, saved = state.gprs, snapshot.gprs
+        for register in live.gprs[index]:
+            if gprs[register] != saved[register]:
+                return False
+        predicates, saved = state.predicates, snapshot.predicates
+        for register in live.predicates[index]:
+            if predicates[register] != saved[register]:
+                return False
+        if tuple(state.call_stack) != snapshot.call_stack:
+            return False
+        memory, saved = state.memory, snapshot.memory
+        if memory == saved:
+            return True
+        changed = {address for address, _ in memory.items() ^ saved.items()
+                   if memory.get(address, 0) != saved.get(address, 0)}
+        return not live.reads_memory(index, changed)
 
 
 class FunctionalSimulator:
@@ -235,14 +272,18 @@ class FunctionalSimulator:
         ``snapshot_every`` > 0 records a :class:`Snapshot` before every
         ``snapshot_every``-th commit into ``result.snapshots``.
 
-        ``resume`` takes such a log of the unmodified program and skips the
-        prefix an override cannot change: the run starts from the last
-        snapshot at or before ``override_seq``. At every later snapshot
-        boundary it compares its state and its outputs so far with the
-        log's; once both are equal the remainder is the logged run's
-        remainder (the next state is a function of pc, registers,
-        predicates, memory and call stack alone), so it stops and returns
-        the logged status and outputs with ``converged`` set.
+        ``resume`` takes such a log of the unmodified program, with its
+        liveness (:func:`resume_log`), and skips the prefix an override
+        cannot change: the run starts from the last snapshot at or
+        before ``override_seq``. At every later snapshot it asks the log
+        whether its live state has rejoined the logged run's
+        (:meth:`SnapshotLog.rejoins`: pc, call stack, and the registers
+        and memory words the logged run reads before it writes them).
+        Once it has, the remainder is the logged run's remainder, so the
+        run stops with ``converged`` set and returns the logged status;
+        its outputs are its own so far plus the outputs the logged run
+        emitted after that snapshot. Its outputs so far need not match:
+        a corrupted ``OUT`` whose state rejoins later still shows.
         """
         if (override_seq is None) != (override_instruction is None):
             raise ValueError("override_seq and override_instruction go together")
@@ -253,6 +294,8 @@ class FunctionalSimulator:
             if resume.max_instructions != self.limits.max_instructions:
                 raise ValueError("the snapshot log was recorded under "
                                  "different limits")
+            if resume.liveness is None:
+                raise ValueError("a resumed run needs the log's liveness")
 
         program = self.program
         table = decoded(program)
@@ -303,7 +346,6 @@ class FunctionalSimulator:
         else:
             state = ArchState()
         first_seq = seq
-        first_output = len(outputs)
         converged = False
         # The loop mutates the state's containers in place, so snapshots
         # capture and compare ``state`` itself. r0 and p0 are never
@@ -320,13 +362,11 @@ class FunctionalSimulator:
                         Snapshot.capture(pc, state, len(outputs)))
                     next_event += snapshot_every
                 else:
-                    snapshot = resume.snapshots[index]
-                    if (snapshot.matches(pc, state, len(outputs))
-                            and tuple(outputs[first_output:])
-                            == resume.outputs[first_output:len(outputs)]):
+                    if resume.rejoins(index, pc, state):
                         converged = True
                         status = resume.status
-                        outputs = resume.outputs
+                        outputs.extend(resume.outputs[
+                            resume.snapshots[index].output_count:])
                         break
                     index += 1
                     next_event = (index * interval
@@ -461,6 +501,30 @@ class FunctionalSimulator:
             converged=converged,
             snapshots=log,
         )
+
+
+def resume_log(program: Program, limits: ExecutionLimits,
+               baseline: ExecutionResult) -> SnapshotLog:
+    """The log a run of ``program`` under ``limits`` resumes from.
+
+    Snapshots of an unmodified run, :func:`snapshot_interval` of the
+    baseline's length commits apart, with the
+    :class:`~repro.arch.liveness.Liveness` of that very run. The
+    baseline's trace serves when the baseline is that run: the same
+    code, status, outputs and length. Otherwise (a baseline cut short
+    by a smaller budget, or of other code) the snapshot run is traced.
+    """
+    simulator = FunctionalSimulator(program, limits)
+    every = snapshot_interval(len(baseline.trace))
+    run = simulator.run(record_trace=False, snapshot_every=every)
+    trace = baseline.trace
+    if (run.status, run.outputs, run.steps) != (
+            baseline.status, baseline.outputs, len(trace)) \
+            or trace.instructions != program.instructions:
+        run = simulator.run(snapshot_every=every)
+        trace = run.trace
+    log = run.snapshots
+    return replace(log, liveness=Liveness(trace, every, len(log.snapshots)))
 
 
 def _build_trace(table: List[tuple], pcs: List[int], stop_pc: int,

@@ -46,11 +46,7 @@ import numpy as np
 from _random import Random as _CoreRandom
 
 from repro.analysis.deadcode import analyze_deadness
-from repro.arch.executor import (
-    FunctionalSimulator,
-    SnapshotLog,
-    snapshot_interval,
-)
+from repro.arch.executor import SnapshotLog, resume_log
 from repro.arch.result import ExecutionResult
 from repro.due.outcomes import FaultOutcome, Tally
 from repro.due.pi_bit import PiBitTracker
@@ -394,14 +390,12 @@ class StrikeSubject:
 
     @property
     def snapshots(self) -> SnapshotLog:
-        """Snapshots every re-execution resumes from: one extra baseline
-        run under the re-execution budget."""
+        """Snapshots every re-execution resumes from, with the liveness
+        that lets it stop early (:func:`~repro.arch.executor.resume_log`):
+        one extra baseline run under the re-execution budget."""
         if self._snapshots is None:
-            self._snapshots = FunctionalSimulator(
-                self.program, self.limits).run(
-                record_trace=False,
-                snapshot_every=snapshot_interval(len(self.baseline.trace)),
-            ).snapshots
+            self._snapshots = resume_log(self.program, self.limits,
+                                         self.baseline)
         return self._snapshots
 
 

@@ -45,8 +45,9 @@ Monte-Carlo campaigns and tracking-level ablations hit repeatedly. The
 
 What is left re-executes only the instructions a strike can change: the
 run resumes from the baseline snapshot at or before the struck ``seq``
-and stops as soon as its state and outputs so far rejoin the baseline's
-at a later snapshot (:meth:`FunctionalSimulator.run`, ``resume``).
+and stops as soon as its live state rejoins the baseline's at a later
+snapshot (:meth:`FunctionalSimulator.run`, ``resume``): locations the
+baseline writes before it reads them may still differ.
 
 The static filter is semantics-preserving by construction;
 :meth:`EffectOracle.reexecute` bypasses memo and filter for the tests
@@ -271,10 +272,11 @@ class EffectOracle:
         both against re-execution) but ticks the execution counters.
 
         The run resumes from the baseline snapshot at or before ``seq``
-        and stops as soon as its state rejoins the baseline's at a later
-        snapshot (see :meth:`FunctionalSimulator.run`); the snapshot log
-        is the subject's, one extra baseline run made on the first
-        re-execution of any oracle over it.
+        and stops as soon as its live state rejoins the baseline's at a
+        later snapshot (see :meth:`FunctionalSimulator.run`); the
+        snapshot log and its liveness are the subject's, one extra
+        baseline run made when the subject is prepared or, failing
+        that, on the first re-execution of any oracle over it.
         """
         # Local import: injector imports this module at definition time.
         from repro.faults.injector import corrupt_burst

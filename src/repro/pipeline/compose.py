@@ -434,10 +434,20 @@ def _make_rec_pred(predictor) -> tuple:
     return rec_update, pre
 
 
-def _static_template(pc, program, static_templates, pc_of_instr) -> list:
-    """Fetch-and-decode a wrong-path template (mirrors the fetch path)."""
+def _static_template(pc, program, rows, static_templates,
+                     pc_of_instr) -> list:
+    """Fetch-and-decode a wrong-path template (mirrors the fetch path).
+
+    The decoding is the row table's when the trace's instruction table
+    holds the fetched instruction itself at ``pc`` (the trace is a run
+    of this program), so a wrong-path fetch decodes nothing anew.
+    """
     instruction = program.fetch(pc)
-    d = _decode(instruction)
+    table = rows.trace.instructions
+    if 0 <= pc < len(table) and table[pc] is instruction:
+        d = rows.decoded[pc]
+    else:
+        d = _decode(instruction)
     template = [None, d[0], d[1], d[2], d[3], True, 0, None, False, None,
                 True, instruction, d[4], pc]
     static_templates[pc] = template
@@ -694,7 +704,7 @@ def _apply(seg, cycle, trace_ptr, rows, static_templates,
             _, pc, ar, ir = t
             template = static_templates.get(pc)
             if template is None:
-                template = _static_template(pc, program,
+                template = _static_template(pc, program, rows,
                                             static_templates,
                                             pc_of_instr)
             entry = template.copy()
@@ -803,7 +813,7 @@ def _assemble(log, splices, rows, static_templates, program,
             else:
                 template = static_templates.get(tok)
                 if template is None:
-                    template = _static_template(tok, program,
+                    template = _static_template(tok, program, rows,
                                                 static_templates,
                                                 pc_of_instr)
                 instr_append(template[E_INSTR])
@@ -1331,7 +1341,7 @@ def run_composed(sim) -> PipelineResult:
                         template = static_templates.get(pc)
                         if template is None:
                             template = _static_template(
-                                pc, program, static_templates,
+                                pc, program, rows, static_templates,
                                 pc_of_instr)
                         wrong_pc = pc + 1
                         entry = template.copy()

@@ -163,6 +163,8 @@ def reference_run(
         if resume.max_instructions != limits.max_instructions:
             raise ValueError("the snapshot log was recorded under "
                              "different limits")
+        if resume.liveness is None:
+            raise ValueError("a resumed run needs the log's liveness")
 
     trace = [] if record_trace else None
     outputs = []
@@ -200,7 +202,6 @@ def reference_run(
     else:
         state = state_factory()
     first_seq = seq
-    first_output = len(outputs)
     converged = False
 
     while seq < max_instructions:
@@ -209,13 +210,11 @@ def reference_run(
                 snapshots.append(Snapshot.capture(pc, state, len(outputs)))
                 next_event += snapshot_every
             else:
-                snapshot = resume.snapshots[index]
-                if (snapshot.matches(pc, state, len(outputs))
-                        and tuple(outputs[first_output:])
-                        == resume.outputs[first_output:len(outputs)]):
+                if resume.rejoins(index, pc, state):
                     converged = True
                     status = resume.status
-                    outputs = resume.outputs
+                    outputs.extend(resume.outputs[
+                        resume.snapshots[index].output_count:])
                     break
                 index += 1
                 next_event = (index * interval

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from repro.arch.executor import (
     ExecutionLimits,
     FunctionalSimulator,
+    resume_log,
     snapshot_interval,
 )
 from repro.arch.result import ExecutionStatus
@@ -67,9 +68,9 @@ def assert_same_runs(prog, limits=None):
 def assert_same_strikes(prog, baseline, strikes):
     """Each ``(seq, mask)`` override agrees run in full and resumed."""
     limits = default_limits(baseline)
-    log = assert_same_run(
-        prog, limits, record_trace=False,
-        snapshot_every=snapshot_interval(len(baseline.trace))).snapshots
+    assert_same_run(prog, limits, record_trace=False,
+                    snapshot_every=snapshot_interval(len(baseline.trace)))
+    log = resume_log(prog, limits, baseline)
     for seq, mask in strikes:
         corrupted = corrupt_burst(baseline.trace[seq].instruction, mask)
         kwargs = dict(override_seq=seq, override_instruction=corrupted)

@@ -1,9 +1,9 @@
 """Checkpointed, early-exit re-execution.
 
 The effect oracle re-executes a struck program from the baseline snapshot
-at or before the strike and stops once the corrupted run's state rejoins
-the baseline's at a later snapshot. Its contract is the seed slow path's
-verdict for every strike, so these tests compare it with
+at or before the strike and stops once the corrupted run's live state
+rejoins the baseline's at a later snapshot. Its contract is the seed
+slow path's verdict for every strike, so these tests compare it with
 :func:`~repro.faults.injector.architectural_effect` (a full run from
 instruction 0 to the end):
 
@@ -11,9 +11,10 @@ instruction 0 to the end):
   that spans more than three snapshot intervals and covers the corners
   (strikes either side of a snapshot, in the first and the last partial
   interval; early convergence; a corrupted ``OUT`` whose registers
-  converge afterwards; a ``ST`` of 0 to a fresh address; calls nested
-  across a snapshot; states that differ only in a predicate or in the
-  call stack; traps and hangs after a snapshot);
+  converge afterwards; dead and live registers and memory words that
+  differ at a snapshot; calls nested across a snapshot; states that
+  differ only in a predicate or in the call stack; traps and hangs
+  after a snapshot);
 * on sampled strikes and bursts of generated programs (hypothesis);
 * at the executor level: the snapshot log holds the states a plain run
   passes through (as the per-step reference loop of
@@ -28,6 +29,7 @@ from hypothesis import strategies as st
 from repro.arch.executor import (
     FunctionalSimulator,
     Snapshot,
+    resume_log,
     snapshot_interval,
 )
 from repro.faults.batch import StrikeSubject
@@ -49,10 +51,12 @@ IMM_BIT = next(iter(field_bits(Field.IMM7)))
 
 #: Program counters of the loop program's instructions of interest.
 PC_CALL_F = 7
+PC_STORE_I = 6
 PC_MOVI_OUT_VALUE = 10
 PC_MOVI_CLEAR = 12
 PC_STORE_ZERO = 13
 PC_NOP_IN_F = 22
+PC_COUNT_F = 23
 
 
 def loop_program():
@@ -109,11 +113,17 @@ def seqs_at(baseline, pc):
 
 
 def snapshot_log(prog, baseline, **run_kwargs):
+    """The snapshots a (possibly struck) run passes through."""
     simulator = FunctionalSimulator(prog, default_limits(baseline))
     return simulator.run(
         record_trace=False,
         snapshot_every=snapshot_interval(len(baseline.trace)),
         **run_kwargs).snapshots
+
+
+def rejoin_log(prog, baseline):
+    """The log a re-execution resumes from, liveness included."""
+    return resume_log(prog, default_limits(baseline), baseline)
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +175,7 @@ class TestSnapshotLog:
 
     def test_resume_from_every_snapshot_reproduces_the_run(self, loop_setup):
         prog, baseline, interval = loop_setup
-        log = snapshot_log(prog, baseline)
+        log = rejoin_log(prog, baseline)
         simulator = FunctionalSimulator(prog, default_limits(baseline))
         for index in range(len(log.snapshots)):
             for seq in (index * interval, index * interval + interval - 1):
@@ -186,7 +196,7 @@ class TestSnapshotLog:
 
     def test_resumed_run_equals_a_full_run(self, loop_setup):
         prog, baseline, _ = loop_setup
-        log = snapshot_log(prog, baseline)
+        log = rejoin_log(prog, baseline)
         simulator = FunctionalSimulator(prog, default_limits(baseline))
         for seq in seqs_at(baseline, PC_CALL_F):
             for bit in range(ENCODING_BITS):
@@ -196,14 +206,13 @@ class TestSnapshotLog:
                               override_instruction=corrupted)
                 full = simulator.run(**kwargs)
                 resumed = simulator.run(resume=log, **kwargs)
-                if not resumed.converged:
-                    assert resumed.output_signature() == \
-                        full.output_signature()
-                    assert resumed.steps <= full.steps
+                # A converged run reports the outputs a full run emits.
+                assert resumed.output_signature() == full.output_signature()
+                assert resumed.steps <= full.steps
 
     def test_resume_is_validated(self, loop_setup):
         prog, baseline, _ = loop_setup
-        log = snapshot_log(prog, baseline)
+        log = rejoin_log(prog, baseline)
         simulator = FunctionalSimulator(prog, default_limits(baseline))
         nop = I(Opcode.NOP)
         with pytest.raises(ValueError):
@@ -219,6 +228,10 @@ class TestSnapshotLog:
             FunctionalSimulator(prog).run(
                 record_trace=False, override_seq=3,
                 override_instruction=nop, resume=log)
+        with pytest.raises(ValueError):
+            simulator.run(record_trace=False, override_seq=3,
+                          override_instruction=nop,
+                          resume=snapshot_log(prog, baseline))
 
     def test_non_recording_runs_keep_no_invocations(self, loop_setup):
         prog, baseline, _ = loop_setup
@@ -292,9 +305,11 @@ class TestCorners:
         assert struck.outputs != log.outputs
         assert oracle.reexecute(seq, 1 << IMM_BIT) == "sdc"
         assert architectural_effect(prog, baseline, seq, IMM_BIT) == "sdc"
-        assert oracle.converged == 0
+        # The run stops there and keeps its own corrupted output.
+        assert oracle.converged == 1
+        assert oracle.replayed_insts == interval
 
-    def test_store_of_zero_to_fresh_address_only_blocks_early_exit(
+    def test_store_of_zero_to_fresh_address_converges_early(
             self, loop_setup, oracle):
         prog, baseline, interval = loop_setup
         seq = seqs_at(baseline, PC_STORE_ZERO)[0]
@@ -304,14 +319,94 @@ class TestCorners:
         stored = {op.mem_addr for op in baseline.trace if op.is_store}
         assert 100 + corrupted.imm not in stored
         # Memory maps differ by a key holding 0: architecturally equal
-        # (unmapped words read as 0), so the verdict is "none", but the
-        # conservative dict comparison never lets the run exit early.
+        # (unmapped words read as 0), and never read anyway.
         assert oracle.reexecute(seq, 1 << IMM_BIT) == "none"
         assert architectural_effect(prog, baseline, seq, IMM_BIT) == "none"
+        assert oracle.converged == 1
+        # Replayed from the snapshot before the strike to the next one.
+        assert oracle.replayed_insts == interval
+
+    def test_dead_register_that_differs_converges(self, loop_setup, oracle):
+        prog, baseline, interval = loop_setup
+        # The clear of r8 just before a snapshot: r8 differs there, but
+        # the baseline writes it (pc 10) before it reads it again.
+        seq = next(s for s in seqs_at(baseline, PC_MOVI_CLEAR)
+                   if s % interval > interval - 4)
+        after = seq // interval + 1
+        corrupted = corrupt_burst(baseline.trace[seq].instruction,
+                                  1 << IMM_BIT)
+        log = rejoin_log(prog, baseline)
+        struck = snapshot_log(prog, baseline, override_seq=seq,
+                              override_instruction=corrupted)
+        assert struck.snapshots[after].gprs[8] != log.snapshots[after].gprs[8]
+        assert 8 not in log.liveness.gprs[after]
+        assert oracle.reexecute(seq, 1 << IMM_BIT) == "none"
+        assert architectural_effect(prog, baseline, seq, IMM_BIT) == "none"
+        assert oracle.converged == 1
+        assert oracle.replayed_insts == interval
+
+    def test_live_register_that_differs_does_not_converge(self, loop_setup,
+                                                           oracle):
+        prog, baseline, interval = loop_setup
+        # f's count in r9 is read by every later call and by the OUT.
+        seq = seqs_at(baseline, PC_COUNT_F)[0]
+        log = rejoin_log(prog, baseline)
+        assert all(9 in live for live in log.liveness.gprs[1:])
+        assert oracle.reexecute(seq, 1 << IMM_BIT) == "sdc"
+        assert architectural_effect(prog, baseline, seq, IMM_BIT) == "sdc"
         assert oracle.converged == 0
-        # Replayed from the snapshot before the strike to the HALT.
         resumed_at = seq // interval * interval
         assert oracle.replayed_insts == len(baseline.trace) - resumed_at
+
+    def test_store_to_an_address_stored_next_converges(self, loop_setup,
+                                                       oracle):
+        prog, baseline, interval = loop_setup
+        # The store of 0 to 108 retargeted to 100, just before a
+        # snapshot: 100 differs there, but its next access is the loop
+        # head's store.
+        bit = IMM_BIT + 3
+        seq = next(s for s in seqs_at(baseline, PC_STORE_ZERO)
+                   if s % interval > interval - 4)
+        after = seq // interval + 1
+        corrupted = corrupt_burst(baseline.trace[seq].instruction, 1 << bit)
+        assert corrupted.imm == 0
+        log = rejoin_log(prog, baseline)
+        struck = snapshot_log(prog, baseline, override_seq=seq,
+                              override_instruction=corrupted)
+        assert struck.snapshots[after].memory[100] != \
+            log.snapshots[after].memory[100]
+        assert oracle.reexecute(seq, 1 << bit) == "none"
+        assert architectural_effect(prog, baseline, seq, bit) == "none"
+        assert oracle.converged == 1
+        assert oracle.replayed_insts == interval
+
+    def test_load_first_address_blocks_early_exit(self, loop_setup, oracle):
+        prog, baseline, interval = loop_setup
+        # The loop head's store retargeted just before a snapshot: 100
+        # keeps its old value there, and the baseline loads it next.
+        seq = next(s for s in seqs_at(baseline, PC_STORE_I)
+                   if s % interval > interval - 6)
+        after = seq // interval + 1
+        corrupted = corrupt_burst(baseline.trace[seq].instruction,
+                                  1 << IMM_BIT)
+        log = rejoin_log(prog, baseline)
+        struck = snapshot_log(prog, baseline, override_seq=seq,
+                              override_instruction=corrupted).snapshots[after]
+        expected = log.snapshots[after]
+        # Only memory differs: 100 (read next) and 101 (never touched).
+        assert (struck.pc, struck.gprs, struck.predicates,
+                struck.call_stack) == (expected.pc, expected.gprs,
+                                       expected.predicates,
+                                       expected.call_stack)
+        assert set(struck.memory.items()) ^ set(expected.memory.items()) \
+            == {(100, struck.memory[100]), (100, expected.memory[100]),
+                (101, struck.memory[101])}
+        assert not log.rejoins(after, struck.pc, struck.restore())
+        assert log.liveness.reads_memory(after, [100])
+        assert not log.liveness.reads_memory(after, [101])
+        assert oracle.reexecute(seq, 1 << IMM_BIT) == "sdc"
+        assert architectural_effect(prog, baseline, seq, IMM_BIT) == "sdc"
+        assert oracle.converged == 0
 
     def test_extra_return_address_blocks_early_exit(self, loop_setup,
                                                     oracle):

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from collections import Counter
@@ -167,6 +169,8 @@ def main() -> int:
         "tallies_identical": (cold.counts == golden
                               and warm.counts == golden),
         "min_speedup_required": args.min_speedup,
+        "host": {"machine": platform.machine(), "cores": os.cpu_count(),
+                 "python": platform.python_version()},
         "passed": not failures,
     }
     Path(args.output).write_text(json.dumps(record, indent=2) + "\n")

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -103,6 +105,8 @@ def main() -> int:
             "sharded_vs_serial": sharded_text == serial_text,
         },
         "exhibit": args.exhibit_output,
+        "host": {"machine": platform.machine(), "cores": os.cpu_count(),
+                 "python": platform.python_version()},
         "passed": not failures,
     }
     Path(args.output).write_text(json.dumps(record, indent=2) + "\n")
