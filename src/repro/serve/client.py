@@ -4,7 +4,9 @@
   of the protocol. It multiplexes many concurrent requests over one
   connection by request id (the load harness drives thousands of
   in-flight queries through a handful of connections this way) and
-  bounds every wait with one shared deadline watchdog. Built with a
+  bounds every wait with one shared deadline watchdog. Request lines
+  queue on the connection's outbox and go out in one socket write per
+  event-loop turn, so requests issued together share a write. Built with a
   ``policy`` and ``breaker``, one logical ``request()`` also fights
   through transient failure: deterministic exponential backoff across
   reconnects, a wall-clock deadline budget capping the total spent, a
@@ -148,6 +150,8 @@ class AsyncServeClient:
         #: Waiters on the current connection, by request id (a fresh
         #: dict per connection, so a dying pump fails only its own).
         self._pending: Dict[int, asyncio.Queue] = {}
+        #: Request lines queued on the current connection this turn.
+        self._outbox: List[bytes] = []
         # Request deadlines are enforced by one shared watchdog timer
         # (re-armed at the earliest pending deadline), not a timer per
         # request — per request the cost is a dict write.
@@ -167,6 +171,7 @@ class AsyncServeClient:
         reader, writer = await asyncio.wait_for(asyncio.open_connection(
             self.host, self.port, limit=MAX_LINE_BYTES), timeout)
         self._pending = pending = {}
+        self._outbox = []
         self._writer = writer
         self._pump = asyncio.ensure_future(
             self._pump_responses(reader, writer, pending))
@@ -327,7 +332,7 @@ class AsyncServeClient:
     async def _exchange(self, request_id: int, payload: Dict[str, Any],
                         collect_events: Optional[List[Dict[str, Any]]],
                         timeout: Optional[float]) -> Dict[str, Any]:
-        """One attempt: write the request line, await its final line.
+        """One attempt: queue the request line, await its final line.
 
         ``timeout`` is enforced by the client's shared watchdog timer
         feeding the response queue — not ``asyncio.wait_for``, whose
@@ -349,13 +354,20 @@ class AsyncServeClient:
         if timeout is not None:
             self._arm_deadline(request_id, timeout)
         try:
-            # One synchronous buffered write — deliberately no lock and
-            # no drain(): the response-queue wait below is then the only
-            # suspension point, so the deadline watchdog bounds the
-            # whole request (an awaited drain on a dying transport can
-            # hang outside any timeout's reach). Request lines are tiny;
-            # the transport buffer soaks up any transient stall.
-            writer.write((canonical_dumps(request) + "\n").encode())
+            # The line joins the connection's outbox; the first line of
+            # this loop turn schedules the one write that sends them
+            # all. Deliberately no lock and no drain(): the response-
+            # queue wait below is then the only suspension point, so the
+            # deadline watchdog bounds the whole request (an awaited
+            # drain on a dying transport can hang outside any timeout's
+            # reach), and a connection that dies before the flush fails
+            # this waiter through the pump like any other. Request lines
+            # are tiny; the transport buffer soaks up any stall.
+            outbox = self._outbox
+            if not outbox:
+                asyncio.get_running_loop().call_soon(
+                    self._flush, writer, outbox)
+            outbox.append((canonical_dumps(request) + "\n").encode())
             while True:
                 response = await queue.get()
                 if response is None:
@@ -374,6 +386,13 @@ class AsyncServeClient:
         finally:
             self._deadlines.pop(request_id, None)
             pending.pop(request_id, None)
+
+    @staticmethod
+    def _flush(writer: asyncio.StreamWriter, outbox: List[bytes]) -> None:
+        """Send one turn's request lines in one write (none if closed)."""
+        if not writer.is_closing():
+            writer.write(b"".join(outbox))
+        outbox.clear()
 
     def _arm_deadline(self, request_id: int, timeout: float) -> None:
         """Register a deadline with the shared watchdog.

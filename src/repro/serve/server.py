@@ -6,10 +6,11 @@ One asyncio process answers AVF/MITF/false-DUE queries for arbitrary
 * **warm** keys come straight from a bounded in-memory LRU (mirroring the
   pipeline's ``_WARM_SNAPSHOTS`` discipline: a hit refreshes the entry,
   inserting past the cap evicts the least-recently-used answer) — no
-  engine work, microsecond turnaround. A repeated request costs one
-  parse-memo lookup (its :func:`~repro.serve.protocol.query_text`, which
-  leaves out only ``id`` and ``deadline``, to the parsed query), one LRU
-  lookup, and one write of the answer's pre-encoded text;
+  engine work, microsecond turnaround. A repeated request is answered
+  in the connection's read loop, with no task: one parse-memo lookup
+  (its :func:`~repro.serve.protocol.query_text`, which leaves out only
+  ``id`` and ``deadline``, to the parsed query), one LRU lookup, and the
+  answer's pre-encoded text queued on the connection's outbox;
 * **cold** keys are *coalesced*: the first request for a key creates one
   in-flight computation on the supervised engine (``run_benchmark`` /
   ``run_campaign`` under the process's runtime context, on the one
@@ -41,6 +42,18 @@ answer everything in flight, refuse new queries with ``draining``, then
 close (exit code 143). The ``health`` op reports live/ready/draining
 plus the counters a fleet balancer or circuit breaker wants to see.
 
+**The wire.** Response lines never go to the socket one by one. Each
+connection queues them on an outbox that is sent in one transport write
+per event-loop turn (the first line queued in a turn schedules the
+flush), so pipelined answers share a write. Whoever queues a line while
+the outbox and the transport's buffer together pass the transport's
+high-water mark sends at once and awaits ``drain()``: a client that
+stops reading stalls its own connection's read loop and tasks, and the
+server holds about a high-water mark of its answers, not all of them.
+Lines queued for a connection that is already gone are dropped and
+counted in ``serve_client_disconnects``; ``serve_writes`` counts the
+transport writes.
+
 Every request ticks both the server's own :attr:`AvfServer.stats`
 counters (authoritative, queryable via the ``stats`` op) and the runtime
 telemetry, so ``repro serve`` prints the standard footer on shutdown.
@@ -50,18 +63,20 @@ from __future__ import annotations
 
 import asyncio
 import base64
+import gc
 import os
 import pickle
 import signal
 from collections import Counter, OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.runtime.cache import MISS
 from repro.runtime.context import get_runtime
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
+    QUERY_OPS,
     ProtocolError,
     Query,
     answer_line,
@@ -164,6 +179,59 @@ def resolve_query(query: Query) -> Dict[str, Any]:
     return encode_campaign(result)
 
 
+class _Outbox:
+    """One connection's response lines, sent once per event-loop turn."""
+
+    __slots__ = ("writer", "stats", "lines", "size", "high_water", "lock")
+
+    def __init__(self, writer: asyncio.StreamWriter, stats: Counter) -> None:
+        self.writer = writer
+        self.stats = stats
+        self.lines: List[bytes] = []
+        self.size = 0
+        self.high_water = writer.transport.get_write_buffer_limits()[1]
+        # The read loop and the connection's tasks may all wait on a
+        # full buffer; older Pythons allow one drain() waiter a writer.
+        self.lock = asyncio.Lock()
+
+    def put(self, line: bytes) -> None:
+        """Queue one line; the first of a turn schedules the flush."""
+        if not self.lines:
+            asyncio.get_running_loop().call_soon(self.flush)
+        self.lines.append(line)
+        self.size += len(line)
+
+    @property
+    def full(self) -> bool:
+        """Queued and unsent bytes together past the high-water mark."""
+        return (self.size + self.writer.transport.get_write_buffer_size()
+                > self.high_water)
+
+    def flush(self) -> None:
+        """Send every queued line in one write; drop them if the client
+        is gone (a dead client is not an error)."""
+        lines = self.lines
+        if not lines:
+            return
+        self.lines = []
+        self.size = 0
+        if self.writer.is_closing():
+            self.stats["serve_client_disconnects"] += len(lines)
+            return
+        self.writer.write(b"".join(lines))
+        self.stats["serve_writes"] += 1
+        get_runtime().telemetry.increment("serve_writes")
+
+    async def drain(self) -> None:
+        """Send now, then wait until the client has read enough."""
+        self.flush()
+        try:
+            async with self.lock:
+                await self.writer.drain()
+        except (ConnectionError, OSError, RuntimeError):
+            pass  # the next flush counts what could not be sent
+
+
 class AvfServer:
     """Asyncio NDJSON query server over the runtime's stores."""
 
@@ -223,6 +291,7 @@ class AvfServer:
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
+        gc.unfreeze()  # an in-process server hands its heap back
         if self._stopped is not None:
             self._stopped.set()
 
@@ -270,15 +339,18 @@ class AvfServer:
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        """One client: read request lines, answer each in its own task.
+        """One client: read request lines, answer warm hits in place.
 
-        Per-request tasks let a connection pipeline: a warm query behind
-        a cold one answers immediately. A write lock keeps response lines
-        atomic. A client that disconnects mid-stream only breaks its own
-        writes — in-flight computations it triggered run to completion
-        (and land in the LRU for the next asker).
+        Each line is parsed once, here. A warm query is answered on the
+        spot; any other request gets its own task, so a connection
+        pipelines: a warm query behind a cold one answers immediately.
+        All answers go out through the connection's :class:`_Outbox`. A
+        client that disconnects mid-stream only loses its own answers —
+        in-flight computations it triggered run to completion (and land
+        in the LRU for the next asker).
         """
-        lock = asyncio.Lock()
+        outbox = _Outbox(writer, self.stats)
+        telemetry = get_runtime().telemetry
         # This connection's unfinished requests only: a long-lived
         # connection must not keep every answered request's task alive.
         tasks: "set[asyncio.Task]" = set()
@@ -294,24 +366,36 @@ class AvfServer:
                 except ValueError:
                     # Line past MAX_LINE_BYTES: the stream is desynced,
                     # so answer structurally and drop the connection.
-                    self.stats["serve_errors"] += 1
-                    get_runtime().telemetry.increment("serve_errors")
-                    await self._send(writer, lock, {
-                        "id": None, "event": "error", "ok": False,
-                        "error": {"code": "line-too-long",
-                                  "message": "request line exceeds "
-                                             f"{MAX_LINE_BYTES} bytes"}})
+                    self._send_error(outbox, None, ProtocolError(
+                        "line-too-long",
+                        f"request line exceeds {MAX_LINE_BYTES} bytes"))
                     break
                 if not line:
                     break
                 if not line.strip():
                     continue
-                task = asyncio.ensure_future(
-                    self._handle_line(line, writer, lock))
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-                self._requests.add(task)
-                task.add_done_callback(self._requests.discard)
+                self.stats["serve_requests"] += 1
+                telemetry.increment("serve_requests")
+                request_id = None
+                try:
+                    request = parse_line(line)
+                    request_id = request.get("id")
+                    query = (self._parse(request)
+                             if request.get("op") in QUERY_OPS else None)
+                except ProtocolError as exc:
+                    self._send_error(outbox, request_id, exc)
+                else:
+                    if query is None \
+                            or not self._answer_warm(query, request_id,
+                                                     outbox):
+                        task = asyncio.ensure_future(self._handle_line(
+                            request, request_id, query, outbox))
+                        tasks.add(task)
+                        task.add_done_callback(tasks.discard)
+                        self._requests.add(task)
+                        task.add_done_callback(self._requests.discard)
+                if outbox.full:
+                    await outbox.drain()
         except asyncio.CancelledError:
             pass  # server stopping: fall through to cleanup
         finally:
@@ -321,58 +405,45 @@ class AvfServer:
                 for task in pending:
                     task.cancel()
                 await asyncio.gather(*pending, return_exceptions=True)
+            outbox.flush()
             try:
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
 
-    async def _send(self, writer: asyncio.StreamWriter, lock: asyncio.Lock,
-                    payload: Dict[str, Any]) -> bool:
-        """Encode and write one response line."""
-        return await self._write(writer, lock,
-                                 (canonical_dumps(payload) + "\n").encode())
+    def _send(self, outbox: _Outbox, payload: Dict[str, Any]) -> None:
+        """Encode one response line and queue it."""
+        outbox.put((canonical_dumps(payload) + "\n").encode())
 
-    async def _write(self, writer: asyncio.StreamWriter, lock: asyncio.Lock,
-                     data: bytes) -> bool:
-        """Write one encoded response line; a dead client is not an error."""
-        try:
-            async with lock:
-                writer.write(data)
-                await writer.drain()
-        except (ConnectionError, OSError, RuntimeError):
-            self.stats["serve_client_disconnects"] += 1
-            return False
-        return True
+    def _send_error(self, outbox: _Outbox, request_id,
+                    exc: ProtocolError) -> None:
+        self.stats["serve_errors"] += 1
+        get_runtime().telemetry.increment("serve_errors")
+        self._send(outbox, {"id": request_id, "event": "error", "ok": False,
+                            "error": exc.payload()})
 
-    async def _handle_line(self, line: bytes, writer: asyncio.StreamWriter,
-                           lock: asyncio.Lock) -> None:
-        request_id = None
-        telemetry = get_runtime().telemetry
-        self.stats["serve_requests"] += 1
-        telemetry.increment("serve_requests")
+    async def _handle_line(self, request: Dict[str, Any], request_id,
+                           query: Optional[Query], outbox: _Outbox) -> None:
+        """Answer one parsed request that the read loop could not."""
         try:
-            request = parse_line(line)
-            request_id = request.get("id")
             op = request.get("op")
-            if op in ("avf", "campaign"):
-                await self._handle_query(request, request_id, writer, lock)
+            if query is not None:
+                await self._handle_query(request, request_id, query, outbox)
             elif op == "ping":
-                await self._send(writer, lock, {
+                self._send(outbox, {
                     "id": request_id, "event": "result", "ok": True,
                     "status": "warm", "value": "pong"})
             elif op == "stats":
-                await self._handle_stats(request_id, writer, lock)
+                self._handle_stats(request_id, outbox)
             elif op == "health":
-                await self._handle_health(request_id, writer, lock)
+                self._handle_health(request_id, outbox)
             elif op == "store.get":
-                await self._handle_store_get(request, request_id, writer,
-                                             lock)
+                self._handle_store_get(request, request_id, outbox)
             elif op == "store.put":
-                await self._handle_store_put(request, request_id, writer,
-                                             lock)
+                self._handle_store_put(request, request_id, outbox)
             elif op == "shutdown":
-                await self._send(writer, lock, {
+                self._send(outbox, {
                     "id": request_id, "event": "result", "ok": True,
                     "status": "warm", "value": "stopping"})
                 asyncio.ensure_future(self.stop())
@@ -382,11 +453,9 @@ class AvfServer:
                     "avf, campaign, ping, stats, health, store.get, "
                     "store.put, shutdown")
         except ProtocolError as exc:
-            self.stats["serve_errors"] += 1
-            telemetry.increment("serve_errors")
-            await self._send(writer, lock, {
-                "id": request_id, "event": "error", "ok": False,
-                "error": exc.payload()})
+            self._send_error(outbox, request_id, exc)
+        if outbox.full:
+            await outbox.drain()
 
     # -- the query path: LRU, coalescing, compute ---------------------------
 
@@ -428,19 +497,24 @@ class AvfServer:
             self._parsed[text] = query
         return query
 
+    def _answer_warm(self, query: Query, request_id,
+                     outbox: _Outbox) -> bool:
+        """Queue the LRU's answer to ``query``; False on a miss."""
+        cached = self._lru.get(query.key)
+        if cached is None:
+            return False
+        self._lru.move_to_end(query.key)
+        self.stats["serve_warm_hits"] += 1
+        get_runtime().telemetry.increment("serve_warm_hits")
+        outbox.put(answer_line(request_id, "warm", cached))
+        return True
+
     async def _handle_query(self, request: Dict[str, Any], request_id,
-                            writer: asyncio.StreamWriter,
-                            lock: asyncio.Lock) -> None:
+                            query: Query, outbox: _Outbox) -> None:
         telemetry = get_runtime().telemetry
-        query = self._parse(request)
         key = query.key
-        cached = self._lru.get(key)
-        if cached is not None:
-            self._lru.move_to_end(key)
-            self.stats["serve_warm_hits"] += 1
-            telemetry.increment("serve_warm_hits")
-            await self._write(writer, lock,
-                              answer_line(request_id, "warm", cached))
+        # A computation may have landed since the read loop looked.
+        if self._answer_warm(query, request_id, outbox):
             return
         if self._draining:
             # Warm answers above stay free during drain; new work does
@@ -454,7 +528,7 @@ class AvfServer:
         if future is not None:
             self.stats["serve_coalesced"] += 1
             telemetry.increment("serve_coalesced")
-            await self._send(writer, lock, {
+            self._send(outbox, {
                 "id": request_id, "event": "accepted", "ok": True,
                 "status": "coalesced", "key": key})
         else:
@@ -474,7 +548,7 @@ class AvfServer:
             self.stats["serve_queue_peak"] = max(
                 self.stats["serve_queue_peak"], len(self._inflight))
             asyncio.ensure_future(self._compute(query, future))
-            await self._send(writer, lock, {
+            self._send(outbox, {
                 "id": request_id, "event": "accepted", "ok": True,
                 "status": "cold", "key": key})
         deadline = self._answer_deadline(request)
@@ -498,8 +572,7 @@ class AvfServer:
         except Exception as exc:  # surfaced per-request, server survives
             raise ProtocolError(
                 "compute-failed", f"{type(exc).__name__}: {exc}")
-        await self._write(writer, lock, answer_line(request_id, "cold",
-                                                     answer))
+        outbox.put(answer_line(request_id, "cold", answer))
 
     def _resolve_encoded(self, query: Query) -> Tuple[str, str]:
         """The resolver's answer, encoded for the wire (compute thread)."""
@@ -530,6 +603,12 @@ class AvfServer:
                 future.set_result(answer)
         finally:
             self._inflight.pop(query.key, None)
+            # What a computation leaves behind (the engine's memos, the
+            # answer) lives as long as the server: its garbage collected,
+            # the rest is frozen, so full collections on the warm path
+            # no longer traverse it.
+            gc.collect()
+            gc.freeze()
 
     def _remember(self, key: str, answer: Tuple[str, str]) -> None:
         """Insert into the LRU, evicting the least-recently-used answer."""
@@ -544,18 +623,16 @@ class AvfServer:
 
     # -- auxiliary ops ------------------------------------------------------
 
-    async def _handle_stats(self, request_id, writer: asyncio.StreamWriter,
-                            lock: asyncio.Lock) -> None:
+    def _handle_stats(self, request_id, outbox: _Outbox) -> None:
         snapshot = dict(self.stats)
         snapshot["lru_entries"] = len(self._lru)
         snapshot["inflight"] = len(self._inflight)
         snapshot["draining"] = self._draining
-        await self._send(writer, lock, {
+        self._send(outbox, {
             "id": request_id, "event": "result", "ok": True,
             "status": "warm", "value": snapshot})
 
-    async def _handle_health(self, request_id, writer: asyncio.StreamWriter,
-                             lock: asyncio.Lock) -> None:
+    def _handle_health(self, request_id, outbox: _Outbox) -> None:
         """Live/ready/draining plus the stats a balancer/breaker wants."""
         inflight = len(self._inflight)
         shed_bound = self.config.max_inflight
@@ -580,13 +657,12 @@ class AvfServer:
                 if name in self.stats
             },
         }
-        await self._send(writer, lock, {
+        self._send(outbox, {
             "id": request_id, "event": "result", "ok": True,
             "status": "warm", "value": value})
 
-    async def _handle_store_get(self, request: Dict[str, Any], request_id,
-                                writer: asyncio.StreamWriter,
-                                lock: asyncio.Lock) -> None:
+    def _handle_store_get(self, request: Dict[str, Any], request_id,
+                          outbox: _Outbox) -> None:
         key = validate_store_key(request.get("key"))
         cache = get_runtime().cache
         if cache is None:
@@ -598,7 +674,7 @@ class AvfServer:
         if value is MISS:
             self.stats["serve_store_misses"] += 1
             telemetry.increment("serve_store_misses")
-            await self._send(writer, lock, {
+            self._send(outbox, {
                 "id": request_id, "event": "result", "ok": True,
                 "status": "warm", "key": key, "found": False})
             return
@@ -606,14 +682,13 @@ class AvfServer:
         telemetry.increment("serve_store_hits")
         encoded = base64.b64encode(
             pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)).decode()
-        await self._send(writer, lock, {
+        self._send(outbox, {
             "id": request_id, "event": "result", "ok": True,
             "status": "warm", "key": key, "found": True,
             "value_b64": encoded})
 
-    async def _handle_store_put(self, request: Dict[str, Any], request_id,
-                                writer: asyncio.StreamWriter,
-                                lock: asyncio.Lock) -> None:
+    def _handle_store_put(self, request: Dict[str, Any], request_id,
+                          outbox: _Outbox) -> None:
         key = validate_store_key(request.get("key"))
         raw = request.get("value_b64")
         if not isinstance(raw, str):
@@ -633,7 +708,7 @@ class AvfServer:
         telemetry = get_runtime().telemetry
         self.stats["serve_store_puts"] += 1
         telemetry.increment("serve_store_puts")
-        await self._send(writer, lock, {
+        self._send(outbox, {
             "id": request_id, "event": "result", "ok": True,
             "status": "warm", "key": key, "stored": stored})
 

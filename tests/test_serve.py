@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
+import struct
 import threading
+from collections import Counter
 
 import pytest
 
@@ -588,6 +591,341 @@ class TestParseMemo:
         assert stats["serve_parse_hits"] == 1
         assert stats["serve_deadline_expirations"] == 1
 
+
+
+class TestServerWire:
+    """Answers leave through one outbox per connection: one transport
+    write per loop turn, a bounded backlog, nothing lost at shutdown."""
+
+    REQUEST = {"op": "avf", "profile": "crafty",
+               "target_instructions": 500, "seed": 51}
+
+    @staticmethod
+    def expected_line(request, request_id, status, resolver=echo_resolver):
+        payload = {"id": request_id, "event": "result", "ok": True,
+                   "status": status, "key": parse_query(request).key,
+                   "value": resolver(parse_query(request))}
+        return (canonical_dumps(payload) + "\n").encode()
+
+    def test_pipelined_warm_answers_share_writes(self):
+        count = 40
+        tasks = []
+
+        async def scenario(server):
+            await ask(server, self.REQUEST)  # the key is warm from now on
+            before = Counter(server.stats)
+            handle_line = server._handle_line
+
+            def counted(*args):
+                tasks.append(args)
+                return handle_line(*args)
+
+            server._handle_line = counted
+            lines = await raw_lines(
+                server, [{**self.REQUEST, "id": i} for i in range(count)],
+                count)
+            return before, Counter(server.stats), lines
+
+        with use_runtime():
+            before, after, lines = serve_scenario(scenario,
+                                                  resolver=echo_resolver)
+        assert lines == [self.expected_line(self.REQUEST, i, "warm")
+                         for i in range(count)]
+        assert after["serve_warm_hits"] - before["serve_warm_hits"] == count
+        assert tasks == [], "warm hits are answered in the read loop"
+        writes = after["serve_writes"] - before["serve_writes"]
+        assert 1 <= writes < count
+
+    def test_client_that_stops_reading_bounds_the_backlog(self,
+                                                          monkeypatch):
+        """Answers of 64 KiB to a client that reads nothing: the server
+        awaits ``drain()`` and stops reading, holding about one
+        high-water mark of answers, then delivers every one in order."""
+        count = 200
+        blob = "x" * 65536
+
+        def big(query):
+            return {"blob": blob, "seed": query.seed}
+
+        request = {**self.REQUEST, "seed": 52}
+        line_len = len(self.expected_line(request, count, "warm", big))
+        drains, held = [], []
+        real_drain = asyncio.StreamWriter.drain
+        real_write = asyncio.StreamWriter.write
+
+        async def counting_drain(writer):
+            drains.append(writer.transport.get_write_buffer_size())
+            await real_drain(writer)
+
+        def recording_write(writer, data):
+            held.append(len(data) + writer.transport.get_write_buffer_size())
+            real_write(writer, data)
+
+        async def scenario(server):
+            loop = asyncio.get_running_loop()
+            await ask(server, request)
+            monkeypatch.setattr(asyncio.StreamWriter, "drain",
+                                counting_drain)
+            monkeypatch.setattr(asyncio.StreamWriter, "write",
+                                recording_write)
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.setblocking(False)
+            try:
+                await loop.sock_connect(sock, ("127.0.0.1", server.port))
+                await loop.sock_sendall(sock, b"".join(
+                    (json.dumps({**request, "id": i}) + "\n").encode()
+                    for i in range(count)))
+                for _ in range(200):
+                    if drains:
+                        break
+                    await asyncio.sleep(0.05)
+                await asyncio.sleep(0.2)
+                stalled = server.stats["serve_requests"]
+                await asyncio.sleep(0.2)
+                assert server.stats["serve_requests"] == stalled
+                chunks, received = [], 0
+                while received < count:
+                    chunk = await loop.sock_recv(sock, 1 << 20)
+                    if not chunk:
+                        break
+                    chunks.append(chunk)
+                    received += chunk.count(b"\n")
+            finally:
+                sock.close()
+            # The warm-up request counts too.
+            return stalled - 1, b"".join(chunks).splitlines(keepends=True)
+
+        with use_runtime():
+            stalled, lines = serve_scenario(scenario, resolver=big)
+        high_water = 64 * 1024  # asyncio's default write high-water mark
+        assert drains, "the server never waited for the client"
+        assert stalled < count, "the read loop kept answering"
+        assert max(held) <= high_water + line_len
+        assert lines == [self.expected_line(request, i, "warm", big)
+                         for i in range(count)]
+
+    def test_disconnect_before_flush_is_counted_not_recomputed(self):
+        """A client resets the connection while its answer computes: the
+        line queued for it is dropped and counted, and the next asker
+        gets the answer without a second computation."""
+        started = threading.Event()
+        release = threading.Event()
+        calls = []
+
+        def gated(query):
+            calls.append(query.key)
+            started.set()
+            assert release.wait(10), "test deadlock: resolver never released"
+            return echo_resolver(query)
+
+        async def scenario(server):
+            loop = asyncio.get_running_loop()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            writer.write((json.dumps({**self.REQUEST, "id": 1})
+                          + "\n").encode())
+            await writer.drain()
+            assert json.loads(await reader.readline())["status"] == "cold"
+            await loop.run_in_executor(None, started.wait, 10)
+            # Linger 0: the close resets the connection instead of
+            # ending it, as a crashed client's kernel would.
+            writer.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            writer.transport.abort()
+            for _ in range(200):
+                if not server._connections:
+                    break
+                await asyncio.sleep(0.01)
+            dropped = server.stats["serve_client_disconnects"]
+            release.set()
+            final = await ask(server, self.REQUEST)
+            return dropped, final
+
+        with use_runtime():
+            dropped, final = serve_scenario(scenario, resolver=gated)
+        assert dropped == 1
+        assert final["value"] == echo_resolver(parse_query(self.REQUEST))
+        assert len(calls) == 1, "a disconnect must not cause a recompute"
+
+    def test_drain_flushes_queued_lines_before_closing(self):
+        """SIGTERM's drain answers what is in flight; the answer queued
+        last still reaches the client before the connection closes."""
+        started = threading.Event()
+        release = threading.Event()
+
+        def gated(query):
+            if query.seed == 53:
+                started.set()
+                assert release.wait(10), "test deadlock: never released"
+            return echo_resolver(query)
+
+        cold = {**self.REQUEST, "seed": 53}
+
+        async def scenario(server):
+            loop = asyncio.get_running_loop()
+            await ask(server, self.REQUEST)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            try:
+                writer.write((json.dumps({**cold, "id": "cold"})
+                              + "\n").encode())
+                await writer.drain()
+                accepted = await reader.readline()
+                await loop.run_in_executor(None, started.wait, 10)
+                drain = asyncio.ensure_future(server.drain())
+                await asyncio.sleep(0.05)
+                # Warm answers stay free while the server drains.
+                writer.write(b"".join(
+                    (json.dumps({**self.REQUEST, "id": i}) + "\n").encode()
+                    for i in range(3)))
+                await writer.drain()
+                warm = [await reader.readline() for _ in range(3)]
+                release.set()
+                rest = await reader.read()  # everything up to the close
+                await drain
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            return accepted, warm, rest
+
+        with use_runtime():
+            accepted, warm, rest = serve_scenario(scenario, resolver=gated)
+        assert json.loads(accepted)["status"] == "cold"
+        assert warm == [self.expected_line(self.REQUEST, i, "warm")
+                        for i in range(3)]
+        assert rest == self.expected_line(cold, "cold", "cold")
+
+    def test_over_long_line_is_answered_before_the_close(self,
+                                                         monkeypatch):
+        """The ``line-too-long`` error is queued in the same turn that
+        drops the connection; it still reaches the client."""
+        from repro.serve import server as server_module
+
+        monkeypatch.setattr(server_module, "MAX_LINE_BYTES", 1024)
+
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            try:
+                writer.write(b"x" * 4096)
+                await writer.drain()
+                return await reader.read()  # everything up to the close
+            finally:
+                writer.close()
+                await writer.wait_closed()
+
+        with use_runtime():
+            rest = serve_scenario(scenario, resolver=echo_resolver)
+        error = json.loads(rest)
+        assert error["id"] is None
+        assert error["error"]["code"] == "line-too-long"
+
+
+class TestClientWire:
+    """Request lines of one loop turn leave in one write."""
+
+    def test_requests_of_one_turn_share_one_write(self):
+        writes = []
+
+        async def scenario(server):
+            client = await AsyncServeClient().connect(
+                "127.0.0.1", server.port)
+            write = client._writer.write
+
+            def counted(data):
+                writes.append(data)
+                write(data)
+
+            client._writer.write = counted
+            try:
+                return await asyncio.gather(*(
+                    client.request({"op": "ping"}) for _ in range(8)))
+            finally:
+                await client.close()
+
+        finals = serve_scenario(scenario, resolver=echo_resolver)
+        assert [f["value"] for f in finals] == ["pong"] * 8
+        assert len(writes) == 1
+        assert writes[0].count(b"\n") == 8
+
+    def test_connection_lost_before_the_flush_fails_retryably(self):
+        from repro.serve.resilience import CircuitBreaker, ClientPolicy
+
+        async def lose_before_flush(client):
+            request = asyncio.ensure_future(client.request({"op": "ping"}))
+            await asyncio.sleep(0)  # the line is queued, not yet sent
+            assert len(client._outbox) == 1
+            client._writer.transport.abort()
+            return await asyncio.wait_for(request, 5)
+
+        async def scenario(server):
+            bare = await AsyncServeClient().connect("127.0.0.1", server.port)
+            try:
+                with pytest.raises(ConnectionError):
+                    await lose_before_flush(bare)
+            finally:
+                await bare.close()
+            resilient = AsyncServeClient(
+                "127.0.0.1", server.port, timeout=5.0,
+                policy=ClientPolicy(retries=2, backoff_base=0.001),
+                breaker=CircuitBreaker())
+            try:
+                await resilient.request({"op": "ping"})  # dial
+                final = await lose_before_flush(resilient)
+            finally:
+                await resilient.close()
+            return final, resilient.counters
+
+        final, counters = serve_scenario(scenario, resolver=echo_resolver)
+        assert final["value"] == "pong"
+        assert counters["client_transport_errors"] == 1
+
+    def test_blocking_client_and_remote_store_round_trip(self, tmp_path):
+        import hashlib
+
+        from repro.serve.client import RemoteStore, ServeClient
+
+        ready = threading.Event()
+        box = {}
+
+        def run_server():
+            async def main():
+                server = AvfServer(ServeConfig(host="127.0.0.1", port=0),
+                                   resolver=echo_resolver)
+                await server.start()
+                box["server"] = server
+                box["loop"] = asyncio.get_running_loop()
+                ready.set()
+                await server.wait_stopped()
+
+            asyncio.run(main())
+
+        request = {**TestServerWire.REQUEST, "seed": 54}
+        key = hashlib.sha256(b"outbox").hexdigest()
+        with use_runtime(cache_dir=tmp_path):
+            thread = threading.Thread(target=run_server, daemon=True)
+            thread.start()
+            assert ready.wait(10)
+            address = f"127.0.0.1:{box['server'].port}"
+            try:
+                with ServeClient(address, timeout=5.0) as client:
+                    pong = client.request({"op": "ping"})
+                    final = client.request(dict(request))
+                store = RemoteStore(address, timeout=5.0)
+                try:
+                    stored = store.put(key, {"timeline": [1, 2, 3]})
+                    fetched = store.get(key)
+                finally:
+                    store.close()
+            finally:
+                asyncio.run_coroutine_threadsafe(
+                    box["server"].stop(), box["loop"]).result(10)
+                thread.join(10)
+        assert pong["value"] == "pong"
+        assert final["value"] == echo_resolver(parse_query(request))
+        assert stored is True
+        assert fetched == {"timeline": [1, 2, 3]}
 
 
 class TestServeFooter:

@@ -42,6 +42,8 @@ import argparse
 import asyncio
 import json
 import logging
+import os
+import platform
 import statistics
 import sys
 import time
@@ -258,7 +260,7 @@ async def drive(args, requests, goldens, failures):
                          "serve_coalesced",
                          "serve_lru_evictions", "serve_errors",
                          "serve_shed_requests",
-                         "serve_deadline_expirations")}
+                         "serve_deadline_expirations", "serve_writes")}
     warm_p50, warm_p95 = _percentiles(warm_latencies)
     resilient_p50, resilient_p95 = _percentiles(resilient_latencies)
     overhead_pct = ((resilient_p50 - warm_p50) / warm_p50 * 100
@@ -428,6 +430,8 @@ def main() -> int:
             "resilience_overhead_in_bound": not any(
                 "resilient-client" in f for f in failures),
         },
+        "host": {"machine": platform.machine(), "cores": os.cpu_count(),
+                 "python": platform.python_version()},
         "passed": not failures,
     }
     Path(args.output).write_text(json.dumps(record, indent=2) + "\n")
