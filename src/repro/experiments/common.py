@@ -9,7 +9,8 @@ The functional half (program, trace, deadness) is cached per
 (profile, size, seed) because every exhibit reuses it across squash
 configurations; the timing half is cached per squash trigger. A run the
 timeline store answers loads its functional half only when an exhibit
-reads it (:class:`BenchmarkRun`).
+reads it, and its pipeline result only when an exhibit reads that
+(:class:`BenchmarkRun`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import atexit
 import os
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.analysis.deadcode import DeadnessAnalysis, analyze_deadness
 from repro.arch.executor import FunctionalSimulator
@@ -29,7 +30,7 @@ from repro.isa.program import Program
 from repro.pipeline.config import MachineConfig, SquashConfig, Trigger
 from repro.pipeline.core import PipelineSimulator
 from repro.pipeline.result import PipelineResult
-from repro.runtime.cache import MISS, cache_key
+from repro.runtime.cache import MISS, Deferred, cache_key
 from repro.runtime.context import RuntimeContext, get_runtime
 from repro.workloads.codegen import synthesize
 from repro.workloads.profile import BenchmarkProfile
@@ -55,32 +56,37 @@ class ExperimentSettings:
 
 
 class BenchmarkRun:
-    """Everything derived from one benchmark at one squash setting.
+    """Everything derived from one benchmark at one machine configuration.
 
-    ``pipeline`` and ``report`` are always held. A run that simulated
-    holds its functional parts too; a run the timeline store answered
-    resolves ``program``, ``execution`` and ``deadness`` through
-    :func:`functional_parts` on first access, under the runtime context
-    it was created in, and keeps them from then on. Table 1 reads only
-    ``report``, so a warm Table 1 loads no program at all.
+    ``report`` is always held. A run that simulated holds its pipeline
+    result and functional parts too. A run the timeline store answered
+    holds only the report: it decodes ``pipeline`` from the store entry,
+    and resolves ``program``, ``execution`` and ``deadness`` through
+    :func:`functional_parts`, each on first access, under the runtime
+    context it was created in, and keeps them from then on. Table 1
+    reads only ``report``, so a warm Table 1 loads no program and no
+    timeline at all.
     """
 
     def __init__(
         self,
         profile: BenchmarkProfile,
         settings: ExperimentSettings,
-        pipeline: PipelineResult,
+        pipeline: Union[PipelineResult, Deferred],
         report: IqAvfReport,
         parts: Optional[Tuple[Program, ExecutionResult,
                               DeadnessAnalysis]] = None,
+        machine: Optional[MachineConfig] = None,
     ) -> None:
         self.profile = profile
         self.settings = settings
-        self.pipeline = pipeline
+        self.machine = machine
         self.report = report
+        self._pipeline = pipeline
         self._parts = parts
         self._runtime: Optional[RuntimeContext] = (
-            get_runtime() if parts is None else None)
+            get_runtime() if parts is None
+            or isinstance(pipeline, Deferred) else None)
 
     @property
     def loaded_parts(self) -> Optional[
@@ -97,8 +103,40 @@ class BenchmarkRun:
                 if parts is None:
                     parts = self._parts = functional_parts(
                         self.profile, self.settings, self._runtime)
-                    self._runtime = None
         return parts
+
+    @property
+    def pipeline(self) -> PipelineResult:
+        pipeline = self._pipeline
+        if isinstance(pipeline, Deferred):
+            with _RESOLVE_LOCK:
+                pipeline = self._pipeline
+                if isinstance(pipeline, Deferred):
+                    pipeline = self._pipeline = self._load_timeline(
+                        pipeline)
+        return pipeline
+
+    def _load_timeline(self, stored: Deferred) -> PipelineResult:
+        """Decode the stored pipeline result (ticking ``timeline_loads``);
+        a missing or undecodable one is counted in
+        ``cache_corrupt_entries``, simulated again and stored again."""
+        runtime = self._runtime
+        try:
+            pipeline = stored.load()
+        except Exception:
+            pipeline = None
+        if isinstance(pipeline, PipelineResult):
+            runtime.telemetry.increment("timeline_loads")
+            return pipeline
+        runtime.telemetry.increment("cache_corrupt_entries")
+        program, execution, _ = self._functional()
+        pipeline = _simulate(program, execution, self.machine,
+                             self.settings, runtime)
+        if runtime.cache is not None:
+            runtime.cache.put(
+                timing_cache_key(self.profile, self.settings, self.machine),
+                (pipeline, self.report), defer=_TIMELINE)
+        return pipeline
 
     @property
     def program(self) -> Program:
@@ -114,8 +152,9 @@ class BenchmarkRun:
 
 
 #: Serialises first-access resolution, so two server threads reading one
-#: run share one set of parts (``run.program is run.program``).
-_RESOLVE_LOCK = threading.Lock()
+#: run share one set of parts (``run.program is run.program``). Reentrant:
+#: re-simulating a lost timeline resolves the parts under it.
+_RESOLVE_LOCK = threading.RLock()
 _functional_cache: Dict[Tuple, Tuple] = {}
 _run_cache: Dict[Tuple, BenchmarkRun] = {}
 #: Open connections to remote timeline services, one per address.
@@ -260,6 +299,85 @@ def adopt_functional(
     _functional_cache[_functional_key(profile, settings)] = parts
 
 
+#: A timing entry is ``(pipeline, report)``, stored with the pipeline
+#: result (item 0) after the report, so a lazy read decodes the report
+#: alone.
+_TIMELINE = 0
+
+
+def timing_cache_key(profile: BenchmarkProfile,
+                     settings: ExperimentSettings,
+                     machine: MachineConfig) -> str:
+    """Persistent-cache (and timeline-store) key of one timing entry."""
+    return cache_key("run", profile, settings.target_instructions,
+                     settings.seed, machine)
+
+
+def _simulate(program: Program, execution: ExecutionResult,
+              machine: MachineConfig, settings: ExperimentSettings,
+              runtime: RuntimeContext) -> PipelineResult:
+    pipeline = PipelineSimulator(program, execution.trace, machine,
+                                 seed=settings.seed).run()
+    runtime.telemetry.increment("pipeline_sims")
+    return pipeline
+
+
+def _stored_run(profile: BenchmarkProfile, settings: ExperimentSettings,
+                machine: MachineConfig) -> Optional[BenchmarkRun]:
+    """The run the timeline stores answer, or None.
+
+    Lookup order: the local persistent store, then the remote service
+    store (a remote hit is written through locally so the next run in
+    this environment answers without network traffic). A local entry
+    is read lazily: its pipeline result stays on disk until read.
+    """
+    runtime = get_runtime()
+    remote = _remote_store()
+    if runtime.cache is None and remote is None:
+        return None
+    disk_key = timing_cache_key(profile, settings, machine)
+    cached = MISS
+    if runtime.cache is not None:
+        cached = runtime.cache.get(disk_key, lazy=True)
+    from_remote = cached is MISS and remote is not None
+    if from_remote:
+        cached = remote.get(disk_key)
+    if cached is MISS:
+        return None
+    try:
+        pipeline, report = cached
+    except (TypeError, ValueError):
+        # Wrong-shape entry (whichever store produced it): degrade to a
+        # recompute; its put overwrites the entry.
+        runtime.telemetry.increment("cache_corrupt_entries")
+        return None
+    if from_remote and runtime.cache is not None:
+        runtime.cache.put(disk_key, cached, defer=_TIMELINE)
+    runtime.telemetry.increment("timeline_store_hits")
+    return BenchmarkRun(profile, settings, pipeline, report,
+                        machine=machine)
+
+
+def simulate_run(profile: BenchmarkProfile, settings: ExperimentSettings,
+                 machine: MachineConfig) -> BenchmarkRun:
+    """Simulate one run, without a store lookup, and store its entry."""
+    runtime = get_runtime()
+    remote = _remote_store()
+    parts = functional_parts(profile, settings)
+    program, execution, deadness = parts
+    pipeline = _simulate(program, execution, machine, settings, runtime)
+    report = compute_iq_avf(profile.name, pipeline, deadness)
+    if runtime.cache is not None or remote is not None:
+        disk_key = timing_cache_key(profile, settings, machine)
+        if runtime.cache is not None:
+            runtime.cache.put(disk_key, (pipeline, report),
+                              defer=_TIMELINE)
+        if remote is not None:
+            remote.put(disk_key, (pipeline, report))
+    return BenchmarkRun(profile, settings, pipeline, report, parts,
+                        machine=machine)
+
+
 def run_benchmark(
     profile: BenchmarkProfile,
     settings: Optional[ExperimentSettings] = None,
@@ -276,59 +394,21 @@ def run_benchmark(
 
     The persistent-cache entry for the timing half stores
     ``(pipeline, report)`` — the pipeline result carries its compact
-    interval timeline, so a populated store
-    lets the whole exhibit suite re-run without a single timing
-    simulation. The (much larger) functional parts are cached once per
-    (profile, size, seed) and shared by every machine configuration; a
-    run the store answers loads them only when they are read.
+    interval timeline, so a populated store lets the whole exhibit suite
+    re-run without a single timing simulation. The (much larger)
+    functional parts are cached once per (profile, size, seed) and shared
+    by every machine configuration; a run the store answers loads them,
+    and its timeline, only when they are read.
     """
     settings = settings or ExperimentSettings()
     if machine is None:
         machine = settings.machine_for(profile, trigger)
     key = _run_key(profile, settings, machine)
-    if key in _run_cache:
-        return _run_cache[key]
-    runtime = get_runtime()
-    remote = _remote_store()
-    disk_key = None
-    if runtime.cache is not None or remote is not None:
-        disk_key = cache_key("run", profile, settings.target_instructions,
-                             settings.seed, machine)
-    # Timing-entry lookup order: local persistent store, then the remote
-    # service store (a remote hit is written through locally so the next
-    # run in this environment answers without network traffic).
-    cached = MISS
-    if runtime.cache is not None:
-        cached = runtime.cache.get(disk_key)
-    if cached is MISS and remote is not None:
-        cached = remote.get(disk_key)
-        if cached is not MISS and runtime.cache is not None:
-            runtime.cache.put(disk_key, cached)
-    if cached is not MISS:
-        try:
-            pipeline, report = cached
-        except (TypeError, ValueError):
-            # Wrong-shape entry (whichever store produced it): degrade
-            # to a recompute; the puts below overwrite it.
-            runtime.telemetry.increment("cache_corrupt_entries")
-        else:
-            runtime.telemetry.increment("timeline_store_hits")
-            run = BenchmarkRun(profile, settings, pipeline, report)
-            _run_cache[key] = run
-            return run
-    parts = functional_parts(profile, settings)
-    program, execution, deadness = parts
-    pipeline = PipelineSimulator(program, execution.trace, machine,
-                                 seed=settings.seed).run()
-    runtime.telemetry.increment("pipeline_sims")
-    report = compute_iq_avf(profile.name, pipeline, deadness)
-    run = BenchmarkRun(profile, settings, pipeline, report, parts)
-    _run_cache[key] = run
-    if disk_key is not None:
-        if runtime.cache is not None:
-            runtime.cache.put(disk_key, (pipeline, report))
-        if remote is not None:
-            remote.put(disk_key, (pipeline, report))
+    run = _run_cache.get(key)
+    if run is None:
+        run = (_stored_run(profile, settings, machine)
+               or simulate_run(profile, settings, machine))
+        _run_cache[key] = run
     return run
 
 
@@ -341,21 +421,28 @@ def run_benchmarks(
     """Batch :func:`run_benchmark`, fanning misses out across processes.
 
     With ``jobs`` (or the active context's worker count) above one, the
-    profiles not already memoised are computed in worker processes; each
+    stores answer what they hold first, here; only the profiles they miss
+    are computed in worker processes, so a warm pass starts no pool. Each
     worker writes through to the shared persistent cache, and results are
     returned in ``profiles`` order, bit-identical to the serial path. A
     worker sends functional parts back only when it computed or loaded
-    them, so runs the store answered stay deferred here too.
+    them.
     """
     settings = settings or ExperimentSettings()
     profiles = list(profiles)
     runtime = get_runtime()
     effective_jobs = runtime.jobs if jobs is None else jobs
     if effective_jobs > 1:
-        pending = [
-            p for p in profiles
-            if _run_key(p, settings, settings.machine_for(p, trigger))
-            not in _run_cache]
+        pending = []
+        for profile in profiles:
+            machine = settings.machine_for(profile, trigger)
+            key = _run_key(profile, settings, machine)
+            if key not in _run_cache:
+                run = _stored_run(profile, settings, machine)
+                if run is None:
+                    pending.append(profile)
+                else:
+                    _run_cache[key] = run
         if len(pending) > 1:
             from repro.runtime.engine import run_benchmarks_parallel
 
@@ -368,14 +455,14 @@ def run_benchmarks(
                 functional=[
                     _functional_cache.get(_functional_key(p, settings))
                     for p in pending])
-            for profile, run in zip(pending, runs):
-                _run_cache[_run_key(
-                    profile, settings,
-                    settings.machine_for(profile, trigger))] = run
-                if run.loaded_parts is not None:
-                    _functional_cache.setdefault(
-                        _functional_key(profile, settings),
-                        run.loaded_parts)
+        else:
+            runs = [simulate_run(p, settings, settings.machine_for(p, trigger))
+                    for p in pending]
+        for profile, run in zip(pending, runs):
+            _run_cache[_run_key(profile, settings, run.machine)] = run
+            if run.loaded_parts is not None:
+                _functional_cache.setdefault(
+                    _functional_key(profile, settings), run.loaded_parts)
     return [run_benchmark(profile, settings, trigger)
             for profile in profiles]
 

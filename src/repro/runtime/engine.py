@@ -88,19 +88,20 @@ def _benchmark_task(profile, settings, trigger, parts,
                     cache_dir: Optional[str], chaos: Optional[ChaosConfig],
                     service: Optional[str],
                     service_timeout: Optional[float], attempt: int):
-    """Worker: one full benchmark run under a private serial context.
+    """Worker: simulate one benchmark run under a private serial context.
 
-    ``parts`` are the profile's functional parts when the parent already
-    holds them (None otherwise), so the worker times the program instead
-    of simulating it again. Returns ``((parts or None, pipeline, report),
-    counters, seconds)``: parts are sent back only when the worker
-    computed or loaded them, never when the parent shipped them or the
-    timeline store answered the run without them.
-    The worker reads and writes the same stores as the parent: the
-    shared cache directory and, when ``service`` is set, the fleet-wide
-    timeline store of that ``repro serve`` instance.
+    The parent has already missed the timeline stores for this run, so
+    the worker does not look it up again. ``parts`` are the profile's
+    functional parts when the parent already holds them (None
+    otherwise), so the worker times the program instead of simulating it
+    again. Returns ``((parts or None, pipeline, report), counters,
+    seconds)``: parts are sent back only when the worker computed or
+    loaded them, never when the parent shipped them.
+    The worker writes to the same stores as the parent: the shared cache
+    directory and, when ``service`` is set, the fleet-wide timeline
+    store of that ``repro serve`` instance.
     """
-    from repro.experiments.common import adopt_functional, run_benchmark
+    from repro.experiments.common import adopt_functional, simulate_run
 
     if chaos is not None:
         ChaosInjector(chaos).maybe_kill(("benchmark", profile.name), attempt)
@@ -109,7 +110,8 @@ def _benchmark_task(profile, settings, trigger, parts,
     if parts is not None:
         adopt_functional(profile, settings, parts)
     began = time.perf_counter()
-    run = run_benchmark(profile, settings, trigger)
+    run = simulate_run(profile, settings,
+                       settings.machine_for(profile, trigger))
     elapsed = time.perf_counter() - began
     own = None if parts is not None else run.loaded_parts
     return (own, run.pipeline, run.report), _worker_counters(context), elapsed
@@ -130,9 +132,9 @@ def run_benchmarks_parallel(
 ) -> List[Any]:
     """Map ``run_benchmark`` over profiles across supervised processes.
 
-    Returns :class:`BenchmarkRun` objects in ``profiles`` order; a run
-    for which neither side holds functional parts resolves them on first
-    access, like a serial timeline-store hit.
+    Returns :class:`BenchmarkRun` objects in ``profiles`` order, each
+    holding its functional parts. The caller has already looked every
+    profile up in the timeline stores and missed.
     ``functional`` holds, per profile, the functional parts the caller
     already has (or None); they travel with the task. Each
     worker opens its own handle on the shared cache directory (writes are
@@ -152,8 +154,10 @@ def run_benchmarks_parallel(
         if telemetry is not None:
             telemetry.merge_counters(counters)
             telemetry.record_worker("benchmark", index, 1, seconds)
-        results[index] = BenchmarkRun(profiles[index], settings, pipeline,
-                                      report, own or functional[index])
+        results[index] = BenchmarkRun(
+            profiles[index], settings, pipeline, report,
+            own or functional[index],
+            machine=settings.machine_for(profiles[index], trigger))
 
     tasks = [
         SupervisedTask(fn=_benchmark_task,

@@ -1,18 +1,24 @@
-"""A run the timeline store answers defers its functional parts.
+"""A run the timeline store answers defers its functional parts and its
+pipeline result.
 
 Table 1 reads only ``run.report``; a warm Table 1 must load no program,
-trace or deadness analysis, serially or at ``jobs=2``. Exhibits that do
-read the parts resolve them on first access to the same bytes the
-simulating run holds.
+trace, deadness analysis or timeline, serially or at ``jobs=2``, and at
+``jobs=2`` it must start no worker pool. Exhibits that do read the parts
+or the pipeline resolve them on first access to the same bytes the
+simulating run holds; a timing entry whose pipeline result is lost is
+simulated again.
 """
 
+import asyncio
 import dataclasses
 import multiprocessing
+import threading
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.arch.trace import Trace
-from repro.experiments import ablations, figure1, table1
+from repro.experiments import ablations, figure1, occupancy, table1
 from repro.experiments.common import (
     ExperimentSettings,
     clear_caches,
@@ -21,11 +27,16 @@ from repro.experiments.common import (
     prefetch_functional,
     run_benchmark,
     run_benchmarks,
+    timing_cache_key,
 )
 from repro.faults.batch import subject_key
 from repro.pipeline.config import Trigger
+from repro.pipeline.result import PipelineResult
+from repro.runtime import resilience
 from repro.runtime.cache import cache_key
 from repro.runtime.context import use_runtime
+from repro.serve.client import RemoteStore
+from repro.serve.server import AvfServer, ServeConfig
 from repro.workloads.spec2000 import get_profile
 
 SETTINGS = ExperimentSettings(target_instructions=3000, seed=17)
@@ -64,8 +75,35 @@ class TestWarmTable1:
         assert counters.get("functional_loads", 0) == 0
         assert counters.get("functional_sims", 0) == 0
         assert counters.get("pipeline_sims", 0) == 0
+        assert counters.get("timeline_loads", 0) == 0
         assert counters["timeline_store_hits"] == 3 * len(PROFILES)
         assert multiprocessing.active_children() == []
+
+    def test_warm_parallel_pass_starts_no_pool(self, tmp_path,
+                                               monkeypatch):
+        """The parent answers every store hit itself: a warm Table 1 at
+        ``jobs=2`` starts no worker pool and prints the serial table."""
+        pools = []
+
+        def counted(*args, **kwargs):
+            pools.append(args)
+            return ProcessPoolExecutor(*args, **kwargs)
+
+        monkeypatch.setattr(resilience, "ProcessPoolExecutor", counted)
+        with use_runtime(cache_dir=tmp_path, jobs=2):
+            cold = _table1_text()
+        assert len(pools) == 1
+        clear_caches()
+        with use_runtime(cache_dir=tmp_path):
+            serial = _table1_text()
+        clear_caches()
+        with use_runtime(cache_dir=tmp_path, jobs=2) as context:
+            warm = _table1_text()
+            counters = dict(context.telemetry.counters)
+        assert len(pools) == 1
+        assert warm == serial == cold
+        assert counters["timeline_store_hits"] == 3 * len(PROFILES)
+        assert counters.get("timeline_loads", 0) == 0
 
     def test_parallel_runs_stay_deferred(self, tmp_path):
         with use_runtime(cache_dir=tmp_path):
@@ -190,3 +228,136 @@ class TestExhibitsThatReadParts:
             assert counters["functional_loads"] == len(PROFILES)
             assert counters["pipeline_sims"] == 0
         assert warm == cold
+
+
+def _entry_path(context, profile, trigger=Trigger.NONE):
+    return context.cache.path_for(timing_cache_key(
+        profile, SETTINGS, SETTINGS.machine_for(profile, trigger)))
+
+
+class TestDeferredTimeline:
+    @pytest.mark.parametrize("exhibit", ["ablations", "occupancy"])
+    def test_exhibits_that_read_pipelines_match(self, tmp_path, exhibit):
+        def text():
+            if exhibit == "ablations":
+                return ablations.format_result(
+                    ablations.accounting_policy(SETTINGS, PROFILES))
+            return occupancy.format_result(occupancy.run(SETTINGS,
+                                                         PROFILES))
+
+        with use_runtime(cache_dir=tmp_path):
+            cold = text()
+        clear_caches()
+        with use_runtime(cache_dir=tmp_path) as context:
+            warm = text()
+            counters = dict(context.telemetry.counters)
+        assert warm == cold
+        assert counters.get("pipeline_sims", 0) == 0
+        # The accounting ablation integrates every run's timeline; the
+        # occupancy decomposition reads only the reports.
+        loads = counters["timeline_store_hits"] if exhibit == "ablations" \
+            else 0
+        assert counters.get("timeline_loads", 0) == loads
+
+    def test_loaded_pipeline_is_the_simulated_one(self, tmp_path):
+        profile = PROFILES[0]
+        with use_runtime(cache_dir=tmp_path):
+            expected = cache_key(run_benchmark(profile, SETTINGS).pipeline)
+        clear_caches()
+        with use_runtime(cache_dir=tmp_path) as context:
+            run = run_benchmark(profile, SETTINGS)
+            assert context.telemetry.counters.get("timeline_loads", 0) == 0
+            assert cache_key(run.pipeline) == expected
+            assert run.pipeline is run.pipeline
+            assert context.telemetry.counters["timeline_loads"] == 1
+
+    def test_a_whole_pickled_entry_still_loads(self, tmp_path):
+        """An entry written as one ``(pipeline, report)`` pickle (the
+        layout before split entries) is a hit, pipeline included."""
+        profile = PROFILES[1]
+        with use_runtime(cache_dir=tmp_path) as context:
+            cold = run_benchmark(profile, SETTINGS)
+            expected = cache_key(cold.pipeline)
+            assert context.cache.put(
+                timing_cache_key(profile, SETTINGS, cold.machine),
+                (cold.pipeline, cold.report))
+        clear_caches()
+        with use_runtime(cache_dir=tmp_path) as context:
+            run = run_benchmark(profile, SETTINGS)
+            assert cache_key(run.pipeline) == expected
+            assert run.report == cold.report
+            counters = context.telemetry.counters
+            assert counters["timeline_store_hits"] == 1
+            assert counters.get("pipeline_sims", 0) == 0
+            assert counters.get("cache_corrupt_entries", 0) == 0
+
+    @pytest.mark.parametrize("damage", ["truncate", "delete"])
+    def test_a_lost_timeline_is_simulated_again(self, tmp_path, damage):
+        """The report decodes but the pipeline result does not (the file
+        was cut short, or removed after the report was read): the run
+        counts a corrupt entry, simulates the same bytes and stores a
+        whole entry again."""
+        profile = PROFILES[2]
+        with use_runtime(cache_dir=tmp_path):
+            expected = cache_key(run_benchmark(profile, SETTINGS).pipeline)
+        clear_caches()
+        with use_runtime(cache_dir=tmp_path) as context:
+            path = _entry_path(context, profile)
+            if damage == "truncate":
+                data = path.read_bytes()
+                path.write_bytes(data[:len(data) - 64])
+            run = run_benchmark(profile, SETTINGS)
+            assert context.telemetry.counters["timeline_store_hits"] == 1
+            if damage == "delete":
+                path.unlink()
+            assert cache_key(run.pipeline) == expected
+            counters = dict(context.telemetry.counters)
+        assert counters["cache_corrupt_entries"] == 1
+        assert counters["pipeline_sims"] == 1
+        assert counters.get("timeline_loads", 0) == 0
+        clear_caches()
+        with use_runtime(cache_dir=tmp_path) as context:
+            assert cache_key(run_benchmark(profile, SETTINGS).pipeline) \
+                == expected
+            counters = context.telemetry.counters
+            assert counters["timeline_loads"] == 1
+            assert counters.get("cache_corrupt_entries", 0) == 0
+
+    def test_the_service_store_sends_whole_entries(self, tmp_path):
+        """``store.get`` of a split entry answers a :class:`RemoteStore`
+        with the whole ``(pipeline, report)`` value."""
+        profile = PROFILES[0]
+        ready = threading.Event()
+        box = {}
+
+        def serve():
+            async def main():
+                server = AvfServer(ServeConfig(host="127.0.0.1", port=0))
+                await server.start()
+                box["server"] = server
+                box["loop"] = asyncio.get_running_loop()
+                ready.set()
+                await server.wait_stopped()
+
+            asyncio.run(main())
+
+        with use_runtime(cache_dir=tmp_path):
+            cold = run_benchmark(profile, SETTINGS)
+            expected = cache_key(cold.pipeline)
+            thread = threading.Thread(target=serve, daemon=True)
+            thread.start()
+            assert ready.wait(10)
+            store = RemoteStore(f"127.0.0.1:{box['server'].port}",
+                                timeout=5.0)
+            try:
+                value = store.get(timing_cache_key(profile, SETTINGS,
+                                                   cold.machine))
+            finally:
+                store.close()
+                asyncio.run_coroutine_threadsafe(
+                    box["server"].stop(), box["loop"]).result(10)
+                thread.join(10)
+        pipeline, report = value
+        assert isinstance(pipeline, PipelineResult)
+        assert cache_key(pipeline) == expected
+        assert report == cold.report

@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -112,10 +114,12 @@ def run_suite(settings, profiles, isolate_units: bool):
 def sim_counters(telemetry):
     """Simulations run, and the results the stores answered instead
     (``functional_loads``: functional parts an exhibit read from the
-    persistent cache)."""
+    persistent cache; ``timeline_loads``: stored pipeline results an
+    exhibit read, each decoded on first use)."""
     return {name: telemetry.counters[name]
             for name in ("pipeline_sims", "functional_sims",
-                         "timeline_store_hits", "functional_loads")}
+                         "timeline_store_hits", "functional_loads",
+                         "timeline_loads")}
 
 
 def _chunk_identical(a, b):
@@ -345,6 +349,8 @@ def main() -> int:
         "requirements": {"cold_sims_below_isolated": True,
                          "min_warm_speedup": args.min_warm_speedup,
                          "min_chunk_speedup": args.min_chunk_speedup},
+        "host": {"machine": platform.machine(), "cores": os.cpu_count(),
+                 "python": platform.python_version()},
         "passed": not failures,
     }
     Path(args.output).write_text(json.dumps(record, indent=2) + "\n")
